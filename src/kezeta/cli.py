@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -50,7 +49,6 @@ from .closedforms import (
 )
 from .errors import (
     ConvergenceError,
-    KeZetaError,
     PoleError,
     StabilityError,
     ThresholdError,
@@ -89,7 +87,7 @@ from .sampler import (
     run_chain,
 )
 from .sphere import chordal, config_energy, config_from_csv, config_to_plane_json, green
-from .stability import LogFanoCurve, classify, lct_point_divisor
+from .stability import LogFanoCurve, classify, lct_point_divisor, weight_condition
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -113,7 +111,7 @@ OPERATION_COVERAGE = {
     "sphere.chordal": ("sample", "--score closest-pair field"),
     "sphere.green": ("sample", "--score strongest-pair field"),
     "sphere.config_energy": ("sample", "--score"),
-    "sphere.sample_uniform": ("sample", "chain initialization (vectorized form)"),
+    "sphere.sample_uniform_array": ("sample", "chain initialization"),
     "closedforms.selberg_gamma_product": ("zeta", "--family selberg"),
     "closedforms.pn_minimal_Z": ("zeta", "--family pnmin"),
     "closedforms.p1_three_point_Z": ("zeta", "--family p1three"),
@@ -386,8 +384,15 @@ def _run_stability(cfg: ExperimentConfig, out_dir: Path):
         if cfg.w is None:
             return report, dict(report), []
     _require(cfg.w is not None, "stability needs --w (or --lct)")
-    ws = [float(x) for x in _parse_weights(cfg.w)]
+    exact = _parse_weights(cfg.w)
+    ws = [float(x) for x in exact]
     verdict = classify(LogFanoCurve.standard(tuple(ws)), N=cfg.N if cfg.N else cfg.n)
+    if verdict.weight_condition_holds is not None:
+        # decide the strict condition on the parsed rationals: in floats
+        # 1/10 + 1/5 > 3/10, and the edge triple would read as stable
+        holds = weight_condition(exact)
+        verdict = replace(verdict, kind="GibbsStable" if holds else "NotGibbsStable",
+                          weight_condition_holds=holds)
     report.update(verdict.to_json())
     if len(ws) == 3 and cfg.n is not None and all(0 < x < 1 for x in ws) and sum(ws) < 2:
         report["integral_finite"] = selberg_integral_finite(ws, cfg.n)

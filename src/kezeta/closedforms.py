@@ -35,8 +35,9 @@ the continuation.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -367,6 +368,52 @@ def _fm_point(rows: list[Row], n: int, skip=(), pick=Fraction(1, 2)):
     return x
 
 
+def _singular_hyperplanes(gp: GammaProduct, params: Sequence[str], rows: list[Row]):
+    """Net order of every singular hyperplane of the product that meets the
+    open polytope `rows` (over `params`).
+
+    Gamma(arg)^e is singular on the family {arg + m = 0}, m = 0, 1, 2, ...;
+    the m that meet the polytope follow exactly from the open range of the
+    gradient functional.  Orders of all factors landing on the same geometric
+    hyperplane are summed.  Returns ({key: net order}, {key: (vec, value)}),
+    where key normalizes {vec . x = value} to leading coefficient 1 and
+    (vec, value) is the first representative met.
+    """
+    range_cache: dict[tuple, object] = {}
+    net: dict[tuple, int] = {}
+    rep: dict[tuple, tuple] = {}
+    for f in gp.factors:
+        grad = f.arg.gradient()
+        if not grad:
+            c = f.arg.constant
+            if c <= 0 and c.denominator == 1:
+                raise ValidationError(
+                    f"factor Gamma({c})^{f.exponent} has a zero family with all-zero slope"
+                )
+            continue
+        vec = tuple(grad.get(p, Fraction(0)) for p in params)
+        if vec not in range_cache:
+            range_cache[vec] = _functional_range(rows, vec)
+        rng = range_cache[vec]
+        if rng == "empty":
+            raise ValidationError("tube domain is empty")
+        lo, hi = rng
+        if lo is None:
+            raise ValidationError(
+                f"tube is unbounded along the singular family of Gamma({f.arg})"
+            )
+        c = f.arg.constant
+        m_first = 0 if hi is None else max(0, math.floor(-c - hi) + 1)
+        m_last = math.ceil(-c - lo) - 1
+        for m in range(m_first, m_last + 1):
+            value = -c - m  # hyperplane {vec . x = value} meets the polytope
+            lead = next(v for v in vec if v != 0)
+            key = (tuple(v / lead for v in vec), value / lead)
+            net[key] = net.get(key, 0) + f.exponent
+            rep.setdefault(key, (vec, value))
+    return net, rep
+
+
 @dataclass(frozen=True)
 class ZeroFreeReport:
     zero_free: bool
@@ -404,40 +451,7 @@ def zero_free_in_tube(gp: GammaProduct, dom: TubeDomain) -> ZeroFreeReport:
     if _fm_point(rows, n) is None:
         raise ValidationError("tube domain is empty")
 
-    range_cache: dict[tuple, object] = {}
-    net: dict[tuple, int] = {}
-    rep: dict[tuple, tuple] = {}
-    index = {p: i for i, p in enumerate(params)}
-    for f in gp.factors:
-        grad = f.arg.gradient()
-        if not grad:
-            c = f.arg.constant
-            if c <= 0 and c.denominator == 1:
-                raise ValidationError(
-                    f"factor Gamma({c})^{f.exponent} has a zero family with all-zero slope"
-                )
-            continue
-        vec = tuple(grad.get(p, Fraction(0)) for p in params)
-        if vec not in range_cache:
-            range_cache[vec] = _functional_range(rows, vec)
-        rng = range_cache[vec]
-        if rng == "empty":
-            raise ValidationError("tube domain is empty")
-        lo, hi = rng
-        if lo is None:
-            raise ValidationError(
-                f"tube is unbounded along the singular family of Gamma({f.arg})"
-            )
-        c = f.arg.constant
-        m_first = 0 if hi is None else max(0, math.floor(-c - hi) + 1)
-        m_last = math.ceil(-c - lo) - 1
-        for m in range(m_first, m_last + 1):
-            value = -c - m  # hyperplane {vec . x = value} meets the tube
-            lead = next(v for v in vec if v != 0)
-            key = (tuple(v / lead for v in vec), value / lead)
-            net[key] = net.get(key, 0) + f.exponent
-            rep.setdefault(key, (vec, value))
-
+    net, rep = _singular_hyperplanes(gp, params, rows)
     zero_keys = sorted(k for k, e in net.items() if e < 0)
     if not zero_keys:
         return ZeroFreeReport(zero_free=True, families_checked=len(net))
@@ -489,10 +503,20 @@ def selberg_integral_finite(w: Sequence, N: int) -> bool:
     if sum(ws) >= 2:
         raise ValidationError("degree must be positive (sum of weights < 2)")
 
+    for vec, value, ref_above in _selberg_walls(N):
+        side = sum(v * x for v, x in zip(vec, ws)) - value
+        if side == 0 or (side > 0) != ref_above:
+            return False
+    return True
+
+
+@functools.cache
+def _selberg_walls(N: int) -> tuple[tuple[tuple[Fraction, ...], Fraction, bool], ...]:
+    """Divergence walls {vec . w = value} of the N-point integral in the
+    physical box 0 < w_i < 1, sum < 2, each with whether a symmetric reference
+    point deep in the convergence cell lies above it (vec . ref > value)."""
     gp = selberg_gamma_product(N)
     params = list(gp.params)
-    n = len(params)
-    # physical box: 0 < w_i < 1, sum < 2
     box = TubeDomain(
         tuple(
             [TubeConstraint.make({p: 1}, ">", 0) for p in params]
@@ -500,38 +524,12 @@ def selberg_integral_finite(w: Sequence, N: int) -> bool:
             + [TubeConstraint.make({p: 1 for p in params}, "<", 2)]
         )
     )
-    rows = box.rows(params)
-    a_ref = (Fraction(2, N + 2) + Fraction(2, 3)) / 2  # symmetric, deep in the cell
-    ref = [a_ref] * n
-    pt = [Fraction(x) for x in ws]
-
-    range_cache: dict[tuple, object] = {}
-    net: dict[tuple, int] = {}
-    rep: dict[tuple, tuple] = {}
-    for f in gp.factors:
-        grad = f.arg.gradient()
-        if not grad:
-            continue
-        vec = tuple(grad.get(p, Fraction(0)) for p in params)
-        if vec not in range_cache:
-            range_cache[vec] = _functional_range(rows, vec)
-        lo, hi = range_cache[vec]
-        c = f.arg.constant
-        m_first = 0 if hi is None else max(0, math.floor(-c - hi) + 1)
-        m_last = math.ceil(-c - lo) - 1
-        for m in range(m_first, m_last + 1):
-            value = -c - m
-            lead = next(v for v in vec if v != 0)
-            key = (tuple(v / lead for v in vec), value / lead)
-            net[key] = net.get(key, 0) + f.exponent
-            rep.setdefault(key, (vec, value))
-
+    net, rep = _singular_hyperplanes(gp, params, box.rows(params))
+    a_ref = (Fraction(2, N + 2) + Fraction(2, 3)) / 2
+    walls = []
     for key, e in net.items():
         if e <= 0:
             continue  # zeros and removable hyperplanes are not divergence walls
         vec, value = rep[key]
-        side_ref = sum(v * r for v, r in zip(vec, ref)) - value
-        side_pt = sum(v * x for v, x in zip(vec, pt)) - value
-        if side_pt == 0 or (side_ref > 0) != (side_pt > 0):
-            return False
-    return True
+        walls.append((vec, value, sum(v * a_ref for v in vec) > value))
+    return tuple(walls)

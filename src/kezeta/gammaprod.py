@@ -25,10 +25,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import PoleError, ValidationError
 
@@ -189,7 +189,6 @@ class GammaProduct:
 
     log_prefactor: complex = 0.0 + 0.0j
     factors: tuple[GammaFactor, ...] = ()
-    prefactor_sign_note: str = ""
 
     def __post_init__(self):
         lp = complex(self.log_prefactor)
@@ -214,11 +213,7 @@ class GammaProduct:
         return tuple(sorted(names))
 
     def times(self, other: "GammaProduct") -> "GammaProduct":
-        return GammaProduct(
-            self.log_prefactor + other.log_prefactor,
-            self.factors + other.factors,
-            self.prefactor_sign_note or other.prefactor_sign_note,
-        )
+        return GammaProduct(self.log_prefactor + other.log_prefactor, self.factors + other.factors)
 
 
 @dataclass(frozen=True)
@@ -401,7 +396,6 @@ def restrict_to_line(
     return GammaProduct(
         gp.log_prefactor,
         tuple(GammaFactor(f.arg.compose(norm), f.exponent) for f in gp.factors),
-        gp.prefactor_sign_note,
     )
 
 
@@ -461,8 +455,6 @@ def gp_to_json(gp: GammaProduct) -> str:
             for f in gp.factors
         ],
     }
-    if gp.prefactor_sign_note:
-        doc["prefactor_sign_note"] = gp.prefactor_sign_note
     return json.dumps(doc, indent=2)
 
 
@@ -479,4 +471,4 @@ def gp_from_json(text: str) -> GammaProduct:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed GammaProduct document: {exc}") from exc
-    return GammaProduct(complex(re_, im), factors, doc.get("prefactor_sign_note", ""))
+    return GammaProduct(complex(re_, im), factors)

@@ -35,9 +35,9 @@ Free energy of a density mu at inverse temperature beta:
     F[mu] = beta * E[mu] + Ent(mu | ref),
     E[mu] = d_L * Int K(t,s) mu(t) mu(s) dt ds  -  d_L*(1/2 - log 2),
 
-the subtraction making E[uniform] = 0 (the double integral of K against
-uniform^2 is (1/2 - log 2)/... well, it equals (1/2 - log 2)/2 * 2 = the
-mean pair energy of the uniform ensemble).  Ent is relative entropy against
+the subtraction making E[uniform] = 0: the double integral of K against the
+uniform density 1/2 is 1/2 - log 2, the mean of -log ||x - y|| over
+independent uniform pairs.  Ent is relative entropy against
 the weighted reference measure of the curve; +inf when mu is not a
 nonnegative density.
 """
@@ -317,29 +317,6 @@ def _laplacian_bands(grid: np.ndarray, coupling: float):
     return lower, diag, upper
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Tridiagonal solve; bands as from _laplacian_bands (lower[0], upper[-1] unused)."""
-    n = diag.size
-    c = np.empty(n)
-    d = np.empty(n)
-    piv = diag[0]
-    if abs(piv) < 1e-300:
-        raise np.linalg.LinAlgError("zero pivot in tridiagonal solve")
-    c[0] = upper[0] / piv
-    d[0] = rhs[0] / piv
-    for k in range(1, n):
-        piv = diag[k] - lower[k] * c[k - 1]
-        if abs(piv) < 1e-300:
-            raise np.linalg.LinAlgError("zero pivot in tridiagonal solve")
-        c[k] = upper[k] / piv
-        d[k] = (rhs[k] - lower[k] * d[k - 1]) / piv
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for k in range(n - 2, -1, -1):
-        x[k] = d[k] - c[k] * x[k + 1]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # reference measures
 # ---------------------------------------------------------------------------
@@ -445,6 +422,8 @@ def solve_mean_field(
     Poisson solver).  Raises ConvergenceError if the sup-norm residual is
     still above tol after max_newton steps.
     """
+    from scipy.linalg import solve_banded
+
     if beta <= -1.0 + 1e-3:
         raise ValidationError(
             f"beta = {beta} outside the mean-field uniqueness regime (> -0.999)"
@@ -466,6 +445,8 @@ def solve_mean_field(
     coupling = 1.0 / (2.0 * curve.d_L)
     wq = _trapezoid_weights(grid)
     lower, diag, upper = _laplacian_bands(grid, coupling)
+    # (super, main, sub) diagonals in solve_banded's layout; row 1 is set per step
+    bands = np.stack([np.roll(upper, 1), diag, np.roll(lower, -1)])
 
     def lap(phi):
         out = np.empty_like(phi)
@@ -487,15 +468,14 @@ def solve_mean_field(
         # bordered Newton system in (phi, log Z):
         #   [T  rho] [dphi] = [-G]        T = Lap - beta diag(rho)
         #   [wq   0] [dloz]   [-gauge]
-        t_diag = diag - beta * rho
+        bands[1] = diag - beta * rho
+        rhs = np.stack([-g_res, -rho], axis=-1)
         try:
-            a_vec = _thomas(lower, t_diag, upper, -g_res)
-            b_vec = _thomas(lower, t_diag, upper, -rho)
+            a_vec, b_vec = solve_banded((1, 1), bands, rhs, check_finite=False).T
         except np.linalg.LinAlgError:
             # nudge the diagonal and retry once; only relevant deep in beta<0
-            t_diag = t_diag - 1e-9
-            a_vec = _thomas(lower, t_diag, upper, -g_res)
-            b_vec = _thomas(lower, t_diag, upper, -rho)
+            bands[1] -= 1e-9
+            a_vec, b_vec = solve_banded((1, 1), bands, rhs, check_finite=False).T
         denom = float(np.sum(wq * b_vec))
         if abs(denom) < 1e-300 or not np.isfinite(denom):
             raise ConvergenceError("bordered Newton system is singular")

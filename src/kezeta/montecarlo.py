@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import StabilityError, ThresholdError, ValidationError
-from .sphere import SpherePoint, sample_uniform_array
+from .sphere import SpherePoint, pairwise_log_chordal, sample_uniform_array
 from .stability import LogFanoCurve, classify, gamma_threshold
 
 __all__ = [
@@ -71,13 +72,22 @@ class McEstimate:
         }
 
 
-def _worker_sizes(n: int, workers: int) -> list[int]:
-    base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
-def _worker_rngs(seed: int, workers: int) -> list[np.random.Generator]:
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(workers)]
+def _draw_log_weights(
+    seed: int, workers: int, n_samples: int, draw: Callable, chunk: int = _CHUNK
+) -> np.ndarray:
+    """Per-sample log-weights from `workers` independent streams spawned from
+    `seed`.  Each worker draws its share of n_samples (the first
+    n_samples % workers take one more) in consecutive calls draw(rng, m),
+    m <= chunk; the results are concatenated along axis 0 in (worker, chunk)
+    order."""
+    streams = np.random.SeedSequence(seed).spawn(workers)
+    base, extra = divmod(n_samples, workers)
+    parts = []
+    for k, stream in enumerate(streams):
+        rng = np.random.Generator(np.random.PCG64(stream))
+        size = base + (k < extra)
+        parts += [draw(rng, min(chunk, size - done)) for done in range(0, size, chunk)]
+    return np.concatenate(parts)
 
 
 def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
@@ -138,13 +148,13 @@ def _orthonormal_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ProposalComponent:
-    kind: str  # "uniform" | "fubini_study" | "marked_point"
+    kind: str  # "uniform" | "marked_point"
     weight: float
     point: Optional[SpherePoint] = None
     radial_exponent: float = 0.0  # the a in density ~ r^(1-a) for the radius
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "fubini_study", "marked_point"):
+        if self.kind not in ("uniform", "marked_point"):
             raise ValidationError(f"unknown proposal kind {self.kind!r}")
         if self.weight <= 0:
             raise ValidationError("proposal component weights must be positive")
@@ -205,7 +215,7 @@ class ProposalMixture:
             idx = np.nonzero(which == k)[0]
             if idx.size == 0:
                 continue
-            if comp.kind in ("uniform", "fubini_study"):
+            if comp.kind == "uniform":
                 out[idx] = sample_uniform_array(rng, idx.size)
             else:
                 a = comp.radial_exponent
@@ -226,32 +236,19 @@ class ProposalMixture:
         measure dsigma; components: uniform -> 1, marked -> (2-a) 2^(a-1) r^-a."""
         logs = []
         for comp in self.components:
-            if comp.kind in ("uniform", "fubini_study"):
+            if comp.kind == "uniform":
                 logs.append(np.full(pts.shape[0], math.log(comp.weight)))
             else:
                 a = comp.radial_exponent
-                d2 = np.sum((pts - comp.point.vec) ** 2, axis=-1)
-                logr = 0.5 * np.log(np.maximum(d2, 1e-300))
+                logr = _log_chord_to(pts, comp.point.vec)
                 logs.append(
                     math.log(comp.weight) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * logr
                 )
         return _logsumexp(np.stack(logs, axis=0), axis=0)
 
 
-_UNIFORM_ONLY = ProposalMixture((ProposalComponent("uniform", 1.0),))
-
-
 # ---------------------------------------------------------------------------
 # estimators
-
-def _pairwise_sum_log_chordal(pts: np.ndarray) -> np.ndarray:
-    """Sum over unordered pairs of log chordal distance; pts: (n, N, 3)."""
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    n_pts = pts.shape[1]
-    iu = np.triu_indices(n_pts, k=1)
-    return 0.5 * np.sum(np.log(np.maximum(d2[:, iu[0], iu[1]], 1e-300)), axis=-1)
-
 
 def _log_chord_to(pts: np.ndarray, p: np.ndarray) -> np.ndarray:
     d2 = np.sum((pts - p) ** 2, axis=-1)
@@ -286,25 +283,17 @@ def mc_selberg(
     dprime = d / (N - 1)
     log_const = N * math.log(math.pi) + math.log(2.0) * (d * N + 2 * N * w1 + N * w2 + 2 * N * w3)
 
-    rngs = _worker_rngs(seed, workers)
-    sizes = _worker_sizes(n_samples, workers)
-    parts = []
-    for rng, size in zip(rngs, sizes):
-        done = 0
-        buf = np.empty(size)
-        while done < size:
-            m = min(_CHUNK, size - done)
-            flat = proposal.sample(rng, m * N)
-            pts = flat.reshape(m, N, 3)
-            logw = -dprime * 2.0 * _pairwise_sum_log_chordal(pts)
-            logw -= 2.0 * w1 * np.sum(_log_chord_to(pts, _SOUTH), axis=-1)
-            logw -= 2.0 * w2 * np.sum(_log_chord_to(pts, _ONE), axis=-1)
-            logw -= 2.0 * w3 * np.sum(_log_chord_to(pts, _NORTH), axis=-1)
-            logw -= np.sum(proposal.log_density(flat).reshape(m, N), axis=-1)
-            buf[done : done + m] = logw
-            done += m
-        parts.append(buf)
-    logw_all = np.concatenate(parts)
+    def draw(rng, m):
+        flat = proposal.sample(rng, m * N)
+        pts = flat.reshape(m, N, 3)
+        logw = -dprime * 2.0 * np.sum(pairwise_log_chordal(pts), axis=-1)
+        logw -= 2.0 * w1 * np.sum(_log_chord_to(pts, _SOUTH), axis=-1)
+        logw -= 2.0 * w2 * np.sum(_log_chord_to(pts, _ONE), axis=-1)
+        logw -= 2.0 * w3 * np.sum(_log_chord_to(pts, _NORTH), axis=-1)
+        logw -= np.sum(proposal.log_density(flat).reshape(m, N), axis=-1)
+        return logw
+
+    logw_all = _draw_log_weights(seed, workers, n_samples, draw)
     shift = float(np.max(logw_all))
     return _aggregate(np.exp(logw_all - shift), log_const + shift, seed, workers)
 
@@ -364,28 +353,19 @@ def mc_sphere_partition(
     marked = [(p.vec, w) for p, w in zip(curve.marked_sphere_points(), curve.weights)]
     energy_pref = curve.d_L / (N * (N - 1))
 
-    rngs = _worker_rngs(seed, workers)
-    sizes = _worker_sizes(n_samples, workers)
-    nums, dens = [], []
-    for rng, size in zip(rngs, sizes):
-        done = 0
-        bn, bd = np.empty(size), np.empty(size)
-        while done < size:
-            m = min(_CHUNK, size - done)
-            flat = proposal.sample(rng, m * N)
-            pts = flat.reshape(m, N, 3)
-            # E = -pref * sum_{i != j} log c_ij  =>  -beta N E = 2 beta N pref * sum_{i<j}
-            log_gibbs = 2.0 * beta * N * energy_pref * _pairwise_sum_log_chordal(pts)
-            log_ref = np.zeros(m)
-            for pvec, wgt in marked:
-                log_ref -= 2.0 * wgt * np.sum(_log_chord_to(pts, pvec), axis=-1)
-            log_q = np.sum(proposal.log_density(flat).reshape(m, N), axis=-1)
-            bn[done : done + m] = log_gibbs + log_ref - log_q
-            bd[done : done + m] = log_ref - log_q
-            done += m
-        nums.append(bn)
-        dens.append(bd)
-    ln, ld = np.concatenate(nums), np.concatenate(dens)
+    def draw(rng, m):
+        flat = proposal.sample(rng, m * N)
+        pts = flat.reshape(m, N, 3)
+        # E = -pref * sum_{i != j} log c_ij  =>  -beta N E = 2 beta N pref * sum_{i<j}
+        log_gibbs = 2.0 * beta * N * energy_pref * np.sum(pairwise_log_chordal(pts), axis=-1)
+        log_ref = np.zeros(m)
+        for pvec, wgt in marked:
+            log_ref -= 2.0 * wgt * np.sum(_log_chord_to(pts, pvec), axis=-1)
+        log_q = np.sum(proposal.log_density(flat).reshape(m, N), axis=-1)
+        return np.stack([log_gibbs + log_ref - log_q, log_ref - log_q], axis=-1)
+
+    logw = _draw_log_weights(seed, workers, n_samples, draw)
+    ln, ld = logw[:, 0], logw[:, 1]
     shift_n, shift_d = float(np.max(ln)), float(np.max(ld))
     est = _ratio_estimate(
         np.exp(ln - shift_n),
@@ -413,27 +393,24 @@ def mc_circular(
         raise ValidationError("need at least 2 samples")
     expo = 2.0 * beta / (N - 1)
     iu = np.triu_indices(N, k=1)
-    rngs = _worker_rngs(seed, workers)
-    sizes = _worker_sizes(n_samples, workers)
-    parts = []
-    for rng, size in zip(rngs, sizes):
-        done = 0
-        buf = np.empty(size)
-        while done < size:
-            m = min(_CHUNK, size - done)
-            theta = rng.uniform(0.0, 2.0 * math.pi, size=(m, N))
-            half = 0.5 * (theta[:, iu[0]] - theta[:, iu[1]])
-            # |e^ia - e^ib| = 2 |sin((a-b)/2)|
-            logs = np.log(np.maximum(2.0 * np.abs(np.sin(half)), 1e-300))
-            buf[done : done + m] = expo * np.sum(logs, axis=-1)
-            done += m
-        parts.append(buf)
-    logw = np.concatenate(parts)
+
+    def draw(rng, m):
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=(m, N))
+        half = 0.5 * (theta[:, iu[0]] - theta[:, iu[1]])
+        # |e^ia - e^ib| = 2 |sin((a-b)/2)|
+        logs = np.log(np.maximum(2.0 * np.abs(np.sin(half)), 1e-300))
+        return expo * np.sum(logs, axis=-1)
+
+    logw = _draw_log_weights(seed, workers, n_samples, draw)
     shift = float(np.max(logw))
     return _aggregate(np.exp(logw - shift), N * math.log(2.0 * math.pi) + shift, seed, workers)
 
 
 def _det_log_weights(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """log |det|^2 of `size` standard complex Gaussian (n+1)x(n+1) matrices.
+    All real parts are drawn before all imaginary parts, so splitting a
+    worker's share into chunks would change the stream: callers draw each
+    share in one call."""
     k = n + 1
     re = rng.normal(0.0, math.sqrt(0.5), size=(size, k, k))
     im = rng.normal(0.0, math.sqrt(0.5), size=(size, k, k))
@@ -450,10 +427,8 @@ def mc_gaussian_det(
     if n_samples < 2:
         raise ValidationError("need at least 2 samples")
     k = n + 1
-    rngs = _worker_rngs(seed, workers)
-    sizes = _worker_sizes(n_samples, workers)
-    parts = [s * _det_log_weights(n, rng, size) for rng, size in zip(rngs, sizes)]
-    logw = np.concatenate(parts)
+    draw = partial(_det_log_weights, n)
+    logw = s * _draw_log_weights(seed, workers, n_samples, draw, chunk=n_samples)
     shift = float(np.max(logw))
     return _aggregate(np.exp(logw - shift), k * k * math.log(math.pi) + shift, seed, workers)
 
@@ -466,9 +441,8 @@ def mc_gaussian_det_ratio(
         raise ThresholdError("moment diverges for s <= -1")
     if n_samples < 2:
         raise ValidationError("need at least 2 samples")
-    rngs = _worker_rngs(seed, workers)
-    sizes = _worker_sizes(n_samples, workers)
-    logd = np.concatenate([_det_log_weights(n, rng, size) for rng, size in zip(rngs, sizes)])
+    draw = partial(_det_log_weights, n)
+    logd = _draw_log_weights(seed, workers, n_samples, draw, chunk=n_samples)
     shift = float(np.max(logd)) if s >= 0 else 0.0
     num = np.exp((s + 1.0) * logd - (s + 1.0) * shift)
     den = np.exp(s * logd - s * shift)

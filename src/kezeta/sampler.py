@@ -36,6 +36,7 @@ from .sphere import (
     PointConfiguration,
     config_energy,
     green,
+    pairwise_log_chordal,
     sample_uniform_array,
 )
 from .stability import LogFanoCurve, classify, gamma_threshold
@@ -73,7 +74,6 @@ class ChainState:
     config: PointConfiguration
     log_density: float
     step_scale: float
-    rng_stream: np.random.Generator
     accept_count: int
     proposal_count: int
 
@@ -175,7 +175,7 @@ def run_chain(
             break
         X[bad] = sample_uniform_array(rng, int(bad.sum()) * N).reshape(-1, N, 3)
 
-    S = _pair_green_sum(X)  # (chains,) sum_{i<j} -log c_ij
+    S = -np.sum(pairwise_log_chordal(X), axis=-1)  # (chains,) sum_{i<j} -log c_ij
     scales = np.full(chains, step_scale)
     acc = np.zeros(chains, dtype=np.int64)
     prop = np.zeros(chains, dtype=np.int64)
@@ -228,7 +228,7 @@ def run_chain(
 
         k = sweep - burn_in
         if k >= 0 and (k + 1) % thinning == 0:
-            S = _pair_green_sum(X)  # exact refresh kills float drift
+            S = -np.sum(pairwise_log_chordal(X), axis=-1)  # exact refresh kills float drift
             kept_X.append(X.copy())
             kept_E.append(2.0 * pref * S)
             kept_step.append(k)
@@ -247,7 +247,6 @@ def run_chain(
                 config=cfg,
                 log_density=log_target(cfg, curve, beta),
                 step_scale=float(scales[c]),
-                rng_stream=rng,
                 accept_count=int(acc[c]),
                 proposal_count=int(prop[c]),
             )
@@ -270,14 +269,6 @@ def run_chain(
         adaptation_trace=trace,
         final_states=states,
     )
-
-
-def _pair_green_sum(X: np.ndarray) -> np.ndarray:
-    """sum_{i<j} -log||x_i - x_j|| per chain; X: (chains, N, 3)."""
-    diff = X[:, :, None, :] - X[:, None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    iu = np.triu_indices(X.shape[1], k=1)
-    return -0.5 * np.sum(np.log(np.maximum(d2[:, iu[0], iu[1]], 1e-300)), axis=-1)
 
 
 def _guard_violations(X: np.ndarray, marked: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -43,7 +43,7 @@ __all__ = [
     "chordal",
     "green",
     "config_energy",
-    "sample_uniform",
+    "sample_uniform_array",
     "config_to_csv",
     "config_from_csv",
     "config_to_plane_json",
@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 COINCIDENCE_TOL = 1e-14
+_D2_FLOOR = 1e-300  # clamp of squared chordal distances in the pairwise kernel
+_LOG_FLOOR = 0.5 * float(np.log(_D2_FLOOR))  # what the kernel returns for a clamped pair
 
 
 class _Infinity:
@@ -159,28 +161,25 @@ class PointConfiguration:
 
 
 def pairwise_log_chordal(arr: np.ndarray) -> np.ndarray:
-    """log ||x_i - x_j|| for i < j, flattened; arr has shape (..., N, 3)."""
+    """log ||x_i - x_j|| for i < j along the last axis; arr has shape (..., N, 3).
+    Squared distances are clamped at 1e-300, so the result is always finite."""
     diff = arr[..., :, None, :] - arr[..., None, :, :]
     d2 = np.sum(diff * diff, axis=-1)
     n = arr.shape[-2]
     iu = np.triu_indices(n, k=1)
-    return 0.5 * np.log(d2[..., iu[0], iu[1]])
+    return 0.5 * np.log(np.maximum(d2[..., iu[0], iu[1]], _D2_FLOOR))
 
 
 def config_energy(c: PointConfiguration, curve) -> float:
-    """Normalized pairwise Green energy; `curve` only contributes d_L."""
-    arr = c.array
+    """Normalized pairwise Green energy; `curve` only contributes d_L.  A pair
+    at or below the kernel's clamp (chordal distance <= 1e-150, including
+    distances whose square underflows to 0) counts as coincident."""
     n = len(c)
-    logs = pairwise_log_chordal(arr)
-    if not np.all(np.isfinite(logs)):
+    logs = pairwise_log_chordal(c.array)
+    if np.any(logs <= _LOG_FLOOR):
         raise CoincidenceError("coincident points in configuration energy")
     # ordered sum = 2 * (sum over unordered pairs)
     return float(curve.d_L / (n * (n - 1)) * (-2.0) * np.sum(logs))
-
-
-def sample_uniform(rng: np.random.Generator) -> SpherePoint:
-    """One uniform point; the axial coordinate is uniform on [-1, 1]."""
-    return SpherePoint.from_vec(sample_uniform_array(rng, 1)[0])
 
 
 def sample_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from fractions import Fraction
 from importlib import resources
 
 import numpy as np
-from scipy.special import digamma
 
 from . import meanfield
 from .closedforms import (
@@ -101,6 +100,8 @@ class CriterionResult:
 
 def three_point_mean_energy(beta: float) -> float:
     """d/dbeta of -log Z_3 for the trivial divisor, via digamma."""
+    from scipy.special import digamma
+
     return float(
         -2.0 * math.log(2.0)
         + 2.0 * digamma(2.0 * beta + 2.0)

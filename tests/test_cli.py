@@ -33,7 +33,7 @@ EXPECTED_OPERATIONS = [
     "sphere.chordal",
     "sphere.green",
     "sphere.config_energy",
-    "sphere.sample_uniform",
+    "sphere.sample_uniform_array",
     "closedforms.selberg_gamma_product",
     "closedforms.pn_minimal_Z",
     "closedforms.p1_three_point_Z",
@@ -153,6 +153,19 @@ def test_stability_example_reports_gibbs_stable(tmp_path, capsys):
     assert report["verdict"] == "GibbsStable"
     assert report["weight_condition"] is True
     assert report["d_L"] == 0.5
+
+
+@pytest.mark.parametrize("weights", ["1/10,1/5,3/10", "1/5,2/5,3/5"])
+def test_stability_weight_condition_edge_is_not_stable(tmp_path, capsys, weights):
+    # w_max equals the sum of the other two exactly; in floats 1/10 + 1/5 > 3/10
+    # and 1/5 + 2/5 > 3/5, so a float decision would call these stable
+    code, out, _ = run_cli(
+        ["stability", "--w", weights, "--n", "4", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "NotGibbsStable"
+    assert report["weight_condition"] is False
+    assert report["integral_finite"] is False
 
 
 def test_zeta_selberg_pinned_beta(tmp_path, capsys):

@@ -226,7 +226,7 @@ def test_proposal_component_validation():
 def test_proposal_mixture_weights_must_sum_to_one():
     with pytest.raises(ValidationError):
         ProposalMixture(
-            (ProposalComponent("uniform", 0.5), ProposalComponent("fubini_study", 0.4))
+            (ProposalComponent("uniform", 0.5), ProposalComponent("uniform", 0.4))
         )
     with pytest.raises(ValidationError):
         ProposalMixture(())

@@ -117,6 +117,13 @@ def test_config_energy_equilateral_triple():
     assert config_energy(c, _Curve()) == pytest.approx(-2.0 * math.log(math.sqrt(3.0)), abs=1e-13)
 
 
+def test_config_energy_rejects_pair_whose_distance_underflows():
+    # distinct points, but the squared chordal distance 1e-340 underflows to 0
+    c = PointConfiguration((SpherePoint(1.0, 0.0, 0.0), SpherePoint(1.0, 1e-170, 0.0)))
+    with pytest.raises(CoincidenceError):
+        config_energy(c, _Curve())
+
+
 def test_config_energy_rotation_invariant():
     rng = np.random.default_rng(11)
     arr = sample_uniform_array(rng, 6)

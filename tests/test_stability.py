@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,29 @@ def test_lct_point_divisor_pins():
         lct_point_divisor(())
     with pytest.raises(ValidationError):
         lct_point_divisor((0.5, -1.0))
+    for bad in ((math.inf,), (0.5, math.nan)):
+        with pytest.raises(ValidationError):
+            lct_point_divisor(bad)
+
+
+def _radial_probe_is_finite(exponent: float) -> bool:
+    """Quadrature probe: does int_0^1 r^exponent dr converge?  Compare tail
+    increments over shrinking cutoffs; decreasing increments mean convergence."""
+    vals = []
+    for delta in (1e-3, 1e-6, 1e-9, 1e-12):
+        grid = np.geomspace(delta, 1.0, 4001)
+        vals.append(float(np.trapezoid(grid**exponent, grid)))
+    inc = np.diff(vals)
+    return bool(inc[-1] < inc[0] * 0.5)
+
+
+@pytest.mark.parametrize("coeffs", [(2,), (1,), (1, 3), (0.7, 0.2)])
+def test_lct_point_divisor_matches_radial_quadrature(coeffs):
+    # near the worst point the density is r^(-2 gamma c_max) r dr d(theta):
+    # integrable just below gamma = lct, not just above it
+    lct, cmax = lct_point_divisor(coeffs), max(coeffs)
+    assert _radial_probe_is_finite(1.0 - 2.0 * (0.95 * lct) * cmax)
+    assert not _radial_probe_is_finite(1.0 - 2.0 * (1.05 * lct) * cmax)
 
 
 weights_lists = st.lists(
