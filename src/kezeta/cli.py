@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -87,7 +87,7 @@ from .sampler import (
     run_chain,
 )
 from .sphere import chordal, config_energy, config_from_csv, config_to_plane_json, green
-from .stability import LogFanoCurve, classify, lct_point_divisor, weight_condition
+from .stability import LogFanoCurve, classify, lct_point_divisor
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -293,8 +293,7 @@ def _standard_curve(cfg: ExperimentConfig, default_trivial: bool = False) -> Log
     if cfg.w is None:
         _require(default_trivial, f"{cfg.command} needs --w")
         return LogFanoCurve.standard(())
-    ws = _parse_weights(cfg.w)
-    return LogFanoCurve.standard(tuple(float(x) for x in ws))
+    return LogFanoCurve.standard(tuple(_parse_weights(cfg.w)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +383,9 @@ def _run_stability(cfg: ExperimentConfig, out_dir: Path):
         if cfg.w is None:
             return report, dict(report), []
     _require(cfg.w is not None, "stability needs --w (or --lct)")
-    exact = _parse_weights(cfg.w)
-    ws = [float(x) for x in exact]
-    verdict = classify(LogFanoCurve.standard(tuple(ws)), N=cfg.N if cfg.N else cfg.n)
-    if verdict.weight_condition_holds is not None:
-        # decide the strict condition on the parsed rationals: in floats
-        # 1/10 + 1/5 > 3/10, and the edge triple would read as stable
-        holds = weight_condition(exact)
-        verdict = replace(verdict, kind="GibbsStable" if holds else "NotGibbsStable",
-                          weight_condition_holds=holds)
-    report.update(verdict.to_json())
+    _require(cfg.N is None, "stability takes the particle number as n, not N")
+    ws = _parse_weights(cfg.w)
+    report.update(classify(LogFanoCurve.standard(tuple(ws)), N=cfg.n).to_json())
     if len(ws) == 3 and cfg.n is not None and all(0 < x < 1 for x in ws) and sum(ws) < 2:
         report["integral_finite"] = selberg_integral_finite(ws, cfg.n)
     return report, dict(report), []
@@ -419,7 +411,7 @@ def _run_mc(cfg: ExperimentConfig, out_dir: Path):
     if cfg.target == "selberg":
         _require(cfg.w is not None, "mc selberg needs --w")
         _require(cfg.n is not None and cfg.n >= 2, "mc selberg needs --n >= 2")
-        ws = [float(x) for x in _parse_weights(cfg.w)]
+        ws = _parse_weights(cfg.w)
         _require(len(ws) == 3, "mc selberg needs three weights")
         est = mc_selberg(ws, cfg.n, cfg.samples, seed=cfg.seed, workers=cfg.workers)
     elif cfg.target == "sphere":
@@ -673,7 +665,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--w", help="weights, e.g. 0.5,0.5,0.5")
     p.add_argument("--n", type=int, help="particle number for gamma_N / integral check")
-    p.add_argument("--N", type=int, help="alias for --n")
     p.add_argument("--lct", help="coefficients for the point-divisor threshold")
 
     p = sub.add_parser("mc", help="Monte Carlo estimates")

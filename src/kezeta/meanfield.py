@@ -22,6 +22,10 @@ which has the closed form (verified against angular quadrature to 7e-14)
 
     K(t, s) = avg_angle[ -log ||x - y|| ] = -(1/2) log(1 - t*s + |t - s|).
 
+Since 1 - t*s + |t - s| = (1 + max(t, s)) (1 - min(t, s)), K is
+-(1/2)[log(1 + max) + log(1 - min)], and a sum of K over sorted points
+splits into prefix and suffix sums: no m x m kernel matrix is needed.
+
 The mean-field equation solved here is the axial Gibbs fixed point
 
     1/2 + c L[phi] = exp(beta*phi) * rho_ref / Z(phi),
@@ -517,24 +521,40 @@ def solve_mean_field(
 # ---------------------------------------------------------------------------
 
 
-def _kernel_matrix(grid: np.ndarray) -> np.ndarray:
-    k = pair_kernel(grid[:, None], grid[None, :])
-    # Corners t = s = +-1 are genuine log singularities: along the row t = 1
-    # the kernel is exactly -(1/2) log(2 - 2s), so the corner node carries the
-    # exact average of that log over its half-cell (u = 2-2s over (0, h]),
-    # which is -(1/2)(log h - 1); likewise at t = s = -1.  With the h/2
-    # trapezoid end weight the singular cell is then integrated exactly.
-    h = grid[1] - grid[0]
-    corner = -0.5 * (math.log(h) - 1.0)
-    k[0, 0] = corner
-    k[-1, -1] = corner
-    return k
+def _kernel_sums(grid: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j K(t_i, s_j) at every grid node t_i, for increasing s.
+
+    Prefix sums over s_j < t_i plus suffix sums over s_j >= t_i (module
+    docstring).  At the corners t = s = +-1 the zero factor's log is its
+    average over the end half-cell, log(h/2) - 1, as in _log_reference: the
+    corner carries -(1/2)(log h - 1), the half-cell average of K along the
+    edge row, and the h/2 trapezoid end weight integrates that cell exactly.
+    """
+    end = math.log(0.5 * (grid[1] - grid[0])) - 1.0
+
+    def logs(x):
+        with np.errstate(divide="ignore"):
+            lp, lm = np.log1p(x), np.log1p(-x)
+        lp[x == -1.0] = end
+        lm[x == 1.0] = end
+        return lp, lm
+
+    lp_t, lm_t = logs(grid)
+    lp_s, lm_s = logs(s)
+    k = np.searchsorted(s, grid)  # s_j < t_i exactly for j < k_i
+    # extended precision: a float64 cumsum drifts by ~1e-12 at m = 6400
+    cw, clm, clp = (
+        np.concatenate(([0.0], np.cumsum(x, dtype=np.longdouble)))
+        for x in (w, w * lm_s, w * lp_s)
+    )
+    total = cw[k] * lp_t + clm[k] + (clp[-1] - clp[k]) + (cw[-1] - cw[k]) * lm_t
+    return -0.5 * total.astype(float)
 
 
 def interaction_energy(mu: AxialField, curve: LogFanoCurve) -> float:
     """d_L * Int K mu mu - d_L*(1/2 - log 2); zero for the uniform density.
 
-    Tensor-trapezoid on the kernel matrix plus the closed-form correction
+    Tensor-trapezoid sum of K against mu plus the closed-form correction
     for the |t-s| kink along the diagonal: on a cell [t_k, t_k + h]^2 the
     trapezoid overestimates Int |t-s| by h^3/6, and locally
     K = smooth - |t-s| / (2 (1 - t s)) + O((t-s)^2), so each diagonal cell
@@ -543,10 +563,8 @@ def interaction_energy(mu: AxialField, curve: LogFanoCurve) -> float:
     if mu.kind != "Density":
         raise ValidationError("interaction_energy expects a Density field")
     g = mu.grid
-    wq = _trapezoid_weights(g)
-    kmat = _kernel_matrix(g)
-    wf = wq * mu.values
-    double = float(wf @ kmat @ wf)
+    wf = _trapezoid_weights(g) * mu.values
+    double = float(wf @ _kernel_sums(g, g, wf))
     # diagonal kink correction (skip the two corner cells where 1-u^2 ~ 0
     # and the log model breaks; their weight is O(h^2 log h))
     h = mu.spacing
@@ -634,10 +652,9 @@ def phi_n_approximant(
         raise ValidationError("need at least 2 points")
     g = target.grid
     d_l = 2.0  # trivial curve
+    wq = _trapezoid_weights(g)
     if mode == "quadrature":
-        wq = _trapezoid_weights(g)
-        kmat = _kernel_matrix(g)
-        phi = -2.0 * d_l * (kmat @ (wq * target.values))
+        phi = -2.0 * d_l * _kernel_sums(g, g, wq * target.values)
     elif mode == "montecarlo":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         # inverse-CDF sampling of the latitude from the target density
@@ -645,17 +662,11 @@ def phi_n_approximant(
             [[0.0], np.cumsum(0.5 * (target.values[1:] + target.values[:-1])) * target.spacing]
         )
         cdf = cdf / cdf[-1]
-        draws = np.interp(rng.random(samples), cdf, g)
-        phi = np.zeros(g.size)
-        chunk = 4000
-        for start in range(0, samples, chunk):
-            block = draws[start : start + chunk]
-            phi += np.sum(pair_kernel(g[:, None], block[None, :]), axis=1)
-        phi *= -2.0 * d_l / samples
+        draws = np.sort(np.interp(rng.random(samples), cdf, g))
+        phi = -2.0 * d_l / samples * _kernel_sums(g, draws, np.ones(samples))
     else:
         raise ValidationError(f"unknown mode {mode!r}; use 'quadrature' or 'montecarlo'")
     # gauge: mean zero against the target measure
-    wq = _trapezoid_weights(g)
     phi = phi - float(np.sum(wq * target.values * phi))
     return AxialField(g, phi, "Potential")
 
@@ -671,18 +682,3 @@ def bin_probabilities(mu: AxialField, edges: np.ndarray) -> np.ndarray:
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
     at_edges = np.interp(np.clip(edges, g[0], g[-1]), g, cum)
     return np.diff(at_edges)
-
-
-if __name__ == "__main__":
-    curve = LogFanoCurve.standard(())
-    sol = solve_mean_field(curve, beta=1.0)
-    print("trivial curve, beta=1:",
-          "max|phi| =", np.max(np.abs(sol.potential.values)),
-          "residual =", sol.residual, "iters =", sol.iterations)
-
-    weighted = LogFanoCurve((INFINITY,), (0.5,))
-    sol_w = solve_mean_field(weighted, beta=1.0)
-    mu = sol_w.density
-    print("w=1/2 at north pole, beta=1: mu(-1) =", mu.values[0],
-          "mu(1) =", mu.values[-1],
-          "F =", free_energy_functional(mu, weighted, 1.0))

@@ -265,16 +265,18 @@ def mc_selberg(
 ) -> McEstimate:
     """Importance-sampling estimate of the three-point plane integral."""
     w1, w2, w3 = (float(x) for x in w)
-    curve = LogFanoCurve.standard((w1, w2, w3))
-    verdict = classify(curve)
+    shown = ", ".join(map(str, w))
+    # both walls are decided on w as given: exactly when the weights are rationals
+    verdict = classify(LogFanoCurve.standard(tuple(w)))
     if verdict.kind != "GibbsStable":
-        raise StabilityError(f"weights {w} are {verdict.kind}: the integral is infinite")
-    d = 2.0 - (w1 + w2 + w3)
-    if N * d / (N - 1) >= 2.0:
+        raise StabilityError(f"weights {shown} are {verdict.kind}: the integral is infinite")
+    n_dprime = N * (2 - sum(w)) / (N - 1)
+    if n_dprime >= 2:
         raise StabilityError(
-            f"weights {w} pass the weight condition but N d' = {N * d / (N - 1)} >= 2: "
+            f"weights {shown} pass the weight condition but N d' = {float(n_dprime)} >= 2: "
             f"free collisions make the N={N} integral diverge"
         )
+    d = 2.0 - (w1 + w2 + w3)
     if n_samples < 2:
         raise ValidationError("need at least 2 samples")
     if proposal is None:

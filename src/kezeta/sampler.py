@@ -124,7 +124,7 @@ def _marked_arrays(curve: LogFanoCurve):
     wts = [w for w in curve.weights if w > 0]
     if not pts:
         return np.zeros((0, 3)), np.zeros(0)
-    return np.stack(pts), np.array(wts)
+    return np.stack(pts), np.array(wts, dtype=float)
 
 
 def _site_weight_part(x: np.ndarray, marked: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -175,7 +175,6 @@ def run_chain(
             break
         X[bad] = sample_uniform_array(rng, int(bad.sum()) * N).reshape(-1, N, 3)
 
-    S = -np.sum(pairwise_log_chordal(X), axis=-1)  # (chains,) sum_{i<j} -log c_ij
     scales = np.full(chains, step_scale)
     acc = np.zeros(chains, dtype=np.int64)
     prop = np.zeros(chains, dtype=np.int64)
@@ -204,7 +203,6 @@ def run_chain(
             dlt = -beta * N * pref * 2.0 * dpair + dw
             accept = (np.log(rng.uniform(size=chains)) < dlt) & ~guard
             X[accept, i, :] = cand[accept]
-            S[accept] += dpair[accept]
             acc += accept
             prop += 1
 
@@ -228,9 +226,8 @@ def run_chain(
 
         k = sweep - burn_in
         if k >= 0 and (k + 1) % thinning == 0:
-            S = -np.sum(pairwise_log_chordal(X), axis=-1)  # exact refresh kills float drift
             kept_X.append(X.copy())
-            kept_E.append(2.0 * pref * S)
+            kept_E.append(-2.0 * pref * np.sum(pairwise_log_chordal(X), axis=-1))
             kept_step.append(k)
 
     kept = len(kept_X)
@@ -419,12 +416,3 @@ def ks_threshold(ess: float, quantile: float = KS_99) -> float:
     if ess <= 0:
         raise ValidationError("effective sample size must be positive")
     return quantile / math.sqrt(ess)
-
-
-if __name__ == "__main__":
-    curve = LogFanoCurve.standard(())
-    stream = run_chain(curve, 1.0, 16, sweeps=2000, seed=1, thinning=5, chains=4)
-    hist = marginal_histogram(stream)
-    ks = ks_against(hist, lambda t: (t + 1.0) / 2.0)
-    print(f"acceptance {stream.acceptance_rate.mean():.3f}  ESS {hist.effective_sample_size:.0f}")
-    print(f"KS vs uniform {ks:.4f}  (99% threshold {ks_threshold(hist.effective_sample_size):.4f})")

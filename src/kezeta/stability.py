@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import StabilityError, ValidationError
+from .errors import ValidationError
 from .sphere import INFINITY, SpherePoint, stereo_to_sphere
 
 __all__ = [
@@ -33,21 +34,22 @@ __all__ = [
     "gamma_threshold",
     "classify",
     "lct_point_divisor",
-    "require_gibbs_stable",
 ]
 
 
 @dataclass(frozen=True)
 class LogFanoCurve:
     """Marked projective line.  The constructor is permissive about weights
-    (classification happens in classify); it only enforces structure."""
+    (classification happens in classify); it only enforces structure.  int
+    and Fraction weights stay exact, so classify decides the strict weight
+    condition exactly; other weights become floats."""
 
     marked_points: tuple = ()
     weights: tuple = ()
 
     def __post_init__(self):
         pts = tuple(self.marked_points)
-        ws = tuple(float(w) if not isinstance(w, float) else w for w in self.weights)
+        ws = tuple(w if isinstance(w, (int, Fraction)) else float(w) for w in self.weights)
         object.__setattr__(self, "marked_points", pts)
         object.__setattr__(self, "weights", ws)
         if len(pts) != len(ws):
@@ -64,7 +66,7 @@ class LogFanoCurve:
 
     @property
     def d_L(self) -> float:
-        return 2.0 - float(sum(self.weights))
+        return float(2 - sum(self.weights))
 
     @property
     def m(self) -> int:
@@ -120,7 +122,7 @@ def gamma_threshold(w: Sequence[float], N: int) -> float:
     if d <= 0:
         raise ValidationError("not log Fano: degree <= 0")
     wmax = max(ws) if ws else 0
-    return (N - 1) / N * 2 * (1 - wmax) / d
+    return float(Fraction(N - 1) / N * 2 * (1 - wmax) / d)
 
 
 def classify(curve: LogFanoCurve, N: Optional[int] = None) -> StabilityVerdict:
@@ -136,16 +138,6 @@ def classify(curve: LogFanoCurve, N: Optional[int] = None) -> StabilityVerdict:
         N=N,
         weight_condition_holds=cond,
     )
-
-
-def require_gibbs_stable(curve: LogFanoCurve, context: str = "") -> None:
-    verdict = classify(curve)
-    if verdict.kind != "GibbsStable":
-        where = f" in {context}" if context else ""
-        raise StabilityError(
-            f"curve with weights {curve.weights} is {verdict.kind}{where}: "
-            "the canonical ensemble has no finite normalization"
-        )
 
 
 def lct_point_divisor(coeffs: Sequence[float]) -> float:

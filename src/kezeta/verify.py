@@ -182,7 +182,7 @@ def criterion_2() -> CriterionResult:
     checks = agree = 0
     for triples, want_stable in ((_STABLE_TRIPLES, True), (_UNSTABLE_TRIPLES, False)):
         for w in triples:
-            verdict = classify(LogFanoCurve.standard(tuple(float(x) for x in w)))
+            verdict = classify(LogFanoCurve.standard(w))
             stable = verdict.kind == "GibbsStable"
             for n in range(3, 7):
                 finite = selberg_integral_finite(w, n)
@@ -473,11 +473,3 @@ def run_verify(level: str = "quick") -> VerifyReport:
         except Exception as exc:  # report, don't crash
             results.append(CriterionResult(cid, _NAMES[cid], f"error: {exc}", "-", False))
     return VerifyReport(level, tuple(results))
-
-
-if __name__ == "__main__":
-    import sys
-
-    report = run_verify(sys.argv[1] if len(sys.argv) > 1 else "quick")
-    print(report.text(), end="")
-    sys.exit(0 if report.all_passed else 5)

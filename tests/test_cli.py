@@ -96,6 +96,28 @@ def test_unstable_weights_refuse_with_exit_3(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_mc_selberg_weight_condition_edge_refuses_with_exit_3(tmp_path, capsys):
+    # 3/5 = 1/5 + 2/5 exactly: the integral diverges, so nothing is estimated
+    code, _, err = run_cli(
+        ["mc", "--target", "selberg", "--w", "1/5,2/5,3/5", "--n", "2",
+         "--samples", "20000", "--seed", "1", "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert "NotGibbsStable" in err
+
+
+def test_stability_rejects_capital_n_flag(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["stability", "--w", "0.5,0.5,0.5", "--N", "4", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "--N" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4}))  # not silently dropped from a config file either
+    code, _, err = run_cli(
+        ["stability", "--w", "0.5,0.5,0.5", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "not N" in err
+
+
 def test_beta_at_threshold_refuses_with_exit_3(tmp_path, capsys):
     code, _, _ = run_cli(
         ["sample", "--beta=-0.7", "--N", "3", "--sweeps", "10",

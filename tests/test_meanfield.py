@@ -22,6 +22,8 @@ from kezeta.errors import (
 )
 from kezeta.meanfield import (
     C_LAP,
+    _kernel_sums,
+    _trapezoid_weights,
     AxialField,
     HarmonicCoeffs,
     bin_probabilities,
@@ -130,6 +132,33 @@ def test_pair_kernel_pole_row():
     # at t = 1 the kernel must be the exact log of the chordal distance
     s = np.linspace(-0.9, 0.9, 7)
     assert np.max(np.abs(pair_kernel(1.0, s) + 0.5 * np.log(2 - 2 * s))) < 1e-14
+
+
+def _dense_kernel_sums(grid, s, w):
+    # reference: the dense kernel with the corners t = s = +-1 set to their
+    # half-cell average -(1/2)(log h - 1)
+    k = pair_kernel(grid[:, None], s[None, :])
+    corner = (grid[:, None] == s[None, :]) & (np.abs(s[None, :]) == 1.0)
+    k[corner] = -0.5 * (math.log(grid[1] - grid[0]) - 1.0)
+    return k @ w
+
+
+@pytest.mark.parametrize("m", [200, 801])
+def test_kernel_sums_match_dense_pair_kernel_on_grid(m):
+    g = uniform_grid(m)
+    for density in (np.ones_like, np.exp, lambda t: 1.0 + 0.9 * np.sin(3.0 * t)):
+        w = _trapezoid_weights(g) * density(g)
+        want = _dense_kernel_sums(g, g, w)
+        assert np.max(np.abs(_kernel_sums(g, g, w) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_kernel_sums_match_dense_pair_kernel_at_draws():
+    # off-grid draws plus some that sit exactly on interior grid nodes (ties)
+    g = uniform_grid(400)
+    s = np.sort(np.concatenate([np.random.default_rng(7).uniform(-1.0, 1.0, 3000), g[1:-1:50]]))
+    w = np.ones(s.size)
+    want = _dense_kernel_sums(g, s, w)
+    assert np.max(np.abs(_kernel_sums(g, s, w) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_pair_kernel_symmetries():

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kezeta.errors import StabilityError, ValidationError
+from kezeta.errors import ValidationError
 from kezeta.sphere import INFINITY
 from kezeta.stability import (
     LogFanoCurve,
     classify,
     gamma_threshold,
     lct_point_divisor,
-    require_gibbs_stable,
     weight_condition,
 )
 
@@ -71,12 +70,6 @@ def test_classify_trivial_divisor():
     assert v.kind == "GibbsStable"
     assert v.gamma_N == pytest.approx(0.8)
     assert v.d_L == 2.0
-
-
-def test_require_gibbs_stable_gate():
-    require_gibbs_stable(LogFanoCurve.standard((0.5, 0.5, 0.5)))
-    with pytest.raises(StabilityError):
-        require_gibbs_stable(LogFanoCurve.standard((0.9, 0.1, 0.1)))
 
 
 def test_curve_structure_validation():
@@ -165,3 +158,12 @@ def test_exact_rational_borderline_is_not_stable():
     # With Fractions the equality w_1 = w_2 + w_3 is exact; strictness must kick in.
     ws = (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5))
     assert weight_condition(ws) is False
+
+
+def test_classify_decides_on_exact_weights():
+    # in floats 1/10 + 1/5 > 3/10, so a curve that rounded its weights would
+    # read as stable; d_L is rounded once from the exact sum
+    edge = LogFanoCurve.standard((Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)))
+    assert edge.weights == (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))
+    assert classify(edge).kind == "NotGibbsStable"
+    assert LogFanoCurve.standard((Fraction(2, 5),) * 3).d_L == 0.8
