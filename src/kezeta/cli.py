@@ -383,7 +383,6 @@ def _run_stability(cfg: ExperimentConfig, out_dir: Path):
         if cfg.w is None:
             return report, dict(report), []
     _require(cfg.w is not None, "stability needs --w (or --lct)")
-    _require(cfg.N is None, "stability takes the particle number as n, not N")
     ws = _parse_weights(cfg.w)
     report.update(classify(LogFanoCurve.standard(tuple(ws)), N=cfg.n).to_json())
     if len(ws) == 3 and cfg.n is not None and all(0 < x < 1 for x in ws) and sum(ws) < 2:
@@ -727,9 +726,12 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ValidationError("config file must hold a single JSON object")
+        own = sorted(set(vars(args)) & fields - {"command"})  # the subcommand's own flags
         for key in file_values:
-            if key not in fields or key in ("command", "config"):
+            if key not in fields:
                 raise ValidationError(f"unknown config key {key!r}")
+            if key not in own:
+                raise ValidationError(f"{args.command} takes the config keys {', '.join(own)}, not {key}")
 
     for name in fields:
         if name == "command":

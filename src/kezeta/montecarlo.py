@@ -469,6 +469,7 @@ def free_energy_curve(
     augmented with 0 and midpoints, and each increment uses the local
     quadratic through three consecutive nodes (cumulative Simpson); plain
     trapezoid bias at the desk-scale grid would rival the statistical error.
+    Every node is one block of lanes in a single mean_energy_run of `seed`.
     """
     grid = sorted(set(float(b) for b in beta_grid))
     if not grid:
@@ -484,11 +485,9 @@ def free_energy_curve(
     if grid[-1] < 0.0:
         nodes = sorted({*nodes, grid[-1] / 2})
     sweeps = max(200, mcmc_budget // max(1, len(nodes)))
-    energies, ses = [], []
-    for i, b in enumerate(nodes):
-        est = mean_energy_run(curve, b, N, sweeps=sweeps, seed=seed + 1000 * i)
-        energies.append(est.mean)
-        ses.append(est.std_error)
+    ests = mean_energy_run(curve, nodes, N, sweeps=sweeps, seed=seed)
+    energies = [est.mean for est in ests]
+    ses = [est.std_error for est in ests]
 
     # per-interval quadratic increments, then signed sums anchored at beta = 0
     incs, ivars = [], []

@@ -16,17 +16,20 @@ Proposals landing within chordal 1e-12 of another point (or of a marked point
 with positive weight) are rejected outright -- a measure-zero modification
 that keeps log_target finite.
 
-Several chains run as one vectorized batch: chain c uses lane c of every
-draw from a single master stream, so results are bit-reproducible for fixed
-(seed, chains) and chains are mutually independent.  Samples merge in
-(chain index, step index) order.
+Chains run as lanes of one vectorized sweep loop: lane l uses lane l of
+every draw from a single master stream, so results are bit-reproducible for
+fixed (seed, lanes) and lanes are mutually independent.  Each lane carries
+its own beta.  run_chain broadcasts one beta to its `chains` lanes and keeps
+configurations and energies, merged in (chain index, step index) order.
+mean_energy_run runs a whole beta list as one batch, node-major (node k owns
+lanes k*chains .. (k+1)*chains - 1), and keeps energies only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -135,57 +138,73 @@ def _site_weight_part(x: np.ndarray, marked: np.ndarray, wts: np.ndarray) -> np.
     return -np.sum(wts * np.log(np.maximum(d2, 1e-300)), axis=-1)
 
 
-def run_chain(
+@dataclass
+class _LaneRun:
+    X: np.ndarray  # (lanes, N, 3) final positions
+    energies: np.ndarray  # (lanes, kept)
+    configs: Optional[np.ndarray]  # (lanes, kept, N, 3) if keep_configs, else None
+    scales: np.ndarray
+    acc: np.ndarray
+    prop: np.ndarray
+    trace: list  # (sweep, acceptance rates, step scales) at each adaptation
+
+
+def _run_lanes(
     curve: LogFanoCurve,
-    beta: float,
+    betas: np.ndarray,
     N: int,
     sweeps: int,
-    burn_in: Optional[int] = None,
-    seed: int = 0,
-    thinning: int = 10,
-    chains: int = 1,
-    step_scale: float = 0.5,
-    adapt: bool = True,
-) -> SampleStream:
-    """Run `chains` parallel chains for `sweeps` measurement sweeps each."""
+    burn_in: int,
+    seed: int,
+    thinning: int,
+    step_scale: float,
+    adapt: bool,
+    keep_configs: bool,
+) -> _LaneRun:
+    """The one Metropolis sweep loop: lane l targets inverse temperature
+    betas[l] and draws lane l of every draw from the master stream of `seed`.
+    Energies (and configurations, if asked) of every `thinning`-th
+    measurement sweep go into preallocated (lanes, kept) arrays."""
     if N < 2:
         raise ValidationError("need at least 2 points")
-    if sweeps < 1 or chains < 1 or thinning < 1:
+    if sweeps < 1 or betas.size < 1 or thinning < 1:
         raise ValidationError("sweeps, chains and thinning must be positive")
     verdict = classify(curve)
     if verdict.kind == "NotLogFano":
         raise StabilityError(f"refusing to sample: verdict {verdict.kind}")
     gamma = gamma_threshold(curve.weights, N)
+    beta = float(betas.min())
     if beta <= -gamma:
         raise ThresholdError(
             f"beta = {beta} at or below -gamma_N = {-gamma}: Z_N diverges, no Gibbs measure"
         )
-    if burn_in is None:
-        burn_in = max(100, sweeps // 10)
 
+    lanes = betas.size
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     marked, wts = _marked_arrays(curve)
     pref = curve.d_L / (N * (N - 1))
+    coef = -betas * N * pref * 2.0  # per lane; the same bits as a scalar beta
 
     # initial state: uniform, resampled until the guard is satisfied
-    X = sample_uniform_array(rng, chains * N).reshape(chains, N, 3)
+    X = sample_uniform_array(rng, lanes * N).reshape(lanes, N, 3)
     for _ in range(100):
         bad = _guard_violations(X, marked)
         if not bad.any():
             break
         X[bad] = sample_uniform_array(rng, int(bad.sum()) * N).reshape(-1, N, 3)
 
-    scales = np.full(chains, step_scale)
-    acc = np.zeros(chains, dtype=np.int64)
-    prop = np.zeros(chains, dtype=np.int64)
+    scales = np.full(lanes, step_scale)
+    acc = np.zeros(lanes, dtype=np.int64)
+    prop = np.zeros(lanes, dtype=np.int64)
     trace = []
 
-    kept_X, kept_E, kept_step = [], [], []
-    total = burn_in + sweeps
-    for sweep in range(total):
+    kept = sweeps // thinning
+    energies = np.empty((lanes, kept))
+    configs = np.empty((lanes, kept, N, 3)) if keep_configs else None
+    for sweep in range(burn_in + sweeps):
         for i in range(N):
             x = X[:, i, :]
-            g = rng.normal(size=(chains, 3))
+            g = rng.normal(size=(lanes, 3))
             tang = g - np.sum(g * x, axis=-1, keepdims=True) * x
             cand = x + scales[:, None] * tang
             cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
@@ -200,8 +219,8 @@ def run_chain(
 
             dpair = -0.5 * (np.sum(np.log(d2_new), axis=-1) - np.sum(np.log(d2_old), axis=-1))
             dw = _site_weight_part(cand, marked, wts) - _site_weight_part(x, marked, wts)
-            dlt = -beta * N * pref * 2.0 * dpair + dw
-            accept = (np.log(rng.uniform(size=chains)) < dlt) & ~guard
+            dlt = coef * dpair + dw
+            accept = (np.log(rng.uniform(size=lanes)) < dlt) & ~guard
             X[accept, i, :] = cand[accept]
             acc += accept
             prop += 1
@@ -211,13 +230,7 @@ def run_chain(
             scales = np.where(rate > 0.5, scales * 1.4, scales)
             scales = np.where(rate < 0.2, scales * 0.7, scales)
             scales = np.clip(scales, _SCALE_LO, _SCALE_HI)
-            trace.append(
-                {
-                    "sweep": sweep + 1,
-                    "acceptance": [float(r) for r in rate],
-                    "step_scale": [float(s) for s in scales],
-                }
-            )
+            trace.append((sweep + 1, rate, scales))
             acc[:] = 0
             prop[:] = 0
         if sweep + 1 == burn_in:
@@ -226,44 +239,65 @@ def run_chain(
 
         k = sweep - burn_in
         if k >= 0 and (k + 1) % thinning == 0:
-            kept_X.append(X.copy())
-            kept_E.append(-2.0 * pref * np.sum(pairwise_log_chordal(X), axis=-1))
-            kept_step.append(k)
+            j = k // thinning
+            energies[:, j] = -2.0 * pref * np.sum(pairwise_log_chordal(X), axis=-1)
+            if configs is not None:
+                configs[:, j] = X
+    return _LaneRun(X, energies, configs, scales, acc, prop, trace)
 
-    kept = len(kept_X)
-    configs = np.stack(kept_X, axis=1).reshape(chains * kept, N, 3) if kept else np.zeros((0, N, 3))
-    energies = np.stack(kept_E, axis=1).reshape(chains * kept) if kept else np.zeros(0)
-    chain_index = np.repeat(np.arange(chains), kept)
-    step_index = np.tile(np.array(kept_step, dtype=int), chains)
 
+def run_chain(
+    curve: LogFanoCurve,
+    beta: float,
+    N: int,
+    sweeps: int,
+    burn_in: Optional[int] = None,
+    seed: int = 0,
+    thinning: int = 10,
+    chains: int = 1,
+    step_scale: float = 0.5,
+    adapt: bool = True,
+) -> SampleStream:
+    """Run `chains` parallel chains at one `beta` for `sweeps` measurement
+    sweeps each."""
+    if burn_in is None:
+        burn_in = max(100, sweeps // 10)
+    run = _run_lanes(
+        curve, np.full(max(chains, 0), beta, dtype=float), N, sweeps, burn_in,
+        seed, thinning, step_scale, adapt, keep_configs=True,
+    )
+    kept = run.energies.shape[1]
     states = []
     for c in range(chains):
-        cfg = PointConfiguration.from_array(X[c])
+        cfg = PointConfiguration.from_array(run.X[c])
         states.append(
             ChainState(
                 config=cfg,
                 log_density=log_target(cfg, curve, beta),
-                step_scale=float(scales[c]),
-                accept_count=int(acc[c]),
-                proposal_count=int(prop[c]),
+                step_scale=float(run.scales[c]),
+                accept_count=int(run.acc[c]),
+                proposal_count=int(run.prop[c]),
             )
         )
     return SampleStream(
         curve=curve,
         beta=beta,
         n_points=N,
-        configs=configs,
-        energies=energies,
-        chain_index=chain_index,
-        step_index=step_index,
+        configs=run.configs.reshape(chains * kept, N, 3),
+        energies=run.energies.reshape(chains * kept),
+        chain_index=np.repeat(np.arange(chains), kept),
+        step_index=np.tile(np.arange(thinning - 1, sweeps, thinning), chains),
         seed=seed,
         chains=chains,
         sweeps=sweeps,
         burn_in=burn_in,
         thinning=thinning,
-        acceptance_rate=acc / np.maximum(prop, 1),
-        final_step_scale=scales,
-        adaptation_trace=trace,
+        acceptance_rate=run.acc / np.maximum(run.prop, 1),
+        final_step_scale=run.scales,
+        adaptation_trace=[
+            {"sweep": k, "acceptance": [float(r) for r in rate], "step_scale": [float(x) for x in sc]}
+            for k, rate, sc in run.trace
+        ],
         final_states=states,
     )
 
@@ -302,6 +336,30 @@ def _integrated_autocorr(series: np.ndarray) -> float:
     return tau
 
 
+def _energy_estimate(energies: np.ndarray, seed: int) -> McEstimate:
+    """Batch-means estimate of the mean of a (chains, kept) energy block,
+    one row per chain: the estimator behind both mean-energy routes."""
+    batch_means, taus = [], []
+    for e in energies:
+        nb = min(32, max(4, e.size // 64)) if e.size >= 8 else 1
+        batch_means.extend(b.mean() for b in np.array_split(e, nb))
+        taus.append(_integrated_autocorr(e))
+    bm = np.array(batch_means)
+    se = float(bm.std(ddof=1) / math.sqrt(bm.size)) if bm.size > 1 else float("inf")
+    return McEstimate(
+        float(energies.mean()),
+        se,
+        int(energies.size),
+        seed,
+        energies.shape[0],
+        {
+            "tau_int": float(np.mean(taus)),
+            "n_batches": int(bm.size),
+            "batch_means_variance": float(bm.var(ddof=1)) if bm.size > 1 else float("inf"),
+        },
+    )
+
+
 def mean_energy_estimate(samples: SampleStream, curve: Optional[LogFanoCurve] = None) -> McEstimate:
     """Batch-means estimate of E[config_energy] over the stream.
 
@@ -313,53 +371,38 @@ def mean_energy_estimate(samples: SampleStream, curve: Optional[LogFanoCurve] = 
     energies = samples.energies
     if curve is not None and curve.d_L != samples.curve.d_L:
         energies = energies * (curve.d_L / samples.curve.d_L)
-    means, taus = [], []
-    batch_means = []
-    for c in range(samples.chains):
-        e = energies[samples.chain_index == c]
-        nb = min(32, max(4, e.size // 64)) if e.size >= 8 else 1
-        batch_means.extend(b.mean() for b in np.array_split(e, nb))
-        taus.append(_integrated_autocorr(e))
-        means.append(e.mean())
-    bm = np.array(batch_means)
-    mean = float(energies.mean())
-    se = float(bm.std(ddof=1) / math.sqrt(bm.size)) if bm.size > 1 else float("inf")
-    return McEstimate(
-        mean,
-        se,
-        int(energies.size),
-        samples.seed,
-        samples.chains,
-        {
-            "tau_int": float(np.mean(taus)),
-            "n_batches": int(bm.size),
-            "batch_means_variance": float(bm.var(ddof=1)) if bm.size > 1 else float("inf"),
-        },
-    )
+    return _energy_estimate(energies.reshape(samples.chains, -1), samples.seed)
 
 
 def mean_energy_run(
     curve: LogFanoCurve,
-    beta: float,
+    betas: Sequence[float],
     N: int,
     sweeps: int,
     seed: int = 0,
     chains: int = 16,
-) -> McEstimate:
-    """Run a fresh chain batch (total sweep budget pooled over chains) and
-    return the mean-energy estimate; the unit free_energy_curve builds on."""
+) -> list[McEstimate]:
+    """Mean-energy estimates at every beta of `betas` from one lane batch;
+    the unit free_energy_curve builds on.
+
+    Node k owns lanes k*chains .. (k+1)*chains - 1.  Every chain makes
+    max(50, ceil(sweeps / chains)) measurement sweeps after
+    max(200, that // 5) burn-in sweeps and keeps the energy of each, so
+    `sweeps` is the budget of one node pooled over its chains.  All lanes
+    draw from the one stream of `seed`, in run_chain's order: a single-node
+    call returns the numbers mean_energy_estimate gives on the matching
+    run_chain stream (thinning 1).  Only a (lanes, kept) energy array is
+    stored; node k's estimate comes from its row block.
+    """
+    betas = [float(b) for b in betas]
+    if not betas or chains < 1:
+        raise ValidationError("need a non-empty beta list and at least one chain")
     per_chain = max(50, int(math.ceil(sweeps / chains)))
-    stream = run_chain(
-        curve,
-        beta,
-        N,
-        sweeps=per_chain,
-        burn_in=max(200, per_chain // 5),
-        seed=seed,
-        thinning=1,
-        chains=chains,
+    run = _run_lanes(
+        curve, np.repeat(betas, chains), N, per_chain, max(200, per_chain // 5),
+        seed, 1, 0.5, True, keep_configs=False,
     )
-    return mean_energy_estimate(stream)
+    return [_energy_estimate(run.energies[k * chains:(k + 1) * chains], seed) for k in range(len(betas))]
 
 
 @dataclass

@@ -147,6 +147,17 @@ def test_unknown_config_key_is_validation_exit(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_config_key_of_another_subcommand_is_validation_exit(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweeps": 10}))  # a sample flag, which zeta would drop
+    code, out, err = run_cli(
+        ["zeta", "--family", "circular", "--n", "3", "--beta", "1", "--config", str(cfg),
+         "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert "not sweeps" in err
+    assert not (tmp_path / "manifest.jsonl").exists()
+
+
 def test_bad_tube_kind_is_validation_exit(tmp_path, capsys):
     code, _, _ = run_cli(
         ["zeta", "--family", "selberg", "--n", "3", "--tube", "xyz",

@@ -358,17 +358,16 @@ def test_uniform_energy_and_entropy_are_zero():
 
 
 def test_energy_kernel_symmetry():
-    # E computed with the transposed kernel agrees to 1e-12; done on the
-    # public pieces so the check is about the kernel, not the wrapper
+    # K(t, s) = K(s, t), so the bilinear form interaction_energy sums is
+    # symmetric: <f, K g> = <g, K f> for two different densities
     sol = solve_mean_field(W_HALF_NORTH, 1.0)
-    g, mu = sol.density.grid, sol.density.values
-    h = g[1] - g[0]
-    wq = np.full(g.size, h)
-    wq[0] = wq[-1] = h / 2
-    k = pair_kernel(g[:, None], g[None, :])
-    k[0, 0] = k[-1, -1] = 0.0  # corners, same both ways
-    wf = wq * mu
-    assert abs(float(wf @ k @ wf) - float(wf @ k.T @ wf)) < 1e-12
+    g = sol.density.grid
+    wq = _trapezoid_weights(g)
+    wf1 = wq * sol.density.values
+    wf2 = wq * density_from_function(lambda t: np.exp(1.5 * t) * (1.2 + np.sin(4.0 * t)), m=g.size - 1).values
+    a = float(wf1 @ _kernel_sums(g, g, wf2))
+    b = float(wf2 @ _kernel_sums(g, g, wf1))
+    assert abs(a - b) <= 1e-13 * abs(a)
 
 
 def test_energy_mirror_symmetry():

@@ -198,6 +198,76 @@ def test_attractive_weighted_triangle_stays_ergodic():
         assert math.isfinite(state.log_density)
 
 
+def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains):
+    """The scalar-beta sweep loop, written out once more as the reference
+    that run_chain's per-lane beta must reproduce bit for bit."""
+    from kezeta.sampler import _guard_violations, _marked_arrays, _site_weight_part
+    from kezeta.sphere import pairwise_log_chordal
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    marked, wts = _marked_arrays(curve)
+    pref = curve.d_L / (N * (N - 1))
+    X = sample_uniform_array(rng, chains * N).reshape(chains, N, 3)
+    for _ in range(100):
+        bad = _guard_violations(X, marked)
+        if not bad.any():
+            break
+        X[bad] = sample_uniform_array(rng, int(bad.sum()) * N).reshape(-1, N, 3)
+    scales = np.full(chains, 0.5)
+    acc = np.zeros(chains, dtype=np.int64)
+    prop = np.zeros(chains, dtype=np.int64)
+    kept_X, kept_E = [], []
+    for sweep in range(burn_in + sweeps):
+        for i in range(N):
+            x = X[:, i, :]
+            g = rng.normal(size=(chains, 3))
+            cand = x + scales[:, None] * (g - np.sum(g * x, axis=-1, keepdims=True) * x)
+            cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+            d2_new = np.sum((X - cand[:, None, :]) ** 2, axis=-1)
+            d2_old = np.sum((X - x[:, None, :]) ** 2, axis=-1)
+            d2_new[:, i] = d2_old[:, i] = 1.0
+            guard = d2_new.min(axis=-1) < 1e-24
+            if marked.shape[0]:
+                guard |= np.sum((cand[:, None, :] - marked) ** 2, axis=-1).min(axis=-1) < 1e-24
+            dpair = -0.5 * (np.sum(np.log(d2_new), axis=-1) - np.sum(np.log(d2_old), axis=-1))
+            dw = _site_weight_part(cand, marked, wts) - _site_weight_part(x, marked, wts)
+            accept = (np.log(rng.uniform(size=chains)) < -beta * N * pref * 2.0 * dpair + dw) & ~guard
+            X[accept, i, :] = cand[accept]
+            acc += accept
+            prop += 1
+        if sweep < burn_in and (sweep + 1) % 50 == 0:
+            rate = acc / np.maximum(prop, 1)
+            scales = np.where(rate > 0.5, scales * 1.4, scales)
+            scales = np.clip(np.where(rate < 0.2, scales * 0.7, scales), 1e-3, 2.0)
+            acc[:] = prop[:] = 0
+        if sweep + 1 == burn_in:
+            acc[:] = prop[:] = 0
+        if sweep >= burn_in and (sweep - burn_in + 1) % thinning == 0:
+            kept_X.append(X.copy())
+            kept_E.append(-2.0 * pref * np.sum(pairwise_log_chordal(X), axis=-1))
+    configs = np.stack(kept_X, axis=1).reshape(-1, N, 3)
+    return configs, np.stack(kept_E, axis=1).ravel(), acc / np.maximum(prop, 1), scales
+
+
+@pytest.mark.parametrize(
+    "curve, beta, N, sweeps, burn_in, seed, thinning, chains",
+    [
+        (TRIVIAL, 1.0, 3, 120, 200, 7, 1, 16),
+        (TRIVIAL, 0.0, 4, 60, 0, 2, 5, 3),
+        (HALF3, -1.0, 5, 80, 100, 8, 4, 2),
+        (LogFanoCurve.standard((0.5,)), 0.75, 6, 40, 150, 1, 10, 5),
+    ],
+)
+def test_run_chain_reproduces_scalar_beta_reference_bitwise(curve, beta, N, sweeps, burn_in, seed, thinning, chains):
+    stream = run_chain(curve, beta, N, sweeps=sweeps, burn_in=burn_in, seed=seed, thinning=thinning,
+                       chains=chains, adapt=True)
+    configs, energies, rate, scales = _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains)
+    assert np.array_equal(stream.configs, configs)
+    assert np.array_equal(stream.energies, energies)
+    assert np.array_equal(stream.acceptance_rate, rate)
+    assert np.array_equal(stream.final_step_scale, scales)
+
+
 # ---------------------------------------------------------------------------
 # gates
 
@@ -221,24 +291,68 @@ def test_run_chain_gates():
 
 def test_mean_energy_uniform_pin():
     # beta = 0: points are uniform, E[config_energy] = d_L (1/2 - log 2)
-    est = mean_energy_run(TRIVIAL, 0.0, 6, sweeps=6000, seed=3)
+    (est,) = mean_energy_run(TRIVIAL, [0.0], 6, sweeps=6000, seed=3)
     target = 2.0 * (0.5 - math.log(2.0))
     assert abs(est.mean - target) < 4.0 * est.std_error
 
 
 def test_mean_energy_two_seeds_agree():
-    a = mean_energy_run(TRIVIAL, 1.0, 3, sweeps=4000, seed=1)
-    b = mean_energy_run(TRIVIAL, 1.0, 3, sweeps=4000, seed=2)
+    (a,) = mean_energy_run(TRIVIAL, [1.0], 3, sweeps=4000, seed=1)
+    (b,) = mean_energy_run(TRIVIAL, [1.0], 3, sweeps=4000, seed=2)
     comb = math.hypot(a.std_error, b.std_error)
     assert abs(a.mean - b.mean) < 4.0 * comb
 
 
 def test_mean_energy_monotone_in_beta():
     # dE/dbeta = -N Var(E) <= 0: mean energy decreases along the beta grid
-    ests = [mean_energy_run(TRIVIAL, b, 3, sweeps=4000, seed=7) for b in (0.0, 0.5, 1.0)]
+    ests = mean_energy_run(TRIVIAL, [0.0, 0.5, 1.0], 3, sweeps=4000, seed=7)
     for lo, hi in zip(ests, ests[1:]):
         slack = 3.0 * math.hypot(lo.std_error, hi.std_error)
         assert hi.mean < lo.mean + slack
+
+
+def test_mean_energy_run_mixed_betas_match_digamma_closed_form():
+    # one call, three nodes; at beta = 0 the target is d_L (1/2 - log 2)
+    from kezeta.verify import three_point_mean_energy
+
+    betas = [0.0, 0.5, 1.0]
+    ests = mean_energy_run(TRIVIAL, betas, 3, sweeps=4000, seed=5)
+    assert three_point_mean_energy(0.0) == pytest.approx(2.0 * (0.5 - math.log(2.0)), rel=1e-14)
+    for beta, est in zip(betas, ests):
+        assert est.n_samples == 16 * 250 and est.worker_count == 16
+        assert abs(est.mean - three_point_mean_energy(beta)) < 4.0 * est.std_error
+
+
+def test_mean_energy_run_lanes_are_node_major_run_chain_lanes():
+    # nodes [b, b] with c chains are run_chain's 2c lanes split in two blocks,
+    # each estimated by the estimator mean_energy_estimate uses
+    from dataclasses import replace
+
+    c, per_chain = 4, 60
+    stream = run_chain(TRIVIAL, 0.5, 3, sweeps=per_chain, burn_in=200, seed=13, thinning=1, chains=2 * c)
+    ests = mean_energy_run(TRIVIAL, [0.5, 0.5], 3, sweeps=c * per_chain, seed=13, chains=c)
+    rows = c * per_chain
+    for k, est in enumerate(ests):
+        block = slice(k * rows, (k + 1) * rows)
+        part = replace(stream, configs=stream.configs[block], energies=stream.energies[block], chains=c)
+        assert est.to_json() == mean_energy_estimate(part).to_json()
+
+
+def test_mean_energy_run_gates_before_sampling(monkeypatch):
+    import kezeta.sampler as sampler
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(sampler, "sample_uniform_array", no_draws)
+    with pytest.raises(ThresholdError):  # -gamma_3 = -2/3 on the trivial curve
+        mean_energy_run(TRIVIAL, [0.5, 1.0, -0.7], 3, sweeps=1000)
+    with pytest.raises(ThresholdError):
+        mean_energy_run(TRIVIAL, [-2.0 / 3.0], 3, sweeps=1000)
+    with pytest.raises(ValidationError):
+        mean_energy_run(TRIVIAL, [], 3, sweeps=1000)
+    with pytest.raises(ValidationError):
+        mean_energy_run(TRIVIAL, [1.0], 3, sweeps=1000, chains=0)
 
 
 def test_mean_energy_estimate_rescales_for_other_curve():
