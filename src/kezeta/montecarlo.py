@@ -487,10 +487,14 @@ def free_energy_curve(
     sweeps = max(200, mcmc_budget // max(1, len(nodes)))
     ests = mean_energy_run(curve, nodes, N, sweeps=sweeps, seed=seed)
     energies = [est.mean for est in ests]
-    ses = [est.std_error for est in ests]
+    ses = np.array([est.std_error for est in ests])
 
-    # per-interval quadratic increments, then signed sums anchored at beta = 0
-    incs, ivars = [], []
+    # per-interval quadratic increments, then signed sums anchored at beta = 0.
+    # Neighbouring increments share nodes, so a grid point's SE sums each
+    # node's coefficients over its increments before squaring (row i of
+    # `coef` holds increment i's coefficient on every node).
+    incs = []
+    coef = np.zeros((len(nodes) - 1, len(nodes)))
     for i in range(len(nodes) - 1):
         x0, x1 = nodes[i], nodes[i + 1]
         h = x1 - x0
@@ -504,7 +508,7 @@ def free_energy_curve(
             cs = (h / 2.0, h / 2.0)
             idx = (i, i + 1)
         incs.append(sum(c * energies[j] for c, j in zip(cs, idx)))
-        ivars.append(sum((c * ses[j]) ** 2 for c, j in zip(cs, idx)))
+        coef[i, list(idx)] = cs
 
     zero_pos = nodes.index(0.0)
     out = []
@@ -512,6 +516,6 @@ def free_energy_curve(
         pos = nodes.index(b)
         lo, hi = min(pos, zero_pos), max(pos, zero_pos)
         total = sum(incs[lo:hi])
-        se = math.sqrt(sum(ivars[lo:hi]))
+        se = float(np.sqrt(np.sum((coef[lo:hi].sum(axis=0) * ses) ** 2)))
         out.append((b, total if pos >= zero_pos else -total, se))
     return out

@@ -23,6 +23,12 @@ its own beta.  run_chain broadcasts one beta to its `chains` lanes and keeps
 configurations and energies, merged in (chain index, step index) order.
 mean_energy_run runs a whole beta list as one batch, node-major (node k owns
 lanes k*chains .. (k+1)*chains - 1), and keeps energies only.
+
+Each lane caches its N x N matrix of log squared distances and the weight
+part of every site.  A step computes the candidate's distance row and weight
+part only, reuses the cached row and weight of the point it would replace,
+and rewrites row and column i of the cache where the proposal is accepted.
+Kept energies are summed from the cached logs.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .sphere import (
     PointConfiguration,
     config_energy,
     green,
-    pairwise_log_chordal,
     sample_uniform_array,
 )
 from .stability import LogFanoCurve, classify, gamma_threshold
@@ -130,12 +135,25 @@ def _marked_arrays(curve: LogFanoCurve):
     return np.stack(pts), np.array(wts, dtype=float)
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b|^2 over a last axis of length 3, summed x + y + z: the order
+    numpy's reduction over a 3-long axis takes, without its call overhead."""
+    d = a - b
+    d *= d
+    return d[..., 0] + d[..., 1] + d[..., 2]
+
+
+def _weight_part(dm: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """sum_j 2 w_j G(x, p_j) from the squared distances dm: (..., M) of
+    points x to the M marked points."""
+    return -np.add.reduce(wts * np.log(np.maximum(dm, 1e-300)), axis=-1)
+
+
 def _site_weight_part(x: np.ndarray, marked: np.ndarray, wts: np.ndarray) -> np.ndarray:
     """sum_j 2 w_j G(x, p_j) for a batch of single points x: (..., 3)."""
     if marked.shape[0] == 0:
         return np.zeros(x.shape[:-1])
-    d2 = np.sum((x[..., None, :] - marked) ** 2, axis=-1)
-    return -np.sum(wts * np.log(np.maximum(d2, 1e-300)), axis=-1)
+    return _weight_part(_sq_dist(x[..., None, :], marked), wts)
 
 
 @dataclass
@@ -193,6 +211,14 @@ def _run_lanes(
             break
         X[bad] = sample_uniform_array(rng, int(bad.sum()) * N).reshape(-1, N, 3)
 
+    # Per-lane caches, built once and then rewritten only where a proposal
+    # is accepted: L[l, a, b] = log |x_a - x_b|^2 with log 1 = 0 on the
+    # diagonal, SW[l, a] = the weight part of site a.  (a - b)^2 = (b - a)^2
+    # exactly, so a cached entry is the float recomputation would give.
+    L = np.log(_self_masked_sq_dists(X))
+    SW = _site_weight_part(X, marked, wts)
+    iu = np.triu_indices(N, k=1)
+
     scales = np.full(lanes, step_scale)
     acc = np.zeros(lanes, dtype=np.int64)
     prop = np.zeros(lanes, dtype=np.int64)
@@ -205,23 +231,28 @@ def _run_lanes(
         for i in range(N):
             x = X[:, i, :]
             g = rng.normal(size=(lanes, 3))
-            tang = g - np.sum(g * x, axis=-1, keepdims=True) * x
-            cand = x + scales[:, None] * tang
-            cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+            gx = g * x
+            cand = x + scales[:, None] * (g - (gx[:, 0] + gx[:, 1] + gx[:, 2])[:, None] * x)
+            cand /= np.sqrt(_sq_dist(cand, 0.0))[:, None]  # |cand|
 
-            d2_new = np.sum((X - cand[:, None, :]) ** 2, axis=-1)
-            d2_old = np.sum((X - x[:, None, :]) ** 2, axis=-1)
-            d2_new[:, i] = d2_old[:, i] = 1.0  # mask self
-            guard = d2_new.min(axis=-1) < _GUARD_TOL**2
+            # only the candidate's row is new; the old one is L[:, i]
+            d2 = _sq_dist(X, cand[:, None, :])
+            d2[:, i] = 1.0  # mask self
+            guard = np.minimum.reduce(d2, axis=-1) < _GUARD_TOL**2
+            row = np.log(d2)
+            dlt = coef * (-0.5 * (np.add.reduce(row, axis=-1) - np.add.reduce(L[:, i], axis=-1)))
             if marked.shape[0]:
-                dm = np.sum((cand[:, None, :] - marked) ** 2, axis=-1)
-                guard |= dm.min(axis=-1) < _GUARD_TOL**2
-
-            dpair = -0.5 * (np.sum(np.log(d2_new), axis=-1) - np.sum(np.log(d2_old), axis=-1))
-            dw = _site_weight_part(cand, marked, wts) - _site_weight_part(x, marked, wts)
-            dlt = coef * dpair + dw
+                dm = _sq_dist(cand[:, None, :], marked)
+                guard |= np.minimum.reduce(dm, axis=-1) < _GUARD_TOL**2
+                sw = _weight_part(dm, wts)
+                dlt += sw - SW[:, i]
             accept = (np.log(rng.uniform(size=lanes)) < dlt) & ~guard
-            X[accept, i, :] = cand[accept]
+            on = accept[:, None]
+            np.copyto(X[:, i], cand, where=on)
+            np.copyto(L[:, i], row, where=on)
+            np.copyto(L[:, :, i], row, where=on)
+            if marked.shape[0]:
+                np.copyto(SW[:, i], sw, where=accept)
             acc += accept
             prop += 1
 
@@ -240,7 +271,9 @@ def _run_lanes(
         k = sweep - burn_in
         if k >= 0 and (k + 1) % thinning == 0:
             j = k // thinning
-            energies[:, j] = -2.0 * pref * np.sum(pairwise_log_chordal(X), axis=-1)
+            # the cached logs are the pairwise kernel's values: the guard keeps
+            # every pair far above its clamp
+            energies[:, j] = -2.0 * pref * np.sum(0.5 * L[:, iu[0], iu[1]], axis=-1)
             if configs is not None:
                 configs[:, j] = X
     return _LaneRun(X, energies, configs, scales, acc, prop, trace)
@@ -302,15 +335,19 @@ def run_chain(
     )
 
 
-def _guard_violations(X: np.ndarray, marked: np.ndarray) -> np.ndarray:
-    diff = X[:, :, None, :] - X[:, None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
+def _self_masked_sq_dists(X: np.ndarray) -> np.ndarray:
+    """(lanes, N, N) squared distances between the sites of each lane, with
+    1.0 on the diagonal."""
+    d2 = _sq_dist(X[:, :, None, :], X[:, None, :, :])
     n = X.shape[1]
     d2[:, np.arange(n), np.arange(n)] = 1.0
-    bad = d2.min(axis=(1, 2)) < _GUARD_TOL**2
+    return d2
+
+
+def _guard_violations(X: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    bad = _self_masked_sq_dists(X).min(axis=(1, 2)) < _GUARD_TOL**2
     if marked.shape[0]:
-        dm = np.sum((X[:, :, None, :] - marked) ** 2, axis=-1)
-        bad |= dm.min(axis=(1, 2)) < _GUARD_TOL**2
+        bad |= _sq_dist(X[:, :, None, :], marked).min(axis=(1, 2)) < _GUARD_TOL**2
     return bad
 
 

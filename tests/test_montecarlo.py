@@ -206,6 +206,40 @@ def test_free_energy_curve_input_validation():
         free_energy_curve(TRIVIAL, 3, [-0.7, 0.5], 1000)  # -gamma_3 = -2/3
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [0.25 + 0.0625 * k for k in range(13)],  # the ladder: Simpson increments throughout
+        [-0.5, -0.2, 0.3, 0.4, 1.0, 1.6],  # uneven: trapezoid and Simpson increments mixed
+    ],
+)
+def test_free_energy_se_propagates_shared_node_coefficients(monkeypatch, grid):
+    # F is linear in the node means; its SE must be sqrt(sum_j coef_j^2 se_j^2)
+    # with coef_j node j's total coefficient, read off by bumping node j's mean
+    import kezeta.sampler as sampler
+
+    stub = {"node": None}
+
+    def fixed_run(curve, betas, N, sweeps, seed=0, chains=16):
+        stub["nodes"] = len(betas)
+        return [
+            McEstimate(-0.3 * b + (1.0 if k == stub["node"] else 0.0), 0.01 * (1 + k), sweeps, seed, chains)
+            for k, b in enumerate(betas)
+        ]
+
+    monkeypatch.setattr(sampler, "mean_energy_run", fixed_run)
+    base = free_energy_curve(TRIVIAL, 3, grid, 10_000)
+    coefs = []
+    for k in range(stub["nodes"]):
+        stub["node"] = k
+        coefs.append([f - f0 for (_, f, _), (_, f0, _) in zip(free_energy_curve(TRIVIAL, 3, grid, 10_000), base)])
+    coefs = np.array(coefs)  # (nodes, grid points)
+    node_se = 0.01 * (1 + np.arange(stub["nodes"]))
+    for g, (b, _, se) in enumerate(base):
+        assert b == grid[g]
+        assert se == pytest.approx(math.sqrt(np.sum((coefs[:, g] * node_se) ** 2)), rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # proposal mixtures
 

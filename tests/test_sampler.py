@@ -256,6 +256,8 @@ def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains
         (TRIVIAL, 0.0, 4, 60, 0, 2, 5, 3),
         (HALF3, -1.0, 5, 80, 100, 8, 4, 2),
         (LogFanoCurve.standard((0.5,)), 0.75, 6, 40, 150, 1, 10, 5),
+        (LogFanoCurve.standard((0.5,)), 1.0, 16, 40, 100, 3, 10, 8),  # the chain workload's N
+        (HALF3, 2.0, 8, 60, 100, 4, 5, 16),  # three marked points, ~30 % rejected: a stale row shows
     ],
 )
 def test_run_chain_reproduces_scalar_beta_reference_bitwise(curve, beta, N, sweeps, burn_in, seed, thinning, chains):
