@@ -16,6 +16,11 @@ The sphere partition function is reported under the Z(0) = 1 pin
 plane-Lebesgue convention, Z_plane = pi^N 2^(-beta N d_L) Z_sphere, is in the
 diagnostics.
 
+A draw is component-major: the proposal fills one (3, n) buffer, so the pair
+kernel and the marked-point distances read contiguous x, y and z rows, and the
+log chord of every point to each marked point is computed once, then read by
+both the integrand and the marked components of the proposal density.
+
 Tail safety: a Hill estimate on the top 1% of importance weights; an index
 <= 2 flags likely-infinite variance and switches aggregation to
 median-of-means.
@@ -31,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import StabilityError, ThresholdError, ValidationError
-from .sphere import SpherePoint, pairwise_log_chordal, sample_uniform_array
+from .sphere import _D2_FLOOR, SpherePoint, _uniform_rows, pairwise_log_chordal
 from .stability import LogFanoCurve, classify, gamma_threshold
 
 __all__ = [
@@ -47,7 +52,6 @@ __all__ = [
 ]
 
 _CHUNK = 20_000
-_SOUTH = np.array([0.0, 0.0, -1.0])
 _ONE = np.array([1.0, 0.0, 0.0])
 _NORTH = np.array([0.0, 0.0, 1.0])
 
@@ -208,15 +212,17 @@ class ProposalMixture:
         return cls(tuple(comps))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n points of shape (n, 3): the .T view of a component-major (3, n) buffer."""
         probs = np.array([c.weight for c in self.components])
         which = rng.choice(len(self.components), size=n, p=probs)
-        out = np.empty((n, 3))
+        out = np.empty((3, n))
         for k, comp in enumerate(self.components):
             idx = np.nonzero(which == k)[0]
             if idx.size == 0:
                 continue
             if comp.kind == "uniform":
-                out[idx] = sample_uniform_array(rng, idx.size)
+                for row, x in zip(out, _uniform_rows(rng, idx.size)):
+                    row[idx] = x
             else:
                 a = comp.radial_exponent
                 u = rng.uniform(size=idx.size)
@@ -224,23 +230,32 @@ class ProposalMixture:
                 phi = rng.uniform(0.0, 2.0 * math.pi, size=idx.size)
                 p = comp.point.vec
                 e1, e2 = _orthonormal_frame(p)
-                trans = (r * np.sqrt(np.maximum(0.0, 1.0 - r * r / 4.0)))[:, None]
-                out[idx] = (
-                    (1.0 - r * r / 2.0)[:, None] * p
-                    + trans * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
-                )
-        return out
+                s = 1.0 - r * r / 2.0
+                trans = r * np.sqrt(np.maximum(0.0, 1.0 - r * r / 4.0))
+                cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+                for q, row in enumerate(out):
+                    row[idx] = s * p[q] + trans * (cos_phi * e1[q] + sin_phi * e2[q])
+        return out.T
 
     def log_density(self, pts: np.ndarray) -> np.ndarray:
         """log of the mixture density with respect to the uniform probability
-        measure dsigma; components: uniform -> 1, marked -> (2-a) 2^(a-1) r^-a."""
+        measure dsigma at points pts: (..., 3); components: uniform -> 1,
+        marked -> (2-a) 2^(a-1) r^-a."""
+        return self._log_density(np.moveaxis(pts, -1, 0), {})
+
+    def _log_density(self, xyz: np.ndarray, chords: dict) -> np.ndarray:
+        """log_density at component-major points xyz: (3, ...).  `chords` maps
+        a SpherePoint to its _log_chord_to array that the caller already holds;
+        a marked component at any other point computes its own."""
         logs = []
         for comp in self.components:
             if comp.kind == "uniform":
-                logs.append(np.full(pts.shape[0], math.log(comp.weight)))
+                logs.append(np.full(xyz.shape[1:], math.log(comp.weight)))
             else:
                 a = comp.radial_exponent
-                logr = _log_chord_to(pts, comp.point.vec)
+                logr = chords.get(comp.point)
+                if logr is None:
+                    logr = _log_chord_to(xyz, comp.point)
                 logs.append(
                     math.log(comp.weight) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * logr
                 )
@@ -250,9 +265,19 @@ class ProposalMixture:
 # ---------------------------------------------------------------------------
 # estimators
 
-def _log_chord_to(pts: np.ndarray, p: np.ndarray) -> np.ndarray:
-    d2 = np.sum((pts - p) ** 2, axis=-1)
-    return 0.5 * np.log(np.maximum(d2, 1e-300))
+def _log_chord_to(xyz: np.ndarray, p: SpherePoint) -> np.ndarray:
+    """log ||x - p|| at component-major points xyz: (3, ...), the squares
+    summed x + y + z and clamped like the pair kernel."""
+    dx, dy, dz = xyz[0] - p.x, xyz[1] - p.y, xyz[2] - p.z
+    return 0.5 * np.log(np.maximum(dx * dx + dy * dy + dz * dz, _D2_FLOOR))
+
+
+def _draw_points(proposal: ProposalMixture, rng: np.random.Generator, m: int, N: int, marked) -> tuple:
+    """m configurations of N proposal points, component-major (3, m, N), their
+    log pair chords (m, N(N-1)/2) and their log chords to each marked point."""
+    xyz = proposal.sample(rng, m * N).T.reshape(3, m, N)
+    pairs = pairwise_log_chordal(np.moveaxis(xyz, 0, -1))
+    return xyz, pairs, {p: _log_chord_to(xyz, p) for p, _ in marked}
 
 
 def mc_selberg(
@@ -267,7 +292,8 @@ def mc_selberg(
     w1, w2, w3 = (float(x) for x in w)
     shown = ", ".join(map(str, w))
     # both walls are decided on w as given: exactly when the weights are rationals
-    verdict = classify(LogFanoCurve.standard(tuple(w)))
+    curve = LogFanoCurve.standard(tuple(w))
+    verdict = classify(curve)
     if verdict.kind != "GibbsStable":
         raise StabilityError(f"weights {shown} are {verdict.kind}: the integral is infinite")
     n_dprime = N * (2 - sum(w)) / (N - 1)
@@ -284,15 +310,14 @@ def mc_selberg(
 
     dprime = d / (N - 1)
     log_const = N * math.log(math.pi) + math.log(2.0) * (d * N + 2 * N * w1 + N * w2 + 2 * N * w3)
+    marked = tuple(zip(curve.marked_sphere_points(), (w1, w2, w3)))  # 0, 1, INFINITY
 
     def draw(rng, m):
-        flat = proposal.sample(rng, m * N)
-        pts = flat.reshape(m, N, 3)
-        logw = -dprime * 2.0 * np.sum(pairwise_log_chordal(pts), axis=-1)
-        logw -= 2.0 * w1 * np.sum(_log_chord_to(pts, _SOUTH), axis=-1)
-        logw -= 2.0 * w2 * np.sum(_log_chord_to(pts, _ONE), axis=-1)
-        logw -= 2.0 * w3 * np.sum(_log_chord_to(pts, _NORTH), axis=-1)
-        logw -= np.sum(proposal.log_density(flat).reshape(m, N), axis=-1)
+        xyz, pairs, chords = _draw_points(proposal, rng, m, N, marked)
+        logw = -dprime * 2.0 * np.sum(pairs, axis=-1)
+        for p, wj in marked:
+            logw -= 2.0 * wj * np.sum(chords[p], axis=-1)
+        logw -= np.sum(proposal._log_density(xyz, chords), axis=-1)
         return logw
 
     logw_all = _draw_log_weights(seed, workers, n_samples, draw)
@@ -352,18 +377,17 @@ def mc_sphere_partition(
     if n_samples < 2:
         raise ValidationError("need at least 2 samples")
     proposal = ProposalMixture.default_for_curve(curve)
-    marked = [(p.vec, w) for p, w in zip(curve.marked_sphere_points(), curve.weights)]
+    marked = tuple(zip(curve.marked_sphere_points(), curve.weights))
     energy_pref = curve.d_L / (N * (N - 1))
 
     def draw(rng, m):
-        flat = proposal.sample(rng, m * N)
-        pts = flat.reshape(m, N, 3)
+        xyz, pairs, chords = _draw_points(proposal, rng, m, N, marked)
         # E = -pref * sum_{i != j} log c_ij  =>  -beta N E = 2 beta N pref * sum_{i<j}
-        log_gibbs = 2.0 * beta * N * energy_pref * np.sum(pairwise_log_chordal(pts), axis=-1)
+        log_gibbs = 2.0 * beta * N * energy_pref * np.sum(pairs, axis=-1)
         log_ref = np.zeros(m)
-        for pvec, wgt in marked:
-            log_ref -= 2.0 * wgt * np.sum(_log_chord_to(pts, pvec), axis=-1)
-        log_q = np.sum(proposal.log_density(flat).reshape(m, N), axis=-1)
+        for p, wgt in marked:
+            log_ref -= 2.0 * wgt * np.sum(chords[p], axis=-1)
+        log_q = np.sum(proposal._log_density(xyz, chords), axis=-1)
         return np.stack([log_gibbs + log_ref - log_q, log_ref - log_q], axis=-1)
 
     logw = _draw_log_weights(seed, workers, n_samples, draw)

@@ -161,13 +161,19 @@ class PointConfiguration:
 
 
 def pairwise_log_chordal(arr: np.ndarray) -> np.ndarray:
-    """log ||x_i - x_j|| for i < j along the last axis; arr has shape (..., N, 3).
-    Squared distances are clamped at 1e-300, so the result is always finite."""
-    diff = arr[..., :, None, :] - arr[..., None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    n = arr.shape[-2]
-    iu = np.triu_indices(n, k=1)
-    return 0.5 * np.log(np.maximum(d2[..., iu[0], iu[1]], _D2_FLOOR))
+    """log ||x_i - x_j|| for i < j along the last axis; arr has shape (..., N, 3)
+    in any memory layout.  The kernel works on the component-major view
+    (3, ..., N), which reads contiguous rows when arr is the .T of a (3, n)
+    buffer, gathers the upper-triangle pairs only and sums the squares
+    x + y + z, the order numpy's reduction over a 3-long axis takes.  The
+    gather keeps the pair axis outermost in memory, as the dense (N, N)
+    gather did, so a caller's sum over pairs adds in the same order.  Squared
+    distances are clamped at 1e-300, so the result is always finite."""
+    xyz = np.moveaxis(arr, -1, 0)
+    iu0, iu1 = np.triu_indices(arr.shape[-2], k=1)
+    d = xyz[..., iu0] - xyz[..., iu1]
+    d *= d
+    return 0.5 * np.log(np.maximum(d[0] + d[1] + d[2], _D2_FLOOR))
 
 
 def config_energy(c: PointConfiguration, curve) -> float:
@@ -182,11 +188,16 @@ def config_energy(c: PointConfiguration, curve) -> float:
     return float(curve.d_L / (n * (n - 1)) * (-2.0) * np.sum(logs))
 
 
-def sample_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:
+def _uniform_rows(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and z rows of n uniform points (z uniform on [-1, 1])."""
     t = rng.uniform(-1.0, 1.0, size=n)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
     r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    return np.stack([r * np.cos(theta), r * np.sin(theta), t], axis=-1)
+    return r * np.cos(theta), r * np.sin(theta), t
+
+
+def sample_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.stack(_uniform_rows(rng, n), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ prints what was measured against what was allowed (visible with -s, and on
 any failure).
 
 Budget note: criteria 1, 8, 9 and 10 do real Monte Carlo / MCMC work; on a
-2-core machine they took 7.6, 15.7, 9.4 and 11.1 s (about 45 s together).
+2-core machine they took 4.8, 13.0, 7.2 and 6.8 s (about 32 s together).
 Everything else is exact arithmetic and takes under a second per criterion.
 """
 

@@ -145,6 +145,127 @@ def test_worker_count_changes_stream_but_not_answer():
     assert abs(s1.mean - s4.mean) < 4.0 * math.hypot(s1.std_error, s4.std_error)
 
 
+def _reference_sample(mix, rng, n):
+    """ProposalMixture.sample written row-major: each component fills its
+    rows of an (n, 3) array at once."""
+    from kezeta.montecarlo import _orthonormal_frame
+
+    which = rng.choice(len(mix.components), size=n, p=np.array([c.weight for c in mix.components]))
+    out = np.empty((n, 3))
+    for k, comp in enumerate(mix.components):
+        idx = np.nonzero(which == k)[0]
+        if idx.size == 0:
+            continue
+        if comp.kind == "uniform":
+            t = rng.uniform(-1.0, 1.0, size=idx.size)
+            theta = rng.uniform(0.0, 2.0 * math.pi, size=idx.size)
+            r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+            out[idx] = np.stack([r * np.cos(theta), r * np.sin(theta), t], axis=-1)
+        else:
+            a = comp.radial_exponent
+            r = 2.0 * rng.uniform(size=idx.size) ** (1.0 / (2.0 - a))
+            phi = rng.uniform(0.0, 2.0 * math.pi, size=idx.size)
+            p = comp.point.vec
+            e1, e2 = _orthonormal_frame(p)
+            trans = (r * np.sqrt(np.maximum(0.0, 1.0 - r * r / 4.0)))[:, None]
+            out[idx] = (1.0 - r * r / 2.0)[:, None] * p + trans * (
+                np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+            )
+    return out
+
+
+def _reference_log_chord(pts, p):
+    return 0.5 * np.log(np.maximum(np.sum((pts - p) ** 2, axis=-1), 1e-300))
+
+
+def _reference_draw(mix, rng, m, N):
+    """Row-major points (m, N, 3), the dense (m, N, N, 3) pair sum, and the
+    proposal log density recomputing its own chords."""
+    from kezeta.montecarlo import _logsumexp
+
+    flat = _reference_sample(mix, rng, m * N)
+    pts = flat.reshape(m, N, 3)
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
+    d2 = np.sum(diff * diff, axis=-1)
+    iu = np.triu_indices(N, k=1)
+    pairs = np.sum(0.5 * np.log(np.maximum(d2[..., iu[0], iu[1]], 1e-300)), axis=-1)
+    logs = []
+    for c in mix.components:
+        if c.kind == "uniform":
+            logs.append(np.full(m * N, math.log(c.weight)))
+        else:
+            a = c.radial_exponent
+            logr = _reference_log_chord(flat, c.point.vec)
+            logs.append(math.log(c.weight) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * logr)
+    log_q = np.sum(_logsumexp(np.stack(logs, axis=0), axis=0).reshape(m, N), axis=-1)
+    return pts, pairs, log_q
+
+
+def _reference_selberg(w, N, n_samples, seed, workers, mix):
+    from kezeta.montecarlo import _aggregate, _draw_log_weights
+
+    d = 2.0 - sum(w)
+    marked = LogFanoCurve.standard(w).marked_sphere_points()
+    log_const = N * math.log(math.pi) + math.log(2.0) * (d * N + 2 * N * w[0] + N * w[1] + 2 * N * w[2])
+
+    def draw(rng, m):
+        pts, pairs, log_q = _reference_draw(mix, rng, m, N)
+        logw = -d / (N - 1) * 2.0 * pairs
+        for p, wj in zip(marked, w):
+            logw -= 2.0 * wj * np.sum(_reference_log_chord(pts, p.vec), axis=-1)
+        return logw - log_q
+
+    logw = _draw_log_weights(seed, workers, n_samples, draw)
+    shift = float(np.max(logw))
+    return _aggregate(np.exp(logw - shift), log_const + shift, seed, workers)
+
+
+def _reference_sphere(curve, beta, N, n_samples, seed, workers):
+    from kezeta.montecarlo import _draw_log_weights, _ratio_estimate
+
+    mix = ProposalMixture.default_for_curve(curve)
+    pref = curve.d_L / (N * (N - 1))
+
+    def draw(rng, m):
+        pts, pairs, log_q = _reference_draw(mix, rng, m, N)
+        log_ref = np.zeros(m)
+        for p, wj in zip(curve.marked_sphere_points(), curve.weights):
+            log_ref -= 2.0 * wj * np.sum(_reference_log_chord(pts, p.vec), axis=-1)
+        return np.stack([2.0 * beta * N * pref * pairs + log_ref - log_q, log_ref - log_q], axis=-1)
+
+    logw = _draw_log_weights(seed, workers, n_samples, draw)
+    shift_n, shift_d = float(np.max(logw[:, 0])), float(np.max(logw[:, 1]))
+    conv = N * math.log(math.pi) - beta * N * curve.d_L * math.log(2.0)
+    est = _ratio_estimate(np.exp(logw[:, 0] - shift_n), np.exp(logw[:, 1] - shift_d), seed, workers,
+                          {"log_plane_conversion": conv})
+    s = math.exp(shift_n - shift_d)
+    est.mean *= s
+    est.std_error *= s
+    est.diagnostics["batch_means"] = [b * s for b in est.diagnostics["batch_means"]]
+    return est
+
+
+def test_importance_draws_reproduce_row_major_reference_bitwise():
+    # the component-major draw (one (3, n) buffer, upper-triangle pairs, each
+    # marked chord computed once) must give the row-major draw's bits
+    uniform = ProposalMixture((ProposalComponent("uniform", 1.0),))
+    cases = [
+        # three workers, shares 20001/20000/20000: the first takes two chunks
+        (mc_selberg((0.5, 0.5, 0.5), 3, 60_001, seed=5, workers=3),
+         _reference_selberg((0.5, 0.5, 0.5), 3, 60_001, 5, 3, ProposalMixture.cluster_safe((0.5, 0.5, 0.5)))),
+        (mc_selberg((0.3, 0.6, 0.7), 5, 3_000, seed=2),
+         _reference_selberg((0.3, 0.6, 0.7), 5, 3_000, 2, 1, ProposalMixture.cluster_safe((0.3, 0.6, 0.7)))),
+        (mc_selberg((0.5, 0.5, 0.5), 2, 3_000, seed=11, proposal=uniform),
+         _reference_selberg((0.5, 0.5, 0.5), 2, 3_000, 11, 1, uniform)),
+        (mc_sphere_partition(LogFanoCurve.standard((0.5, 0.4, 0.3)), 1.0, 3, 3_001, seed=4, workers=2),
+         _reference_sphere(LogFanoCurve.standard((0.5, 0.4, 0.3)), 1.0, 3, 3_001, 4, 2)),
+        (mc_sphere_partition(TRIVIAL, -0.74, 4, 3_000, seed=6),
+         _reference_sphere(TRIVIAL, -0.74, 4, 3_000, 6, 1)),
+    ]
+    for est, ref in cases:
+        assert json.dumps(est.to_json()) == json.dumps(ref.to_json())
+
+
 def test_estimate_serializes():
     est = mc_circular(2, 0.5, 1000, seed=1)
     blob = json.loads(json.dumps(est.to_json()))

@@ -144,6 +144,29 @@ def test_pairwise_log_chordal_matches_scalar():
             k += 1
 
 
+def test_pairwise_log_chordal_layouts_match_dense_reference():
+    # the kernel gathers upper-triangle pairs from a component-major view; the
+    # reference is the dense (..., N, N, 3) difference summed over its last axis
+    def dense(arr):
+        diff = arr[..., :, None, :] - arr[..., None, :, :]
+        d2 = np.sum(diff * diff, axis=-1)
+        iu = np.triu_indices(arr.shape[-2], k=1)
+        return 0.5 * np.log(np.maximum(d2[..., iu[0], iu[1]], 1e-300))
+
+    rng = np.random.default_rng(17)
+    for shape in [(40, 8, 3), (5, 16, 3), (3, 2, 4, 3), (6, 3)]:
+        rows = sample_uniform_array(rng, math.prod(shape[:-1])).reshape(shape)
+        rows[(0,) * (len(shape) - 2) + (1,)] = rows[(0,) * (len(shape) - 1)]  # a coincident pair: the clamp
+        buf = np.ascontiguousarray(np.moveaxis(rows, -1, 0))  # component-major (3, ..., N)
+        want = dense(rows)
+        assert want.min() == 0.5 * math.log(1e-300)
+        for arr in (rows, np.moveaxis(buf, 0, -1)):
+            got = pairwise_log_chordal(arr)
+            assert np.array_equal(got, want)
+            # callers sum over the pairs; same layout, same addition order
+            assert np.array_equal(np.sum(got, axis=-1), np.sum(want, axis=-1))
+
+
 def test_uniform_sampler_axial_moments():
     rng = np.random.default_rng(2024)
     arr = sample_uniform_array(rng, 200_000)
