@@ -7,11 +7,18 @@ stability verdicts (stability), Monte Carlo estimates (mc), Gibbs-chain runs
 (sample), the axial field oracles (oracle), or the acceptance gate (verify).
 Results print to stdout as JSON (verify: plain text); bulk payloads land in
 --out as CSV files with header rows, and every successful run appends one
-JSON line to <out>/manifest.jsonl.
+JSON line to <out>/manifest.jsonl.  Its "config" echoes the subcommand's own
+flags (and the command name), nothing else.
+
+Each subcommand takes only the flags it reads: --seed exists on mc, sample
+and oracle, the three that draw random numbers, and --workers on mc only.
+Every subcommand takes --config and --out.
 
 Config precedence: built-in defaults < --config JSON file < explicit flags.
-The config file is a flat JSON object whose keys are the flag names
-(weights and grids as the same strings the flags take).
+The config file is a flat JSON object whose keys are the subcommand's flag
+names (weights and grids as the same strings the flags take); a key of
+another subcommand, or a value of the wrong type (true or 5.5 for an integer
+flag), is a validation error.
 
 Exit codes, fixed so CI can triage: 0 ok, 2 validation (malformed input,
 nothing written), 3 stability refusal (unstable weights / beta at or below
@@ -28,10 +35,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -144,51 +149,6 @@ OPERATION_COVERAGE = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Merged defaults + config file + flags for one invocation.
-
-    Everything numeric stays a string until the handler parses it, so exact
-    rationals survive and malformed input fails validation before any file
-    is touched.
-    """
-
-    command: str
-    out: str = "."
-    family: Optional[str] = None
-    target: Optional[str] = None
-    solver: Optional[str] = None
-    w: Optional[str] = None
-    n: Optional[int] = None
-    N: Optional[int] = None
-    beta: Optional[str] = None
-    s: Optional[str] = None
-    samples: int = 100_000
-    sweeps: Optional[int] = None
-    chains: int = 4
-    thinning: int = 10
-    burn_in: Optional[int] = None
-    seed: int = 0
-    workers: int = 1
-    bins: int = 40
-    m: int = 800
-    degree: int = 120
-    mode: str = "quadrature"
-    grid: Optional[str] = None
-    budget: int = 200_000
-    level: str = "quick"
-    poles_in: Optional[str] = None
-    tube: Optional[str] = None
-    log_gamma: Optional[str] = None
-    lct: Optional[str] = None
-    score: Optional[str] = None
-    ks_uniform: bool = False
-    batch_csv: Optional[str] = None
-
-    def echo(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-
 # ---------------------------------------------------------------------------
 # small parsers (all raise ValidationError, never ValueError)
 
@@ -289,19 +249,19 @@ def _mero_to_json(mv) -> dict:
     return out
 
 
-def _standard_curve(cfg: ExperimentConfig, default_trivial: bool = False) -> LogFanoCurve:
-    if cfg.w is None:
-        _require(default_trivial, f"{cfg.command} needs --w")
+def _standard_curve(args: argparse.Namespace, default_trivial: bool = False) -> LogFanoCurve:
+    if args.w is None:
+        _require(default_trivial, f"{args.command} needs --w")
         return LogFanoCurve.standard(())
-    return LogFanoCurve.standard(tuple(_parse_weights(cfg.w)))
+    return LogFanoCurve.standard(tuple(_parse_weights(args.w)))
 
 
 # ---------------------------------------------------------------------------
 # handlers: each returns (stdout payload, manifest outcome, files written)
 
-def _run_zeta(cfg: ExperimentConfig, out_dir: Path):
-    if cfg.log_gamma is not None:
-        z = _parse_complex(cfg.log_gamma)
+def _run_zeta(args: argparse.Namespace, out_dir: Path):
+    if args.log_gamma is not None:
+        z = _parse_complex(args.log_gamma)
         val = log_gamma(z)
         report = {
             "log_gamma_of": [z.real, z.imag],
@@ -311,18 +271,18 @@ def _run_zeta(cfg: ExperimentConfig, out_dir: Path):
         return report, {"value_re": val.real, "value_im": val.imag}, []
 
     families = ("selberg", "pnmin", "p1three", "circular", "gaussdet")
-    _require(cfg.family in families, f"--family must be one of {'|'.join(families)}")
-    report: dict = {"family": cfg.family}
+    _require(args.family in families, f"--family must be one of {'|'.join(families)}")
+    report: dict = {"family": args.family}
 
-    if cfg.family == "selberg":
-        _require(cfg.n is not None and cfg.n >= 2, "selberg needs --n >= 2")
-        gp = selberg_gamma_product(cfg.n)
-        if cfg.beta is not None:
+    if args.family == "selberg":
+        _require(args.n is not None and args.n >= 2, "selberg needs --n >= 2")
+        gp = selberg_gamma_product(args.n)
+        if args.beta is not None:
             _require(
-                _parse_fraction(cfg.beta, "beta") == -1,
+                _parse_fraction(args.beta, "beta") == -1,
                 "the three-point closed form is pinned at beta = -1",
             )
-        weights = _parse_weights(cfg.w, allow_symbol=True) if cfg.w is not None else None
+        weights = _parse_weights(args.w, allow_symbol=True) if args.w is not None else None
         if weights is not None:
             _require(len(weights) == 3, "selberg needs three weights")
             if "t" in weights:
@@ -338,32 +298,32 @@ def _run_zeta(cfg: ExperimentConfig, out_dir: Path):
                 params = dict(zip(("w1", "w2", "w3"), weights))
                 report["value_at"] = {k: str(v) for k, v in params.items()}
                 report["value"] = _mero_to_json(eval_gamma_product(gp, params))
-        if cfg.tube is not None:
-            tube_report = zero_free_in_tube(selberg_gamma_product(cfg.n), selberg_tube(cfg.tube))
-            report["tube"] = {"kind": cfg.tube, **tube_report.to_json()}
+        if args.tube is not None:
+            tube_report = zero_free_in_tube(selberg_gamma_product(args.n), selberg_tube(args.tube))
+            report["tube"] = {"kind": args.tube, **tube_report.to_json()}
     else:
-        param = "s" if cfg.family == "gaussdet" else "beta"
-        if cfg.family == "pnmin":
-            _require(cfg.n is not None and cfg.n >= 1, "pnmin needs --n >= 1")
-            gp = pn_minimal_Z(cfg.n)
-        elif cfg.family == "p1three":
+        param = "s" if args.family == "gaussdet" else "beta"
+        if args.family == "pnmin":
+            _require(args.n is not None and args.n >= 1, "pnmin needs --n >= 1")
+            gp = pn_minimal_Z(args.n)
+        elif args.family == "p1three":
             gp = p1_three_point_Z()
-        elif cfg.family == "circular":
-            _require(cfg.n is not None and cfg.n >= 2, "circular needs --n >= 2")
-            gp = circular_Z(cfg.n)
+        elif args.family == "circular":
+            _require(args.n is not None and args.n >= 2, "circular needs --n >= 2")
+            gp = circular_Z(args.n)
         else:
-            _require(cfg.n is not None and cfg.n >= 0, "gaussdet needs --n >= 0")
-            gp = gaussian_det_Z(cfg.n)
-        arg = getattr(cfg, param)
+            _require(args.n is not None and args.n >= 0, "gaussdet needs --n >= 0")
+            gp = gaussian_det_Z(args.n)
+        arg = getattr(args, param)
         if arg is not None:
             value = _parse_fraction(arg, param)
             report["value_at"] = {param: str(value)}
             report["value"] = _mero_to_json(eval_gamma_product(gp, {param: value}))
-            if cfg.family == "gaussdet":
-                report["bernstein_next_ratio"] = float(bernstein_product(cfg.n, value))
+            if args.family == "gaussdet":
+                report["bernstein_next_ratio"] = float(bernstein_product(args.n, value))
 
-    if cfg.poles_in is not None:
-        lo, hi = _parse_strip(cfg.poles_in)
+    if args.poles_in is not None:
+        lo, hi = _parse_strip(args.poles_in)
         entries = zeros_and_poles_in_strip(gp, lo, hi)
         report["strip"] = [str(lo), str(hi)]
         report["poles_and_zeros"] = [
@@ -375,76 +335,76 @@ def _run_zeta(cfg: ExperimentConfig, out_dir: Path):
     return report, outcome, []
 
 
-def _run_stability(cfg: ExperimentConfig, out_dir: Path):
+def _run_stability(args: argparse.Namespace, out_dir: Path):
     report: dict = {}
-    if cfg.lct is not None:
-        coeffs = [float(x) for x in _parse_weights(cfg.lct)]
+    if args.lct is not None:
+        coeffs = [float(x) for x in _parse_weights(args.lct)]
         report["lct_point_divisor"] = lct_point_divisor(coeffs)
-        if cfg.w is None:
+        if args.w is None:
             return report, dict(report), []
-    _require(cfg.w is not None, "stability needs --w (or --lct)")
-    ws = _parse_weights(cfg.w)
-    report.update(classify(LogFanoCurve.standard(tuple(ws)), N=cfg.n).to_json())
-    if len(ws) == 3 and cfg.n is not None and all(0 < x < 1 for x in ws) and sum(ws) < 2:
-        report["integral_finite"] = selberg_integral_finite(ws, cfg.n)
+    _require(args.w is not None, "stability needs --w (or --lct)")
+    ws = _parse_weights(args.w)
+    report.update(classify(LogFanoCurve.standard(tuple(ws)), N=args.n).to_json())
+    if len(ws) == 3 and args.n is not None and all(0 < x < 1 for x in ws) and sum(ws) < 2:
+        report["integral_finite"] = selberg_integral_finite(ws, args.n)
     return report, dict(report), []
 
 
-def _run_mc(cfg: ExperimentConfig, out_dir: Path):
+def _run_mc(args: argparse.Namespace, out_dir: Path):
     targets = ("selberg", "sphere", "circular", "gaussdet", "gaussdet-ratio", "free-energy")
-    _require(cfg.target in targets, f"--target must be one of {'|'.join(targets)}")
+    _require(args.target in targets, f"--target must be one of {'|'.join(targets)}")
 
-    if cfg.target == "free-energy":
-        _require(cfg.grid is not None, "free-energy needs --grid")
-        _require(cfg.n is not None and cfg.n >= 2, "free-energy needs --n >= 2")
-        curve = _standard_curve(cfg, default_trivial=True)
-        rows = free_energy_curve(curve, cfg.n, _parse_grid(cfg.grid), cfg.budget, seed=cfg.seed)
+    if args.target == "free-energy":
+        _require(args.grid is not None, "free-energy needs --grid")
+        _require(args.n is not None and args.n >= 2, "free-energy needs --n >= 2")
+        curve = _standard_curve(args, default_trivial=True)
+        rows = free_energy_curve(curve, args.n, _parse_grid(args.grid), args.budget, seed=args.seed)
         report = {
-            "target": cfg.target,
+            "target": args.target,
             "records": [
                 {"beta": b, "free_energy": f, "std_error": e} for b, f, e in rows
             ],
         }
         return report, dict(report), []
 
-    if cfg.target == "selberg":
-        _require(cfg.w is not None, "mc selberg needs --w")
-        _require(cfg.n is not None and cfg.n >= 2, "mc selberg needs --n >= 2")
-        ws = _parse_weights(cfg.w)
+    if args.target == "selberg":
+        _require(args.w is not None, "mc selberg needs --w")
+        _require(args.n is not None and args.n >= 2, "mc selberg needs --n >= 2")
+        ws = _parse_weights(args.w)
         _require(len(ws) == 3, "mc selberg needs three weights")
-        est = mc_selberg(ws, cfg.n, cfg.samples, seed=cfg.seed, workers=cfg.workers)
-    elif cfg.target == "sphere":
-        _require(cfg.beta is not None, "mc sphere needs --beta")
-        _require(cfg.n is not None and cfg.n >= 2, "mc sphere needs --n >= 2")
-        curve = _standard_curve(cfg, default_trivial=True)
+        est = mc_selberg(ws, args.n, args.samples, seed=args.seed, workers=args.workers)
+    elif args.target == "sphere":
+        _require(args.beta is not None, "mc sphere needs --beta")
+        _require(args.n is not None and args.n >= 2, "mc sphere needs --n >= 2")
+        curve = _standard_curve(args, default_trivial=True)
         est = mc_sphere_partition(
-            curve, float(_parse_fraction(cfg.beta, "beta")), cfg.n, cfg.samples,
-            seed=cfg.seed, workers=cfg.workers,
+            curve, float(_parse_fraction(args.beta, "beta")), args.n, args.samples,
+            seed=args.seed, workers=args.workers,
         )
-    elif cfg.target == "circular":
-        _require(cfg.beta is not None, "mc circular needs --beta")
-        _require(cfg.n is not None and cfg.n >= 2, "mc circular needs --n >= 2")
+    elif args.target == "circular":
+        _require(args.beta is not None, "mc circular needs --beta")
+        _require(args.n is not None and args.n >= 2, "mc circular needs --n >= 2")
         est = mc_circular(
-            cfg.n, float(_parse_fraction(cfg.beta, "beta")), cfg.samples,
-            seed=cfg.seed, workers=cfg.workers,
+            args.n, float(_parse_fraction(args.beta, "beta")), args.samples,
+            seed=args.seed, workers=args.workers,
         )
     else:
-        _require(cfg.s is not None, f"mc {cfg.target} needs --s")
-        _require(cfg.n is not None and cfg.n >= 0, f"mc {cfg.target} needs --n >= 0")
-        fn = mc_gaussian_det if cfg.target == "gaussdet" else mc_gaussian_det_ratio
-        est = fn(cfg.n, float(_parse_fraction(cfg.s, "s")), cfg.samples,
-                 seed=cfg.seed, workers=cfg.workers)
+        _require(args.s is not None, f"mc {args.target} needs --s")
+        _require(args.n is not None and args.n >= 0, f"mc {args.target} needs --n >= 0")
+        fn = mc_gaussian_det if args.target == "gaussdet" else mc_gaussian_det_ratio
+        est = fn(args.n, float(_parse_fraction(args.s, "s")), args.samples,
+                 seed=args.seed, workers=args.workers)
 
-    report = {"target": cfg.target, "estimate": est.to_json()}
+    report = {"target": args.target, "estimate": est.to_json()}
     files = []
-    if cfg.batch_csv is not None:
-        path = out_dir / cfg.batch_csv
+    if args.batch_csv is not None:
+        path = out_dir / args.batch_csv
         lines = ["batch_index,batch_mean"]
         lines += [f"{i},{float(b)!r}" for i, b in enumerate(est.diagnostics["batch_means"])]
         path.write_text("\n".join(lines) + "\n")
         files.append(str(path))
     outcome = {
-        "target": cfg.target,
+        "target": args.target,
         "mean": est.mean,
         "std_error": est.std_error,
         "n_samples": est.n_samples,
@@ -453,13 +413,13 @@ def _run_mc(cfg: ExperimentConfig, out_dir: Path):
     return report, outcome, files
 
 
-def _run_sample(cfg: ExperimentConfig, out_dir: Path):
-    if cfg.score is not None:
-        _require(cfg.beta is not None, "sample --score needs --beta")
-        curve = _standard_curve(cfg, default_trivial=True)
-        text = Path(cfg.score).read_text()
+def _run_sample(args: argparse.Namespace, out_dir: Path):
+    if args.score is not None:
+        _require(args.beta is not None, "sample --score needs --beta")
+        curve = _standard_curve(args, default_trivial=True)
+        text = Path(args.score).read_text()
         config = config_from_csv(text)
-        beta = float(_parse_fraction(cfg.beta, "beta"))
+        beta = float(_parse_fraction(args.beta, "beta"))
         pts = config.points
         pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
         report = {
@@ -473,19 +433,19 @@ def _run_sample(cfg: ExperimentConfig, out_dir: Path):
         outcome = {k: report[k] for k in ("n_points", "energy", "log_target")}
         return report, outcome, []
 
-    _require(cfg.beta is not None, "sample needs --beta")
-    _require(cfg.N is not None and cfg.N >= 2, "sample needs --N >= 2")
-    _require(cfg.sweeps is not None and cfg.sweeps >= 1, "sample needs --sweeps >= 1")
-    curve = _standard_curve(cfg, default_trivial=True)
-    beta = float(_parse_fraction(cfg.beta, "beta"))
+    _require(args.beta is not None, "sample needs --beta")
+    _require(args.N is not None and args.N >= 2, "sample needs --N >= 2")
+    _require(args.sweeps is not None and args.sweeps >= 1, "sample needs --sweeps >= 1")
+    curve = _standard_curve(args, default_trivial=True)
+    beta = float(_parse_fraction(args.beta, "beta"))
     stream = run_chain(
-        curve, beta, cfg.N, sweeps=cfg.sweeps, burn_in=cfg.burn_in,
-        seed=cfg.seed, thinning=cfg.thinning, chains=cfg.chains,
+        curve, beta, args.N, sweeps=args.sweeps, burn_in=args.burn_in,
+        seed=args.seed, thinning=args.thinning, chains=args.chains,
     )
 
     csv_path = out_dir / "samples.csv"
     header = ["chain", "step", "energy"]
-    for k in range(cfg.N):
+    for k in range(args.N):
         header += [f"x{k}", f"y{k}", f"z{k}"]
     lines = [",".join(header)]
     for c, s, e, row in zip(
@@ -497,7 +457,7 @@ def _run_sample(cfg: ExperimentConfig, out_dir: Path):
     csv_path.write_text("\n".join(lines) + "\n")
 
     run_report = stream.to_report()
-    hist = marginal_histogram(stream, bins=cfg.bins)
+    hist = marginal_histogram(stream, bins=args.bins)
     est = mean_energy_estimate(stream)
     run_report["mean_energy"] = {"mean": est.mean, "std_error": est.std_error}
     run_report["axial_histogram"] = {
@@ -505,7 +465,7 @@ def _run_sample(cfg: ExperimentConfig, out_dir: Path):
         "counts": [float(x) for x in hist.counts],
         "effective_sample_size": hist.effective_sample_size,
     }
-    if cfg.ks_uniform:
+    if args.ks_uniform:
         ks = ks_against(hist, lambda t: (np.asarray(t) + 1.0) / 2.0)
         run_report["ks_uniform"] = {
             "ks": ks,
@@ -524,16 +484,16 @@ def _run_sample(cfg: ExperimentConfig, out_dir: Path):
     return report, outcome, [str(csv_path), str(json_path)]
 
 
-def _oracle_target(cfg: ExperimentConfig):
-    spec_ = cfg.target if cfg.target is not None else "uniform"
+def _oracle_target(args: argparse.Namespace):
+    spec_ = args.target if args.target is not None else "uniform"
     if spec_ == "uniform":
-        return uniform_density(cfg.m), spec_
+        return uniform_density(args.m), spec_
     if spec_.startswith("exp:"):
         try:
             a = float(Fraction(spec_[4:]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad exponent in target {spec_!r}") from exc
-        return density_from_function(lambda t: np.exp(a * t), m=cfg.m), spec_
+        return density_from_function(lambda t: np.exp(a * t), m=args.m), spec_
     raise ValidationError(f"oracle target must be 'uniform' or 'exp:<a>', got {spec_!r}")
 
 
@@ -544,15 +504,15 @@ def _field_csv(path: Path, field) -> str:
     return str(path)
 
 
-def _run_oracle(cfg: ExperimentConfig, out_dir: Path):
+def _run_oracle(args: argparse.Namespace, out_dir: Path):
     solvers = ("meanfield", "poisson", "phin")
-    _require(cfg.solver in solvers, f"oracle solver must be one of {'|'.join(solvers)}")
+    _require(args.solver in solvers, f"oracle solver must be one of {'|'.join(solvers)}")
 
-    if cfg.solver == "meanfield":
-        _require(cfg.beta is not None, "oracle meanfield needs --beta")
-        curve = _standard_curve(cfg, default_trivial=True)
-        beta = float(_parse_fraction(cfg.beta, "beta"))
-        sol = solve_mean_field(curve, beta, m=cfg.m)
+    if args.solver == "meanfield":
+        _require(args.beta is not None, "oracle meanfield needs --beta")
+        curve = _standard_curve(args, default_trivial=True)
+        beta = float(_parse_fraction(args.beta, "beta"))
+        sol = solve_mean_field(curve, beta, m=args.m)
         # self-check: mu reconstructed from the potential via the reduced
         # Laplacian must match the solver's density
         lap = reduced_laplacian(sol.potential, coupling=1.0 / (2.0 * curve.d_L))
@@ -562,7 +522,7 @@ def _run_oracle(cfg: ExperimentConfig, out_dir: Path):
             _field_csv(out_dir / "meanfield_potential.csv", sol.potential),
         ]
         report = {
-            "solver": cfg.solver,
+            "solver": args.solver,
             "beta": beta,
             "residual": sol.residual,
             "iterations": sol.iterations,
@@ -574,14 +534,14 @@ def _run_oracle(cfg: ExperimentConfig, out_dir: Path):
         outcome = {k: report[k] for k in ("residual", "iterations", "free_energy", "laplacian_defect")}
         return report, outcome, files
 
-    target, target_name = _oracle_target(cfg)
-    if cfg.solver == "poisson":
-        phi, coeffs = solve_poisson(target, degree=cfg.degree, return_coeffs=True)
+    target, target_name = _oracle_target(args)
+    if args.solver == "poisson":
+        phi, coeffs = solve_poisson(target, degree=args.degree, return_coeffs=True)
         files = [_field_csv(out_dir / "poisson_potential.csv", phi)]
         report = {
-            "solver": cfg.solver,
+            "solver": args.solver,
             "target": target_name,
-            "degree": cfg.degree,
+            "degree": args.degree,
             "spectral_residual": poisson_residual(coeffs, target),
             "tail_mass": coeffs.tail_mass(),
             "files": files,
@@ -589,15 +549,16 @@ def _run_oracle(cfg: ExperimentConfig, out_dir: Path):
         outcome = {k: report[k] for k in ("target", "spectral_residual", "tail_mass")}
         return report, outcome, files
 
-    _require(cfg.N is not None and cfg.N >= 2, "oracle phin needs --N >= 2")
-    mode = {"quadrature": "quadrature", "montecarlo": "montecarlo"}.get(cfg.mode)
+    _require(args.N is not None and args.N >= 2, "oracle phin needs --N >= 2")
+    mode = {"quadrature": "quadrature", "montecarlo": "montecarlo"}.get(args.mode)
     _require(mode is not None, "--mode must be quadrature or montecarlo")
-    phi = phi_n_approximant(target, cfg.N, mode=mode, samples=cfg.samples, seed=cfg.seed)
+    _require(args.samples >= 2, "samples must be >= 2")
+    phi = phi_n_approximant(target, args.N, mode=mode, samples=args.samples, seed=args.seed)
     files = [_field_csv(out_dir / "phi_n.csv", phi)]
     report = {
-        "solver": cfg.solver,
+        "solver": args.solver,
         "target": target_name,
-        "n_points": cfg.N,
+        "n_points": args.N,
         "mode": mode,
         "sup_abs": float(np.max(np.abs(phi.values))),
         "files": files,
@@ -606,8 +567,8 @@ def _run_oracle(cfg: ExperimentConfig, out_dir: Path):
     return report, outcome, files
 
 
-def _run_verify(cfg: ExperimentConfig, out_dir: Path):
-    report = run_verify(cfg.level)
+def _run_verify(args: argparse.Namespace, out_dir: Path):
+    report = run_verify(args.level)
     outcome = {
         "level": report.level,
         "passed": report.all_passed,
@@ -633,6 +594,54 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+class _Subcommand(argparse.ArgumentParser):
+    """One subcommand's parser; `flags` maps each dest to the action that
+    declares it, so that a --config file is checked against these flags."""
+
+    def __init__(self, **kwargs):
+        self.flags = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
+
+def _config_value_fits(action: argparse.Action, value) -> bool:
+    """A JSON integer for an int flag, true or false for a switch, a string
+    or a number for the rest."""
+    if isinstance(value, bool):
+        return action.nargs == 0
+    if action.type is int:
+        return isinstance(value, int)
+    return action.nargs != 0 and isinstance(value, (str, int, float))
+
+
+class _ConfigFile(argparse.Action):
+    """--config PATH: the JSON object's entries become the subcommand's
+    defaults, so the flags of a second parse win over them."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        setattr(namespace, self.dest, text)
+        path = Path(text)
+        if not path.is_file():
+            raise ValidationError(f"config file {path} does not exist")
+        try:
+            values = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(values, dict):
+            raise ValidationError("config file must hold a single JSON object")
+        own = sorted(set(parser.flags) - {"help", "config"})
+        for key, value in values.items():
+            if key not in own:
+                raise ValidationError(f"{parser.prog} takes the config keys {', '.join(own)}, not {key}")
+            if not _config_value_fits(parser.flags[key], value):
+                raise ValidationError(f"config key {key} cannot be {value!r}")
+        parser.set_defaults(**values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ke-zeta",
@@ -641,16 +650,19 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="Precedence: defaults < --config JSON < flags.",
     )
     parser.add_argument("--version", action="version", version=f"ke-zeta {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
-    def common(p):
-        p.add_argument("--config", help="JSON file with flag defaults")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        p.add_argument("--workers", type=int, help="worker streams (default 1)")
+    def command(name, help_):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--config", action=_ConfigFile,
+                       help="JSON object of this subcommand's flags (without dashes); flags win")
+        p.add_argument("--out", default=".", help="output directory (default .)")
+        return p
 
-    p = sub.add_parser("zeta", help="closed-form partition functions")
-    common(p)
+    seed = {"type": int, "default": 0, "help": "RNG seed (default 0)"}
+    samples = {"type": int, "default": 100_000}
+
+    p = command("zeta", "closed-form partition functions")
     p.add_argument("--family", help="selberg|pnmin|p1three|circular|gaussdet")
     p.add_argument("--n", type=int, help="points N or dimension n, per family")
     p.add_argument("--w", help="weights w1,w2,w3; one entry may be 't'")
@@ -660,106 +672,64 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tube", help="canonical|widened|display zero-free scan (selberg)")
     p.add_argument("--log-gamma", dest="log_gamma", help="evaluate log Gamma at RE[,IM]")
 
-    p = sub.add_parser("stability", help="Gibbs-stability verdicts")
-    common(p)
+    p = command("stability", "Gibbs-stability verdicts")
     p.add_argument("--w", help="weights, e.g. 0.5,0.5,0.5")
     p.add_argument("--n", type=int, help="particle number for gamma_N / integral check")
     p.add_argument("--lct", help="coefficients for the point-divisor threshold")
 
-    p = sub.add_parser("mc", help="Monte Carlo estimates")
-    common(p)
+    p = command("mc", "Monte Carlo estimates")
     p.add_argument("--target", help="selberg|sphere|circular|gaussdet|gaussdet-ratio|free-energy")
     p.add_argument("--w", help="weights")
     p.add_argument("--n", type=int, help="points N (selberg/sphere/circular/free-energy) or size n")
     p.add_argument("--beta", help="inverse temperature")
     p.add_argument("--s", help="determinant-moment exponent")
-    p.add_argument("--samples", type=int, help="sample budget (default 100000)")
+    p.add_argument("--samples", **samples, help="sample budget (default 100000)")
     p.add_argument("--grid", help="beta grid START:STOP:STEP or comma list (free-energy)")
-    p.add_argument("--budget", type=int, help="total MCMC sweeps for free-energy (default 200000)")
+    p.add_argument("--budget", type=int, default=200_000,
+                   help="total MCMC sweeps for free-energy (default 200000)")
     p.add_argument("--batch-csv", dest="batch_csv", help="also write per-batch means CSV")
+    p.add_argument("--seed", **seed)
+    p.add_argument("--workers", type=int, default=1, help="importance-sampling streams (default 1)")
 
-    p = sub.add_parser("sample", help="Gibbs sampler runs")
-    common(p)
+    p = command("sample", "Gibbs sampler runs")
     p.add_argument("--w", help="weights")
     p.add_argument("--beta", help="inverse temperature")
     p.add_argument("--N", type=int, help="points per configuration")
     p.add_argument("--sweeps", type=int, help="measurement sweeps per chain")
-    p.add_argument("--chains", type=int, help="parallel chains (default 4)")
-    p.add_argument("--thinning", type=int, help="keep every k-th sweep (default 10)")
+    p.add_argument("--chains", type=int, default=4, help="parallel chains (default 4)")
+    p.add_argument("--thinning", type=int, default=10, help="keep every k-th sweep (default 10)")
     p.add_argument("--burn-in", dest="burn_in", type=int, help="override burn-in sweeps")
-    p.add_argument("--bins", type=int, help="axial histogram bins (default 40)")
-    p.add_argument("--ks-uniform", dest="ks_uniform", action="store_const", const=True,
+    p.add_argument("--bins", type=int, default=40, help="axial histogram bins (default 40)")
+    p.add_argument("--ks-uniform", dest="ks_uniform", action="store_true",
                    help="KS test of the axial marginal against uniform")
     p.add_argument("--score", help="score a stored configuration CSV instead of sampling")
+    p.add_argument("--seed", **seed)
 
-    p = sub.add_parser("oracle", help="axial field oracles")
-    common(p)
+    p = command("oracle", "axial field oracles")
     p.add_argument("solver", nargs="?", help="meanfield|poisson|phin")
     p.add_argument("--w", help="axial weights (1: north pole, 2: south,north)")
     p.add_argument("--beta", help="inverse temperature (meanfield)")
     p.add_argument("--target", help="source density: uniform or exp:<a>")
-    p.add_argument("--m", type=int, help="grid intervals (default 800)")
-    p.add_argument("--degree", type=int, help="spectral degree (default 120)")
+    p.add_argument("--m", type=int, default=800, help="grid intervals (default 800)")
+    p.add_argument("--degree", type=int, default=120, help="spectral degree (default 120)")
     p.add_argument("--N", type=int, help="points N (phin)")
-    p.add_argument("--mode", help="quadrature|montecarlo (phin)")
-    p.add_argument("--samples", type=int, help="montecarlo samples (phin)")
+    p.add_argument("--mode", default="quadrature", help="quadrature|montecarlo (phin, default quadrature)")
+    p.add_argument("--samples", **samples, help="montecarlo samples (phin, default 100000)")
+    p.add_argument("--seed", **seed)
 
-    p = sub.add_parser("verify", help="run the acceptance gate")
-    common(p)
-    p.add_argument("--level", help="quick (exact checks) or full (adds MC/MCMC)")
+    p = command("verify", "run the acceptance gate")
+    p.add_argument("--level", default="quick", help="quick (exact checks) or full (adds MC/MCMC)")
 
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
-    fields = {f for f in ExperimentConfig.__dataclass_fields__}
-    merged: dict = {"command": args.command}
-
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise ValidationError(f"config file {path} does not exist")
-        try:
-            file_values = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ValidationError("config file must hold a single JSON object")
-        own = sorted(set(vars(args)) & fields - {"command"})  # the subcommand's own flags
-        for key in file_values:
-            if key not in fields:
-                raise ValidationError(f"unknown config key {key!r}")
-            if key not in own:
-                raise ValidationError(f"{args.command} takes the config keys {', '.join(own)}, not {key}")
-
-    for name in fields:
-        if name == "command":
-            continue
-        flag = getattr(args, name, None)
-        if flag is not None:
-            merged[name] = flag
-        elif name in file_values:
-            merged[name] = file_values[name]
-    cfg = ExperimentConfig(**merged)
-
-    for int_field in ("n", "N", "samples", "sweeps", "chains", "thinning", "burn_in",
-                      "seed", "workers", "bins", "m", "degree", "budget"):
-        val = getattr(cfg, int_field)
-        if val is not None and not isinstance(val, int):
-            raise ValidationError(f"{int_field} must be an integer, got {val!r}")
-    _require(cfg.workers >= 1, "workers must be >= 1")
-    _require(cfg.samples >= 2, "samples must be >= 2")
-    return cfg
-
-
-def _append_manifest(out_dir: Path, cfg: ExperimentConfig, outcome: dict,
+def _append_manifest(out_dir: Path, args: argparse.Namespace, outcome: dict,
                      wall_clock_s: float, files: list) -> None:
     record = {
         "schema": MANIFEST_SCHEMA,
         "artifact_version": __version__,
-        "command": cfg.command,
-        "config": cfg.echo(),
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if v is not None and k != "config"},
         "outcome": outcome,
         "files": files,
         "wall_clock_s": wall_clock_s,
@@ -770,17 +740,16 @@ def _append_manifest(out_dir: Path, cfg: ExperimentConfig, outcome: dict,
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
     start = time.perf_counter()
     try:
-        cfg = _merge_config(args)
-        out_dir = Path(cfg.out)
+        args = parser.parse_args(argv)
+        if args.config is not None:  # the file now sets the defaults: parse again so flags win
+            args = parser.parse_args(argv)
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        payload, outcome, files = _DISPATCH[cfg.command](cfg, out_dir)
+        payload, outcome, files = _DISPATCH[args.command](args, out_dir)
+    except SystemExit as exc:  # argparse: --help, --version, a malformed command line
+        return int(exc.code or 0)
     except (ValidationError, PoleError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -795,9 +764,9 @@ def main(argv=None) -> int:
         print(payload, end="")
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
-    _append_manifest(out_dir, cfg, outcome, time.perf_counter() - start, files)
+    _append_manifest(out_dir, args, outcome, time.perf_counter() - start, files)
 
-    if cfg.command == "verify" and not outcome["passed"]:
+    if args.command == "verify" and not outcome["passed"]:
         return EXIT_MISMATCH
     return EXIT_OK
 

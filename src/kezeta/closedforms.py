@@ -267,13 +267,18 @@ def _fm_split(rows: list[Row], idx: int):
     return lowers, uppers, keep
 
 
+def _fm_combine(lowers: list[Row], uppers: list[Row], idx: int) -> list[Row]:
+    """Every lower bound on x_idx against every upper one, x_idx cancelled."""
+    return [
+        (tuple(u - l if i != idx else Fraction(0) for i, (u, l) in enumerate(zip(ua, la))), ub - lb)
+        for la, lb in lowers
+        for ua, ub in uppers
+    ]
+
+
 def _fm_eliminate(rows: list[Row], idx: int) -> list[Row]:
     lowers, uppers, keep = _fm_split(rows, idx)
-    for la, lb in lowers:
-        for ua, ub in uppers:
-            a = tuple(u - l if i != idx else Fraction(0) for i, (u, l) in enumerate(zip(ua, la)))
-            keep.append((a, ub - lb))
-    return keep
+    return keep + _fm_combine(lowers, uppers, idx)
 
 
 def _fm_contradiction(rows: list[Row]) -> bool:
@@ -336,14 +341,7 @@ def _fm_point(rows: list[Row], n: int, skip=(), pick=Fraction(1, 2)):
     for idx in order:
         lowers, uppers, keep = _fm_split(cur, idx)
         levels.append((idx, lowers, uppers))
-        cur = keep + [
-            (
-                tuple(u - l if i != idx else Fraction(0) for i, (u, l) in enumerate(zip(ua, la))),
-                ub - lb,
-            )
-            for la, lb in lowers
-            for ua, ub in uppers
-        ]
+        cur = keep + _fm_combine(lowers, uppers, idx)
     if _fm_contradiction(cur):
         return None
     x: list[Optional[Fraction]] = [None] * n

@@ -71,6 +71,7 @@ UNIFORM_PAIR_ENERGY = 0.5 - math.log(2.0)
 _FIELD_KINDS = ("Potential", "Density", "DensityIncrement")
 _MIN_GRID_CELLS = 200
 _DENSITY_TOL = 1e-10
+_TAIL_K = 5  # HarmonicCoeffs.tail_mass reads this many trailing coefficients
 
 
 @dataclass(frozen=True)
@@ -192,10 +193,9 @@ class HarmonicCoeffs:
     def evaluate(self, t) -> np.ndarray:
         return np.polynomial.legendre.legval(np.asarray(t, dtype=float), self.coeffs)
 
-    def tail_mass(self, k: int = 5) -> float:
-        """Max |a_l| over the last k coefficients — truncation diagnostic."""
-        k = min(k, self.coeffs.size)
-        return float(np.max(np.abs(self.coeffs[-k:])))
+    def tail_mass(self) -> float:
+        """Max |a_l| over the last _TAIL_K coefficients — truncation diagnostic."""
+        return float(np.max(np.abs(self.coeffs[-_TAIL_K:])))
 
 
 def legendre_coeffs(field: AxialField, degree: int = 120) -> HarmonicCoeffs:

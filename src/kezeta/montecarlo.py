@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _CHUNK = 20_000
+_RHO = 0.9  # a marked component's radial exponent: 2 w _RHO (cluster_safe: at least that)
 _ONE = np.array([1.0, 0.0, 0.0])
 _NORTH = np.array([0.0, 0.0, 1.0])
 
@@ -84,6 +85,10 @@ def _draw_log_weights(
     n_samples % workers take one more) in consecutive calls draw(rng, m),
     m <= chunk; the results are concatenated along axis 0 in (worker, chunk)
     order."""
+    if n_samples < 2:
+        raise ValidationError("need at least 2 samples")
+    if workers < 1:
+        raise ValidationError("need at least 1 worker")
     streams = np.random.SeedSequence(seed).spawn(workers)
     base, extra = divmod(n_samples, workers)
     parts = []
@@ -113,17 +118,19 @@ def _hill_tail_index(weights: np.ndarray) -> float:
     return float("inf") if denom <= 0 else 1.0 / denom
 
 
-def _aggregate(weights: np.ndarray, scale_log: float, seed: int, workers: int) -> McEstimate:
-    """Turn per-sample importance weights (times e^scale_log) into an estimate."""
+def _aggregate(logw: np.ndarray, log_const: float, seed: int, workers: int) -> McEstimate:
+    """Turn per-sample log importance weights (plus log_const) into an estimate."""
+    shift = float(np.max(logw))
+    weights = np.exp(logw - shift)
+    s = math.exp(log_const + shift)
     n = weights.size
     mean = float(np.mean(weights))
-    se = float(np.std(weights, ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    se = float(np.std(weights, ddof=1) / math.sqrt(n))
     nbatch = min(100, max(2, n // 50))
     batch_means = np.array([b.mean() for b in np.array_split(weights, nbatch)])
-    s_for_batches = math.exp(scale_log)
     diagnostics = {
         "batch_means_variance": float(np.var(batch_means, ddof=1)),
-        "batch_means": [float(b * s_for_batches) for b in batch_means],
+        "batch_means": [float(b * s) for b in batch_means],
         "tail_index_estimate": _hill_tail_index(weights),
         "warnings": [],
     }
@@ -136,7 +143,6 @@ def _aggregate(weights: np.ndarray, scale_log: float, seed: int, workers: int) -
         groups = np.array([b.mean() for b in np.array_split(weights, g)])
         mean = float(np.median(groups))
         se = float(1.2533 * np.std(groups, ddof=1) / math.sqrt(g))
-    s = math.exp(scale_log)
     return McEstimate(mean * s, se * s, n, seed, workers, diagnostics)
 
 
@@ -181,24 +187,24 @@ class ProposalMixture:
             raise ValidationError(f"mixture weights sum to {total}, expected 1")
 
     @classmethod
-    def default_for_curve(cls, curve: LogFanoCurve, rho: float = 0.9) -> "ProposalMixture":
+    def default_for_curve(cls, curve: LogFanoCurve) -> "ProposalMixture":
         comps = []
         marked = curve.marked_sphere_points()
         for p, w in zip(marked, curve.weights):
             if w > 0:
-                comps.append(ProposalComponent("marked_point", 0.1, p, 2.0 * w * rho))
+                comps.append(ProposalComponent("marked_point", 0.1, p, 2.0 * w * _RHO))
         comps.insert(0, ProposalComponent("uniform", 1.0 - 0.1 * len(comps)))
         return cls(tuple(comps))
 
     @classmethod
-    def cluster_safe(cls, weights: Sequence[float], rho: float = 0.9) -> "ProposalMixture":
+    def cluster_safe(cls, weights: Sequence[float]) -> "ProposalMixture":
         """Mixture whose radial exponents also tame multi-point pileups.
 
         A k-point cluster at marked point j carries weight tail index
         (2-a)/(2 w_j + d'(k-1) - a), worst at k = N where d'(N-1) = d; finite
         variance for the full product needs a_j > 2 + 4 w_j - 2 sum(w), which
         is < 2 exactly when the weight condition holds at p_j.  The naive
-        single-point choice a_j = 2 w_j rho misses this, so take the max
+        single-point choice a_j = 2 w_j _RHO misses this, so take the max
         (plus margin, capped just under 2).
         """
         total = sum(weights)
@@ -206,7 +212,7 @@ class ProposalMixture:
         curve = LogFanoCurve.standard(weights)
         for p, w in zip(curve.marked_sphere_points(), curve.weights):
             if w > 0:
-                a = min(1.95, max(2.0 * w * rho, 2.0 + 4.0 * w - 2.0 * total + 0.3))
+                a = min(1.95, max(2.0 * w * _RHO, 2.0 + 4.0 * w - 2.0 * total + 0.3))
                 comps.append(ProposalComponent("marked_point", 0.1, p, a))
         comps.insert(0, ProposalComponent("uniform", 1.0 - 0.1 * len(comps)))
         return cls(tuple(comps))
@@ -303,8 +309,6 @@ def mc_selberg(
             f"free collisions make the N={N} integral diverge"
         )
     d = 2.0 - (w1 + w2 + w3)
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples")
     if proposal is None:
         proposal = ProposalMixture.cluster_safe((w1, w2, w3))
 
@@ -320,14 +324,13 @@ def mc_selberg(
         logw -= np.sum(proposal._log_density(xyz, chords), axis=-1)
         return logw
 
-    logw_all = _draw_log_weights(seed, workers, n_samples, draw)
-    shift = float(np.max(logw_all))
-    return _aggregate(np.exp(logw_all - shift), log_const + shift, seed, workers)
+    return _aggregate(_draw_log_weights(seed, workers, n_samples, draw), log_const, seed, workers)
 
 
 def _ratio_estimate(
-    num: np.ndarray, den: np.ndarray, seed: int, workers: int, extra_diag: dict
+    num: np.ndarray, den: np.ndarray, scale_log: float, seed: int, workers: int, extra_diag: dict
 ) -> McEstimate:
+    """Self-normalized ratio of shared-sample weights, times e^scale_log."""
     n = num.size
     nbar, dbar = float(np.mean(num)), float(np.mean(den))
     ratio = nbar / dbar
@@ -337,9 +340,10 @@ def _ratio_estimate(
     bm = np.array(
         [b.sum() for b in np.array_split(num, nbatch)]
     ) / np.maximum(np.array([b.sum() for b in np.array_split(den, nbatch)]), 1e-300)
+    s = math.exp(scale_log)
     diagnostics = {
         "batch_means_variance": float(np.var(bm, ddof=1)),
-        "batch_means": [float(b) for b in bm],
+        "batch_means": [float(b) * s for b in bm],
         "tail_index_estimate": _hill_tail_index(num),
         "warnings": [],
         **extra_diag,
@@ -354,7 +358,7 @@ def _ratio_estimate(
         gd = np.maximum(np.array([b.mean() for b in np.array_split(den, g)]), 1e-300)
         ratio = float(np.median(gn / gd))
         se = float(1.2533 * np.std(gn / gd, ddof=1) / math.sqrt(g))
-    return McEstimate(ratio, se, n, seed, workers, diagnostics)
+    return McEstimate(ratio * s, se * s, n, seed, workers, diagnostics)
 
 
 def mc_sphere_partition(
@@ -374,8 +378,6 @@ def mc_sphere_partition(
     gamma = gamma_threshold(curve.weights, N)
     if beta <= -gamma:
         raise ThresholdError(f"beta = {beta} is at or below -gamma_N = {-gamma}")
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples")
     proposal = ProposalMixture.default_for_curve(curve)
     marked = tuple(zip(curve.marked_sphere_points(), curve.weights))
     energy_pref = curve.d_L / (N * (N - 1))
@@ -393,18 +395,14 @@ def mc_sphere_partition(
     logw = _draw_log_weights(seed, workers, n_samples, draw)
     ln, ld = logw[:, 0], logw[:, 1]
     shift_n, shift_d = float(np.max(ln)), float(np.max(ld))
-    est = _ratio_estimate(
+    return _ratio_estimate(
         np.exp(ln - shift_n),
         np.exp(ld - shift_d),
+        shift_n - shift_d,
         seed,
         workers,
         {"log_plane_conversion": N * math.log(math.pi) - beta * N * curve.d_L * math.log(2.0)},
     )
-    s = math.exp(shift_n - shift_d)
-    est.mean *= s
-    est.std_error *= s
-    est.diagnostics["batch_means"] = [b * s for b in est.diagnostics["batch_means"]]
-    return est
 
 
 def mc_circular(
@@ -415,8 +413,6 @@ def mc_circular(
         raise ValidationError("mc_circular needs N >= 2")
     if beta <= -(N - 1) / N:
         raise ThresholdError(f"beta = {beta} at or below -(N-1)/N")
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples")
     expo = 2.0 * beta / (N - 1)
     iu = np.triu_indices(N, k=1)
 
@@ -428,8 +424,7 @@ def mc_circular(
         return expo * np.sum(logs, axis=-1)
 
     logw = _draw_log_weights(seed, workers, n_samples, draw)
-    shift = float(np.max(logw))
-    return _aggregate(np.exp(logw - shift), N * math.log(2.0 * math.pi) + shift, seed, workers)
+    return _aggregate(logw, N * math.log(2.0 * math.pi), seed, workers)
 
 
 def _det_log_weights(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -450,13 +445,10 @@ def mc_gaussian_det(
     """pi^(n+1)^2 E |det A|^(2s) for A an (n+1)x(n+1) standard complex Gaussian."""
     if s <= -1:
         raise ThresholdError("moment diverges for s <= -1")
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples")
     k = n + 1
     draw = partial(_det_log_weights, n)
     logw = s * _draw_log_weights(seed, workers, n_samples, draw, chunk=n_samples)
-    shift = float(np.max(logw))
-    return _aggregate(np.exp(logw - shift), k * k * math.log(math.pi) + shift, seed, workers)
+    return _aggregate(logw, k * k * math.log(math.pi), seed, workers)
 
 
 def mc_gaussian_det_ratio(
@@ -465,18 +457,12 @@ def mc_gaussian_det_ratio(
     """Z(s+1)/Z(s) on shared samples; the Bernstein polynomial's MC side."""
     if s <= -1:
         raise ThresholdError("moment diverges for s <= -1")
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples")
     draw = partial(_det_log_weights, n)
     logd = _draw_log_weights(seed, workers, n_samples, draw, chunk=n_samples)
     shift = float(np.max(logd)) if s >= 0 else 0.0
     num = np.exp((s + 1.0) * logd - (s + 1.0) * shift)
     den = np.exp(s * logd - s * shift)
-    est = _ratio_estimate(num, den, seed, workers, {})
-    est.mean *= math.exp(shift)
-    est.std_error *= math.exp(shift)
-    est.diagnostics["batch_means"] = [b * math.exp(shift) for b in est.diagnostics["batch_means"]]
-    return est
+    return _ratio_estimate(num, den, shift, seed, workers, {})
 
 
 def free_energy_curve(

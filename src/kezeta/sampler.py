@@ -65,6 +65,7 @@ __all__ = [
 _ADAPT_WINDOW = 50  # sweeps between step-scale updates during burn-in
 _GUARD_TOL = 1e-12  # outright-reject radius around other points and marked points
 _SCALE_LO, _SCALE_HI = 1e-3, 2.0
+_STEP_SCALE = 0.5  # every lane's proposal scale before adaptation
 KS_99 = 1.628  # asymptotic K-S quantile sqrt(-log(0.005)/2)
 
 
@@ -175,7 +176,6 @@ def _run_lanes(
     burn_in: int,
     seed: int,
     thinning: int,
-    step_scale: float,
     adapt: bool,
     keep_configs: bool,
 ) -> _LaneRun:
@@ -219,7 +219,7 @@ def _run_lanes(
     SW = _site_weight_part(X, marked, wts)
     iu = np.triu_indices(N, k=1)
 
-    scales = np.full(lanes, step_scale)
+    scales = np.full(lanes, _STEP_SCALE)
     acc = np.zeros(lanes, dtype=np.int64)
     prop = np.zeros(lanes, dtype=np.int64)
     trace = []
@@ -288,7 +288,6 @@ def run_chain(
     seed: int = 0,
     thinning: int = 10,
     chains: int = 1,
-    step_scale: float = 0.5,
     adapt: bool = True,
 ) -> SampleStream:
     """Run `chains` parallel chains at one `beta` for `sweeps` measurement
@@ -297,7 +296,7 @@ def run_chain(
         burn_in = max(100, sweeps // 10)
     run = _run_lanes(
         curve, np.full(max(chains, 0), beta, dtype=float), N, sweeps, burn_in,
-        seed, thinning, step_scale, adapt, keep_configs=True,
+        seed, thinning, adapt, keep_configs=True,
     )
     kept = run.energies.shape[1]
     states = []
@@ -437,7 +436,7 @@ def mean_energy_run(
     per_chain = max(50, int(math.ceil(sweeps / chains)))
     run = _run_lanes(
         curve, np.repeat(betas, chains), N, per_chain, max(200, per_chain // 5),
-        seed, 1, 0.5, True, keep_configs=False,
+        seed, 1, True, keep_configs=False,
     )
     return [_energy_estimate(run.energies[k * chains:(k + 1) * chains], seed) for k in range(len(betas))]
 
@@ -491,8 +490,8 @@ def ks_against(hist: MarginalHistogram, cdf: Callable[[np.ndarray], np.ndarray])
     return float(np.max(np.abs(ecdf - ref)))
 
 
-def ks_threshold(ess: float, quantile: float = KS_99) -> float:
+def ks_threshold(ess: float) -> float:
     """Pass threshold for ks_against at the given effective sample size."""
     if ess <= 0:
         raise ValidationError("effective sample size must be positive")
-    return quantile / math.sqrt(ess)
+    return KS_99 / math.sqrt(ess)

@@ -6,6 +6,8 @@ console script, but fast enough to run the whole battery in seconds.
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +160,47 @@ def test_config_key_of_another_subcommand_is_validation_exit(tmp_path, capsys):
     assert not (tmp_path / "manifest.jsonl").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--family", "circular", "--n", "3", "--beta", "1", "--seed", "1"],
+    ["stability", "--w", "0.5,0.5,0.5", "--workers", "2"],
+    ["verify", "--level", "quick", "--seed", "1"],
+], ids=["zeta-seed", "stability-workers", "verify-seed"])
+def test_flag_the_subcommand_does_not_read_is_validation_exit(tmp_path, capsys, argv):
+    code, out, _ = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert not (tmp_path / "manifest.jsonl").exists()
+
+
+def test_config_key_for_an_unread_flag_is_validation_exit(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 3}))  # only mc has --workers
+    code, out, err = run_cli(
+        ["zeta", "--family", "circular", "--n", "3", "--beta", "1", "--config", str(cfg),
+         "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert "not workers" in err
+
+
+@pytest.mark.parametrize("value", [True, 5.5])
+def test_config_value_of_wrong_type_for_int_flag_is_validation_exit(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chains": value}))
+    code, out, err = run_cli(
+        ["sample", "--beta", "1", "--N", "3", "--sweeps", "20", "--config", str(cfg),
+         "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert "chains" in err
+    assert not (tmp_path / "samples.csv").exists()
+
+
+def test_zero_workers_is_validation_exit(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["mc", "--target", "circular", "--n", "3", "--beta", "1", "--workers", "0",
+         "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert "worker" in err
+
+
 def test_bad_tube_kind_is_validation_exit(tmp_path, capsys):
     code, _, _ = run_cli(
         ["zeta", "--family", "selberg", "--n", "3", "--tube", "xyz",
@@ -267,6 +310,15 @@ def test_manifest_appends_and_deterministic_fields_reproduce(tmp_path, capsys):
     assert strip(lines[0]) == strip(lines[1])
 
 
+def test_verify_manifest_echoes_only_its_own_keys(tmp_path, capsys, monkeypatch):
+    from kezeta.verify import VerifyReport
+
+    monkeypatch.setattr(cli, "run_verify", lambda level: VerifyReport(level, ()))
+    assert run_cli(["verify", "--out", str(tmp_path)], capsys)[0] == 0
+    (rec,) = [json.loads(l) for l in (tmp_path / "manifest.jsonl").read_text().splitlines()]
+    assert rec["config"] == {"command": "verify", "level": "quick", "out": str(tmp_path)}
+
+
 def test_mc_batch_csv_has_header(tmp_path, capsys):
     code, _, _ = run_cli(
         ["mc", "--target", "circular", "--n", "3", "--beta", "1",
@@ -343,6 +395,24 @@ def test_oracle_poisson_and_phin(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["mode"] == "quadrature"
     assert (tmp_path / "phi_n.csv").exists()
+
+
+# ----------------------------------------------------------------------
+# README
+
+def test_readme_command_lines_parse():
+    # every example in the README's code blocks is a valid command line;
+    # parsing only, nothing runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in readme.split("```")[1::2] for line in block.splitlines()
+             if line.startswith("ke-zeta ") and not line.startswith("ke-zeta <")]
+    assert len(lines) >= 10
+    parser = cli._build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 # ----------------------------------------------------------------------

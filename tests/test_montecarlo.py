@@ -215,9 +215,7 @@ def _reference_selberg(w, N, n_samples, seed, workers, mix):
             logw -= 2.0 * wj * np.sum(_reference_log_chord(pts, p.vec), axis=-1)
         return logw - log_q
 
-    logw = _draw_log_weights(seed, workers, n_samples, draw)
-    shift = float(np.max(logw))
-    return _aggregate(np.exp(logw - shift), log_const + shift, seed, workers)
+    return _aggregate(_draw_log_weights(seed, workers, n_samples, draw), log_const, seed, workers)
 
 
 def _reference_sphere(curve, beta, N, n_samples, seed, workers):
@@ -236,13 +234,8 @@ def _reference_sphere(curve, beta, N, n_samples, seed, workers):
     logw = _draw_log_weights(seed, workers, n_samples, draw)
     shift_n, shift_d = float(np.max(logw[:, 0])), float(np.max(logw[:, 1]))
     conv = N * math.log(math.pi) - beta * N * curve.d_L * math.log(2.0)
-    est = _ratio_estimate(np.exp(logw[:, 0] - shift_n), np.exp(logw[:, 1] - shift_d), seed, workers,
-                          {"log_plane_conversion": conv})
-    s = math.exp(shift_n - shift_d)
-    est.mean *= s
-    est.std_error *= s
-    est.diagnostics["batch_means"] = [b * s for b in est.diagnostics["batch_means"]]
-    return est
+    return _ratio_estimate(np.exp(logw[:, 0] - shift_n), np.exp(logw[:, 1] - shift_d), shift_n - shift_d,
+                           seed, workers, {"log_plane_conversion": conv})
 
 
 def test_importance_draws_reproduce_row_major_reference_bitwise():
@@ -314,10 +307,17 @@ def test_gaussian_det_threshold():
 
 
 def test_sample_count_validation():
-    with pytest.raises(ValidationError):
-        mc_circular(3, 0.5, 1)
-    with pytest.raises(ValidationError):
-        mc_selberg((0.5, 0.5, 0.5), 3, 0)
+    estimators = [
+        lambda n: mc_circular(3, 0.5, n),
+        lambda n: mc_selberg((0.5, 0.5, 0.5), 3, n),
+        lambda n: mc_sphere_partition(TRIVIAL, 1.0, 3, n),
+        lambda n: mc_gaussian_det(1, 0.5, n),
+        lambda n: mc_gaussian_det_ratio(1, 0.5, n),
+    ]
+    for estimate in estimators:
+        for n_samples in (0, 1):
+            with pytest.raises(ValidationError, match="at least 2 samples"):
+                estimate(n_samples)
 
 
 def test_free_energy_curve_input_validation():
