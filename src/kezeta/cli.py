@@ -16,9 +16,15 @@ Every subcommand takes --config and --out.
 
 Config precedence: built-in defaults < --config JSON file < explicit flags.
 The config file is a flat JSON object whose keys are the subcommand's flag
-names (weights and grids as the same strings the flags take); a key of
-another subcommand, or a value of the wrong type (true or 5.5 for an integer
-flag), is a validation error.
+names (weights and grids as the same strings the flags take).  Its values
+fill the parsed namespace, and main parses the subcommand's own arguments
+again on top of them, so a flag wins wherever it stands.  The parser is
+built once per process and parsing never changes it: main can be called
+repeatedly in one process and carries no state from one call to the next.
+A key of another subcommand, or a value of the wrong type, is a validation
+error.  Integer flags take a JSON integer (not true or 5.5), --ks-uniform
+takes true or false, --beta and --s take a string or a number, and every
+other flag takes a string.
 
 Exit codes, fixed so CI can triage: 0 ok, 2 validation (malformed input,
 nothing written), 3 stability refusal (unstable weights / beta at or below
@@ -32,6 +38,7 @@ Numbers are parsed as exact rationals where poles matter ("1/2", "0.6",
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -84,6 +91,7 @@ from .montecarlo import (
     mc_sphere_partition,
 )
 from .sampler import (
+    MIN_BINS,
     ks_against,
     ks_threshold,
     log_target,
@@ -436,6 +444,8 @@ def _run_sample(args: argparse.Namespace, out_dir: Path):
     _require(args.beta is not None, "sample needs --beta")
     _require(args.N is not None and args.N >= 2, "sample needs --N >= 2")
     _require(args.sweeps is not None and args.sweeps >= 1, "sample needs --sweeps >= 1")
+    _require(args.sweeps >= args.thinning, "sample keeps nothing unless --sweeps >= --thinning")
+    _require(args.bins >= MIN_BINS, f"sample needs --bins >= {MIN_BINS}")
     curve = _standard_curve(args, default_trivial=True)
     beta = float(_parse_fraction(args.beta, "beta"))
     stream = run_chain(
@@ -448,12 +458,12 @@ def _run_sample(args: argparse.Namespace, out_dir: Path):
     for k in range(args.N):
         header += [f"x{k}", f"y{k}", f"z{k}"]
     lines = [",".join(header)]
-    for c, s, e, row in zip(
-        stream.chain_index, stream.step_index, stream.energies, stream.configs
-    ):
-        cells = [str(int(c)), str(int(s)), repr(float(e))]
-        cells += [repr(float(v)) for v in row.ravel()]
-        lines.append(",".join(cells))
+    # one row's tolist() at a time: the whole table as Python floats would
+    # add its own size to the peak memory
+    coords = stream.configs.reshape(len(stream.energies), -1)
+    for c, s, e, row in zip(stream.chain_index.tolist(), stream.step_index.tolist(),
+                            stream.energies.tolist(), coords):
+        lines.append(",".join([str(c), str(s), repr(e), *map(repr, row.tolist())]))
     csv_path.write_text("\n".join(lines) + "\n")
 
     run_report = stream.to_report()
@@ -506,9 +516,10 @@ def _field_csv(path: Path, field) -> str:
 
 def _run_oracle(args: argparse.Namespace, out_dir: Path):
     solvers = ("meanfield", "poisson", "phin")
-    _require(args.solver in solvers, f"oracle solver must be one of {'|'.join(solvers)}")
+    solver = getattr(args, "solver", None)  # absent when neither argv nor --config names it
+    _require(solver in solvers, f"oracle solver must be one of {'|'.join(solvers)}")
 
-    if args.solver == "meanfield":
+    if solver == "meanfield":
         _require(args.beta is not None, "oracle meanfield needs --beta")
         curve = _standard_curve(args, default_trivial=True)
         beta = float(_parse_fraction(args.beta, "beta"))
@@ -522,7 +533,7 @@ def _run_oracle(args: argparse.Namespace, out_dir: Path):
             _field_csv(out_dir / "meanfield_potential.csv", sol.potential),
         ]
         report = {
-            "solver": args.solver,
+            "solver": solver,
             "beta": beta,
             "residual": sol.residual,
             "iterations": sol.iterations,
@@ -535,11 +546,11 @@ def _run_oracle(args: argparse.Namespace, out_dir: Path):
         return report, outcome, files
 
     target, target_name = _oracle_target(args)
-    if args.solver == "poisson":
+    if solver == "poisson":
         phi, coeffs = solve_poisson(target, degree=args.degree, return_coeffs=True)
         files = [_field_csv(out_dir / "poisson_potential.csv", phi)]
         report = {
-            "solver": args.solver,
+            "solver": solver,
             "target": target_name,
             "degree": args.degree,
             "spectral_residual": poisson_residual(coeffs, target),
@@ -556,7 +567,7 @@ def _run_oracle(args: argparse.Namespace, out_dir: Path):
     phi = phi_n_approximant(target, args.N, mode=mode, samples=args.samples, seed=args.seed)
     files = [_field_csv(out_dir / "phi_n.csv", phi)]
     report = {
-        "solver": args.solver,
+        "solver": solver,
         "target": target_name,
         "n_points": args.N,
         "mode": mode,
@@ -608,21 +619,31 @@ class _Subcommand(argparse.ArgumentParser):
         return action
 
 
+# String flags that the handlers parse as rationals (`_parse_fraction`), so a
+# config file may also give them as JSON numbers.
+_RATIONAL_FLAGS = frozenset({"beta", "s"})
+
+
 def _config_value_fits(action: argparse.Action, value) -> bool:
     """A JSON integer for an int flag, true or false for a switch, a string
-    or a number for the rest."""
+    for the rest, or a number for a rational flag."""
     if isinstance(value, bool):
         return action.nargs == 0
     if action.type is int:
         return isinstance(value, int)
-    return action.nargs != 0 and isinstance(value, (str, int, float))
+    numbers = (int, float) if action.dest in _RATIONAL_FLAGS else ()
+    return action.nargs != 0 and isinstance(value, (str, *numbers))
 
 
 class _ConfigFile(argparse.Action):
-    """--config PATH: the JSON object's entries become the subcommand's
-    defaults, so the flags of a second parse win over them."""
+    """--config PATH: the JSON object's entries, checked against the
+    subcommand's own flags, are set on the namespace; the parser is never
+    changed.  `main` then parses the subcommand's arguments again on top of
+    them, so flags win."""
 
     def __call__(self, parser, namespace, text, option_string=None):
+        if getattr(namespace, self.dest, None) == text:
+            return  # main's second parse: the file's values are already in place
         setattr(namespace, self.dest, text)
         path = Path(text)
         if not path.is_file():
@@ -639,7 +660,8 @@ class _ConfigFile(argparse.Action):
                 raise ValidationError(f"{parser.prog} takes the config keys {', '.join(own)}, not {key}")
             if not _config_value_fits(parser.flags[key], value):
                 raise ValidationError(f"config key {key} cannot be {value!r}")
-        parser.set_defaults(**values)
+        for key, value in values.items():
+            setattr(namespace, key, value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -651,6 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ke-zeta {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    parser.commands = sub.choices  # name -> subcommand parser, for main's second parse
 
     def command(name, help_):
         p = sub.add_parser(name, help=help_)
@@ -706,7 +729,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", **seed)
 
     p = command("oracle", "axial field oracles")
-    p.add_argument("solver", nargs="?", help="meanfield|poisson|phin")
+    # SUPPRESS: when argv names no solver, argparse sets nothing, so a
+    # --config "solver" is not overwritten with None
+    p.add_argument("solver", nargs="?", default=argparse.SUPPRESS, help="meanfield|poisson|phin")
     p.add_argument("--w", help="axial weights (1: north pole, 2: south,north)")
     p.add_argument("--beta", help="inverse temperature (meanfield)")
     p.add_argument("--target", help="source density: uniform or exp:<a>")
@@ -738,15 +763,29 @@ def _append_manifest(out_dir: Path, args: argparse.Namespace, outcome: dict,
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `main` call.  Parsing
+    leaves it unchanged, so every call shares it."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
     start = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        if args.config is not None:  # the file now sets the defaults: parse again so flags win
-            args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file's values overwrote any flag given before --config:
+            # parse the subcommand's own arguments again on top of them
+            own = argv[argv.index(args.command) + 1:]
+            args = parser.commands[args.command].parse_args(own, argparse.Namespace(**vars(args)))
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise ValidationError(f"--out {out_dir} is not a directory") from exc
         payload, outcome, files = _DISPATCH[args.command](args, out_dir)
     except SystemExit as exc:  # argparse: --help, --version, a malformed command line
         return int(exc.code or 0)

@@ -67,6 +67,7 @@ _GUARD_TOL = 1e-12  # outright-reject radius around other points and marked poin
 _SCALE_LO, _SCALE_HI = 1e-3, 2.0
 _STEP_SCALE = 0.5  # every lane's proposal scale before adaptation
 KS_99 = 1.628  # asymptotic K-S quantile sqrt(-log(0.005)/2)
+MIN_BINS = 10  # fewest axial histogram bins marginal_histogram accepts
 
 
 def log_target(config: PointConfiguration, curve: LogFanoCurve, beta: float) -> float:
@@ -465,8 +466,8 @@ def marginal_histogram(samples: SampleStream, bins: int = 40) -> MarginalHistogr
     (1 + 2 tau) of the per-configuration axial mean, ignoring that each
     configuration carries N points.
     """
-    if bins < 10:
-        raise ValidationError("need at least 10 bins")
+    if bins < MIN_BINS:
+        raise ValidationError(f"need at least {MIN_BINS} bins")
     t = samples.axial_values()
     edges = np.linspace(-1.0, 1.0, bins + 1)
     counts, _ = np.histogram(t, bins=edges)

@@ -193,6 +193,48 @@ def test_config_value_of_wrong_type_for_int_flag_is_validation_exit(tmp_path, ca
     assert not (tmp_path / "samples.csv").exists()
 
 
+@pytest.mark.parametrize("argv, values", [
+    (["stability", "--w", "1/2,1/2,1/2"], {"out": 5}),
+    (["mc", "--target", "circular", "--n", "3", "--beta", "1", "--samples", "1000"],
+     {"batch_csv": 7}),
+    (["sample", "--beta", "1"], {"score": 3}),
+], ids=["out", "batch_csv", "score"])
+def test_config_number_for_a_path_flag_is_validation_exit(tmp_path, capsys, monkeypatch,
+                                                          argv, values):
+    # only --beta and --s parse numbers; a path flag takes a string
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert f"config key {next(iter(values))}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_out_naming_a_file_is_validation_exit(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    code, out, err = run_cli(["stability", "--w", "0.5,0.5,0.5", "--out", str(taken)], capsys)
+    assert code == 2 and out == ""
+    assert "not a directory" in err
+    assert taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("extra", [["--bins", "5"], ["--thinning", "50"]],
+                         ids=["bins", "thinning-above-sweeps"])
+def test_sample_rejects_its_inputs_before_sampling(tmp_path, capsys, monkeypatch, extra):
+    def never(*a, **k):
+        raise AssertionError("run_chain called before the inputs were checked")
+
+    monkeypatch.setattr(cli, "run_chain", never)
+    out_dir = tmp_path / "run"
+    code, out, _ = run_cli(
+        ["sample", "--beta", "1", "--N", "3", "--sweeps", "20", *extra, "--out", str(out_dir)],
+        capsys)
+    assert code == 2 and out == ""
+    assert not list(out_dir.iterdir())
+
+
 def test_zero_workers_is_validation_exit(tmp_path, capsys):
     code, out, err = run_cli(
         ["mc", "--target", "circular", "--n", "3", "--beta", "1", "--workers", "0",
@@ -292,6 +334,50 @@ def test_flags_override_config_file(tmp_path, capsys):
     est = json.loads(out)["estimate"]
     assert est["n_samples"] == 8000  # flag wins
     assert est["seed"] == 9          # file fills the gap
+
+
+def test_flag_before_config_file_still_wins(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"target": "circular", "n": 3, "beta": "1", "samples": 5000, "seed": 9}))
+    code, out, _ = run_cli(
+        ["mc", "--samples", "8000", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    est = json.loads(out)["estimate"]
+    assert est["n_samples"] == 8000
+    assert est["seed"] == 9
+
+
+def test_config_file_can_name_the_oracle_solver(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": "poisson", "target": "exp:1", "degree": 40}))
+    code, out, _ = run_cli(["oracle", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["solver"] == "poisson"
+
+
+def test_config_values_do_not_leak_into_the_next_call(tmp_path, capsys):
+    # one process, one shared parser: the second call sees only its own argv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chains": 2}))
+    argv = ["sample", "--beta", "1", "--N", "3", "--sweeps", "20", "--thinning", "5"]
+    assert run_cli(argv + ["--config", str(cfg), "--out", str(tmp_path / "a")], capsys)[0] == 0
+    assert run_cli(argv + ["--out", str(tmp_path / "b")], capsys)[0] == 0
+    chains = [json.loads((tmp_path / run / "manifest.jsonl").read_text())["config"]["chains"]
+              for run in ("a", "b")]
+    assert chains == [2, 4]
+
+
+def test_parser_is_built_once_across_calls(tmp_path, capsys, monkeypatch):
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (["stability", "--w", "0.5,0.5,0.5"],
+                 ["zeta", "--family", "circular", "--n", "3", "--beta", "1"],
+                 ["stability", "--w", "1/2,1/3,1/4", "--n", "3"]):
+        assert run_cli(argv + ["--out", str(tmp_path)], capsys)[0] == 0
+    assert len(builds) == 1
 
 
 def test_manifest_appends_and_deterministic_fields_reproduce(tmp_path, capsys):
