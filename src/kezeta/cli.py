@@ -361,6 +361,9 @@ def _run_stability(args: argparse.Namespace, out_dir: Path):
 def _run_mc(args: argparse.Namespace, out_dir: Path):
     targets = ("selberg", "sphere", "circular", "gaussdet", "gaussdet-ratio", "free-energy")
     _require(args.target in targets, f"--target must be one of {'|'.join(targets)}")
+    batch_csv = None if args.batch_csv is None else out_dir / args.batch_csv
+    _require(batch_csv is None or (batch_csv.parent.is_dir() and not batch_csv.is_dir()),
+             f"--batch-csv {args.batch_csv} is not a file path in an existing directory under --out")
 
     if args.target == "free-energy":
         _require(args.grid is not None, "free-energy needs --grid")
@@ -405,12 +408,11 @@ def _run_mc(args: argparse.Namespace, out_dir: Path):
 
     report = {"target": args.target, "estimate": est.to_json()}
     files = []
-    if args.batch_csv is not None:
-        path = out_dir / args.batch_csv
+    if batch_csv is not None:
         lines = ["batch_index,batch_mean"]
         lines += [f"{i},{float(b)!r}" for i, b in enumerate(est.diagnostics["batch_means"])]
-        path.write_text("\n".join(lines) + "\n")
-        files.append(str(path))
+        batch_csv.write_text("\n".join(lines) + "\n")
+        files.append(str(batch_csv))
     outcome = {
         "target": args.target,
         "mean": est.mean,
@@ -423,6 +425,7 @@ def _run_mc(args: argparse.Namespace, out_dir: Path):
 
 def _run_sample(args: argparse.Namespace, out_dir: Path):
     if args.score is not None:
+        _require(Path(args.score).is_file(), f"--score {args.score} is not a file")
         _require(args.beta is not None, "sample --score needs --beta")
         curve = _standard_curve(args, default_trivial=True)
         text = Path(args.score).read_text()

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import StabilityError, ThresholdError, ValidationError
-from .sphere import _D2_FLOOR, SpherePoint, _uniform_rows, pairwise_log_chordal
+from .sphere import _D2_FLOOR, SpherePoint, _uniform_rows, pairwise_log_chordal, sq_chord
 from .stability import LogFanoCurve, classify, gamma_threshold
 
 __all__ = [
@@ -272,10 +272,10 @@ class ProposalMixture:
 # estimators
 
 def _log_chord_to(xyz: np.ndarray, p: SpherePoint) -> np.ndarray:
-    """log ||x - p|| at component-major points xyz: (3, ...), the squares
-    summed x + y + z and clamped like the pair kernel."""
-    dx, dy, dz = xyz[0] - p.x, xyz[1] - p.y, xyz[2] - p.z
-    return 0.5 * np.log(np.maximum(dx * dx + dy * dy + dz * dz, _D2_FLOOR))
+    """log ||x - p|| at component-major points xyz: (3, ...), clamped like
+    the pair kernel."""
+    p_col = p.vec.reshape((3,) + (1,) * (xyz.ndim - 1))
+    return 0.5 * np.log(np.maximum(sq_chord(xyz, p_col), _D2_FLOOR))
 
 
 def _draw_points(proposal: ProposalMixture, rng: np.random.Generator, m: int, N: int, marked) -> tuple:

@@ -24,11 +24,17 @@ configurations and energies, merged in (chain index, step index) order.
 mean_energy_run runs a whole beta list as one batch, node-major (node k owns
 lanes k*chains .. (k+1)*chains - 1), and keeps energies only.
 
-Each lane caches its N x N matrix of log squared distances and the weight
-part of every site.  A step computes the candidate's distance row and weight
-part only, reuses the cached row and weight of the point it would replace,
-and rewrites row and column i of the cache where the proposal is accepted.
-Kept energies are summed from the cached logs.
+Positions are stored component-major, as one (3, lanes, N) array, so the
+candidate's distance row reads contiguous x, y and z rows; every squared
+distance comes from sphere.sq_chord.  Kept configurations are written out
+as (N, 3) rows.
+
+Each lane caches its N x N matrix of log squared distances, L: (lanes, N, N),
+and the weight part of every site, SW: (lanes, N).  A step computes the
+candidate's distance row and weight part only, reuses the cached row and
+weight of the point it would replace, and rewrites row and column i of the
+cache where the proposal is accepted.  Kept energies are summed from the
+cached logs.
 """
 
 from __future__ import annotations
@@ -42,15 +48,16 @@ import numpy as np
 from .errors import StabilityError, ThresholdError, ValidationError
 from .montecarlo import McEstimate
 from .sphere import (
+    _D2_FLOOR,
     PointConfiguration,
     config_energy,
     green,
     sample_uniform_array,
+    sq_chord,
 )
 from .stability import LogFanoCurve, classify, gamma_threshold
 
 __all__ = [
-    "ChainState",
     "SampleStream",
     "MarginalHistogram",
     "log_target",
@@ -80,19 +87,9 @@ def log_target(config: PointConfiguration, curve: LogFanoCurve, beta: float) -> 
 
 
 @dataclass
-class ChainState:
-    config: PointConfiguration
-    log_density: float
-    step_scale: float
-    accept_count: int
-    proposal_count: int
-
-
-@dataclass
 class SampleStream:
     """Thinned post-burn-in configurations from one vectorized chain batch."""
 
-    curve: LogFanoCurve
     beta: float
     n_points: int
     configs: np.ndarray  # (kept_total, N, 3), chain-major
@@ -107,7 +104,6 @@ class SampleStream:
     acceptance_rate: np.ndarray  # per chain, measurement phase
     final_step_scale: np.ndarray
     adaptation_trace: list = field(default_factory=list)
-    final_states: list = field(default_factory=list)
 
     def axial_values(self) -> np.ndarray:
         """z-coordinates (t = cos theta) of every retained point, pooled."""
@@ -130,37 +126,23 @@ class SampleStream:
 
 
 def _marked_arrays(curve: LogFanoCurve):
+    """The positively weighted marked points, component-major (3, M), and
+    their weights (M,)."""
     pts = [p.vec for p, w in zip(curve.marked_sphere_points(), curve.weights) if w > 0]
     wts = [w for w in curve.weights if w > 0]
     if not pts:
-        return np.zeros((0, 3)), np.zeros(0)
-    return np.stack(pts), np.array(wts, dtype=float)
-
-
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a - b|^2 over a last axis of length 3, summed x + y + z: the order
-    numpy's reduction over a 3-long axis takes, without its call overhead."""
-    d = a - b
-    d *= d
-    return d[..., 0] + d[..., 1] + d[..., 2]
+        return np.zeros((3, 0)), np.zeros(0)
+    return np.stack(pts, axis=-1), np.array(wts, dtype=float)
 
 
 def _weight_part(dm: np.ndarray, wts: np.ndarray) -> np.ndarray:
     """sum_j 2 w_j G(x, p_j) from the squared distances dm: (..., M) of
     points x to the M marked points."""
-    return -np.add.reduce(wts * np.log(np.maximum(dm, 1e-300)), axis=-1)
-
-
-def _site_weight_part(x: np.ndarray, marked: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """sum_j 2 w_j G(x, p_j) for a batch of single points x: (..., 3)."""
-    if marked.shape[0] == 0:
-        return np.zeros(x.shape[:-1])
-    return _weight_part(_sq_dist(x[..., None, :], marked), wts)
+    return -np.add.reduce(wts * np.log(np.maximum(dm, _D2_FLOOR)), axis=-1)
 
 
 @dataclass
 class _LaneRun:
-    X: np.ndarray  # (lanes, N, 3) final positions
     energies: np.ndarray  # (lanes, kept)
     configs: Optional[np.ndarray]  # (lanes, kept, N, 3) if keep_configs, else None
     scales: np.ndarray
@@ -177,7 +159,6 @@ def _run_lanes(
     burn_in: int,
     seed: int,
     thinning: int,
-    adapt: bool,
     keep_configs: bool,
 ) -> _LaneRun:
     """The one Metropolis sweep loop: lane l targets inverse temperature
@@ -188,6 +169,8 @@ def _run_lanes(
         raise ValidationError("need at least 2 points")
     if sweeps < 1 or betas.size < 1 or thinning < 1:
         raise ValidationError("sweeps, chains and thinning must be positive")
+    if burn_in < 0:
+        raise ValidationError(f"burn-in must be non-negative, got {burn_in}")
     verdict = classify(curve)
     if verdict.kind == "NotLogFano":
         raise StabilityError(f"refusing to sample: verdict {verdict.kind}")
@@ -205,19 +188,19 @@ def _run_lanes(
     coef = -betas * N * pref * 2.0  # per lane; the same bits as a scalar beta
 
     # initial state: uniform, resampled until the guard is satisfied
-    X = sample_uniform_array(rng, lanes * N).reshape(lanes, N, 3)
+    X = np.ascontiguousarray(sample_uniform_array(rng, lanes * N).T).reshape(3, lanes, N)
     for _ in range(100):
         bad = _guard_violations(X, marked)
         if not bad.any():
             break
-        X[bad] = sample_uniform_array(rng, int(bad.sum()) * N).reshape(-1, N, 3)
+        X[:, bad] = sample_uniform_array(rng, int(bad.sum()) * N).T.reshape(3, -1, N)
 
     # Per-lane caches, built once and then rewritten only where a proposal
     # is accepted: L[l, a, b] = log |x_a - x_b|^2 with log 1 = 0 on the
     # diagonal, SW[l, a] = the weight part of site a.  (a - b)^2 = (b - a)^2
     # exactly, so a cached entry is the float recomputation would give.
     L = np.log(_self_masked_sq_dists(X))
-    SW = _site_weight_part(X, marked, wts)
+    SW = _weight_part(_marked_sq_dists(X, marked), wts)
     iu = np.triu_indices(N, k=1)
 
     scales = np.full(lanes, _STEP_SCALE)
@@ -230,34 +213,34 @@ def _run_lanes(
     configs = np.empty((lanes, kept, N, 3)) if keep_configs else None
     for sweep in range(burn_in + sweeps):
         for i in range(N):
-            x = X[:, i, :]
-            g = rng.normal(size=(lanes, 3))
+            x = X[:, :, i]
+            g = rng.normal(size=(lanes, 3)).T
             gx = g * x
-            cand = x + scales[:, None] * (g - (gx[:, 0] + gx[:, 1] + gx[:, 2])[:, None] * x)
-            cand /= np.sqrt(_sq_dist(cand, 0.0))[:, None]  # |cand|
+            cand = x + scales * (g - (gx[0] + gx[1] + gx[2]) * x)
+            cand /= np.sqrt(sq_chord(cand, 0.0))  # |cand|
 
             # only the candidate's row is new; the old one is L[:, i]
-            d2 = _sq_dist(X, cand[:, None, :])
+            d2 = sq_chord(X, cand[:, :, None])
             d2[:, i] = 1.0  # mask self
             guard = np.minimum.reduce(d2, axis=-1) < _GUARD_TOL**2
             row = np.log(d2)
             dlt = coef * (-0.5 * (np.add.reduce(row, axis=-1) - np.add.reduce(L[:, i], axis=-1)))
-            if marked.shape[0]:
-                dm = _sq_dist(cand[:, None, :], marked)
+            if marked.shape[1]:
+                dm = sq_chord(cand[:, :, None], marked[:, None, :])
                 guard |= np.minimum.reduce(dm, axis=-1) < _GUARD_TOL**2
                 sw = _weight_part(dm, wts)
                 dlt += sw - SW[:, i]
             accept = (np.log(rng.uniform(size=lanes)) < dlt) & ~guard
             on = accept[:, None]
-            np.copyto(X[:, i], cand, where=on)
+            np.copyto(X[:, :, i], cand, where=accept)
             np.copyto(L[:, i], row, where=on)
             np.copyto(L[:, :, i], row, where=on)
-            if marked.shape[0]:
+            if marked.shape[1]:
                 np.copyto(SW[:, i], sw, where=accept)
             acc += accept
             prop += 1
 
-        if adapt and sweep < burn_in and (sweep + 1) % _ADAPT_WINDOW == 0:
+        if sweep < burn_in and (sweep + 1) % _ADAPT_WINDOW == 0:
             rate = acc / np.maximum(prop, 1)
             scales = np.where(rate > 0.5, scales * 1.4, scales)
             scales = np.where(rate < 0.2, scales * 0.7, scales)
@@ -276,8 +259,8 @@ def _run_lanes(
             # every pair far above its clamp
             energies[:, j] = -2.0 * pref * np.sum(0.5 * L[:, iu[0], iu[1]], axis=-1)
             if configs is not None:
-                configs[:, j] = X
-    return _LaneRun(X, energies, configs, scales, acc, prop, trace)
+                configs[:, j] = np.moveaxis(X, 0, -1)
+    return _LaneRun(energies, configs, scales, acc, prop, trace)
 
 
 def run_chain(
@@ -289,7 +272,6 @@ def run_chain(
     seed: int = 0,
     thinning: int = 10,
     chains: int = 1,
-    adapt: bool = True,
 ) -> SampleStream:
     """Run `chains` parallel chains at one `beta` for `sweeps` measurement
     sweeps each."""
@@ -297,23 +279,10 @@ def run_chain(
         burn_in = max(100, sweeps // 10)
     run = _run_lanes(
         curve, np.full(max(chains, 0), beta, dtype=float), N, sweeps, burn_in,
-        seed, thinning, adapt, keep_configs=True,
+        seed, thinning, keep_configs=True,
     )
     kept = run.energies.shape[1]
-    states = []
-    for c in range(chains):
-        cfg = PointConfiguration.from_array(run.X[c])
-        states.append(
-            ChainState(
-                config=cfg,
-                log_density=log_target(cfg, curve, beta),
-                step_scale=float(run.scales[c]),
-                accept_count=int(run.acc[c]),
-                proposal_count=int(run.prop[c]),
-            )
-        )
     return SampleStream(
-        curve=curve,
         beta=beta,
         n_points=N,
         configs=run.configs.reshape(chains * kept, N, 3),
@@ -331,23 +300,28 @@ def run_chain(
             {"sweep": k, "acceptance": [float(r) for r in rate], "step_scale": [float(x) for x in sc]}
             for k, rate, sc in run.trace
         ],
-        final_states=states,
     )
 
 
 def _self_masked_sq_dists(X: np.ndarray) -> np.ndarray:
-    """(lanes, N, N) squared distances between the sites of each lane, with
-    1.0 on the diagonal."""
-    d2 = _sq_dist(X[:, :, None, :], X[:, None, :, :])
-    n = X.shape[1]
+    """(lanes, N, N) squared distances between the sites of each lane of
+    X: (3, lanes, N), with 1.0 on the diagonal."""
+    d2 = sq_chord(X[..., :, None], X[..., None, :])
+    n = X.shape[-1]
     d2[:, np.arange(n), np.arange(n)] = 1.0
     return d2
 
 
+def _marked_sq_dists(X: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """(lanes, N, M) squared distances from the sites of X: (3, lanes, N)
+    to the marked points (3, M)."""
+    return sq_chord(X[..., None], marked[:, None, None, :])
+
+
 def _guard_violations(X: np.ndarray, marked: np.ndarray) -> np.ndarray:
     bad = _self_masked_sq_dists(X).min(axis=(1, 2)) < _GUARD_TOL**2
-    if marked.shape[0]:
-        bad |= _sq_dist(X[:, :, None, :], marked).min(axis=(1, 2)) < _GUARD_TOL**2
+    if marked.shape[1]:
+        bad |= _marked_sq_dists(X, marked).min(axis=(1, 2)) < _GUARD_TOL**2
     return bad
 
 
@@ -397,18 +371,11 @@ def _energy_estimate(energies: np.ndarray, seed: int) -> McEstimate:
     )
 
 
-def mean_energy_estimate(samples: SampleStream, curve: Optional[LogFanoCurve] = None) -> McEstimate:
-    """Batch-means estimate of E[config_energy] over the stream.
-
-    Energies scale linearly in d_L, so re-targeting another curve is a
-    rescale of the stored values.
-    """
+def mean_energy_estimate(samples: SampleStream) -> McEstimate:
+    """Batch-means estimate of E[config_energy] over the stream."""
     if samples.configs.shape[0] == 0:
         raise ValidationError("empty sample stream")
-    energies = samples.energies
-    if curve is not None and curve.d_L != samples.curve.d_L:
-        energies = energies * (curve.d_L / samples.curve.d_L)
-    return _energy_estimate(energies.reshape(samples.chains, -1), samples.seed)
+    return _energy_estimate(samples.energies.reshape(samples.chains, -1), samples.seed)
 
 
 def mean_energy_run(
@@ -437,7 +404,7 @@ def mean_energy_run(
     per_chain = max(50, int(math.ceil(sweeps / chains)))
     run = _run_lanes(
         curve, np.repeat(betas, chains), N, per_chain, max(200, per_chain // 5),
-        seed, 1, True, keep_configs=False,
+        seed, 1, keep_configs=False,
     )
     return [_energy_estimate(run.energies[k * chains:(k + 1) * chains], seed) for k in range(len(betas))]
 

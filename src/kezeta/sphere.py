@@ -43,6 +43,7 @@ __all__ = [
     "chordal",
     "green",
     "config_energy",
+    "sq_chord",
     "sample_uniform_array",
     "config_to_csv",
     "config_from_csv",
@@ -160,20 +161,31 @@ class PointConfiguration:
         return cls(tuple(SpherePoint.from_vec(row) for row in np.asarray(arr)))
 
 
+def sq_chord(a, b) -> np.ndarray:
+    """||a - b||^2 for component-major arrays a and b of shape (3, ...),
+    broadcast against each other; b may also be a scalar such as 0.0.
+
+    The squares are summed x + y + z, left to right: the order numpy's
+    reduction over a 3-long axis takes.  So the result is bit-identical to
+    np.sum((a - b) ** 2, axis=0), without the reduction's call overhead.
+    The pair kernel, the importance draws' chords to marked points and the
+    Metropolis sampler all take their squared chords from here."""
+    d = a - b
+    d *= d
+    return d[0] + d[1] + d[2]
+
+
 def pairwise_log_chordal(arr: np.ndarray) -> np.ndarray:
     """log ||x_i - x_j|| for i < j along the last axis; arr has shape (..., N, 3)
     in any memory layout.  The kernel works on the component-major view
     (3, ..., N), which reads contiguous rows when arr is the .T of a (3, n)
-    buffer, gathers the upper-triangle pairs only and sums the squares
-    x + y + z, the order numpy's reduction over a 3-long axis takes.  The
-    gather keeps the pair axis outermost in memory, as the dense (N, N)
-    gather did, so a caller's sum over pairs adds in the same order.  Squared
-    distances are clamped at 1e-300, so the result is always finite."""
+    buffer, and gathers the upper-triangle pairs only.  The gather keeps the
+    pair axis outermost in memory, as the dense (N, N) gather did, so a
+    caller's sum over pairs adds in the same order.  Squared distances are
+    clamped at _D2_FLOOR, so the result is always finite."""
     xyz = np.moveaxis(arr, -1, 0)
     iu0, iu1 = np.triu_indices(arr.shape[-2], k=1)
-    d = xyz[..., iu0] - xyz[..., iu1]
-    d *= d
-    return 0.5 * np.log(np.maximum(d[0] + d[1] + d[2], _D2_FLOOR))
+    return 0.5 * np.log(np.maximum(sq_chord(xyz[..., iu0], xyz[..., iu1]), _D2_FLOOR))
 
 
 def config_energy(c: PointConfiguration, curve) -> float:

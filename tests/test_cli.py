@@ -235,6 +235,38 @@ def test_sample_rejects_its_inputs_before_sampling(tmp_path, capsys, monkeypatch
     assert not list(out_dir.iterdir())
 
 
+def test_sample_negative_burn_in_is_validation_exit_and_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(
+        ["sample", "--beta", "1", "--N", "3", "--sweeps", "20", "--thinning", "5",
+         "--burn-in", "-5", "--out", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert "burn-in" in err
+    assert not list(out_dir.iterdir())
+
+
+def test_sample_score_of_a_missing_file_is_validation_exit(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["sample", "--score", str(tmp_path / "nope.csv"), "--beta", "1", "--out", str(tmp_path)],
+        capsys)
+    assert code == 2 and out == ""
+    assert "--score" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_mc_batch_csv_in_a_missing_directory_exits_2_before_estimating(tmp_path, capsys, monkeypatch):
+    def never(*a, **k):
+        raise AssertionError("estimate started before --batch-csv was checked")
+
+    monkeypatch.setattr(cli, "mc_circular", never)
+    code, out, err = run_cli(
+        ["mc", "--target", "circular", "--n", "3", "--beta", "1", "--samples", "1000",
+         "--batch-csv", "sub/b.csv", "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert "--batch-csv" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_zero_workers_is_validation_exit(tmp_path, capsys):
     code, out, err = run_cli(
         ["mc", "--target", "circular", "--n", "3", "--beta", "1", "--workers", "0",

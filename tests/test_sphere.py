@@ -28,6 +28,7 @@ from kezeta.sphere import (
     config_to_plane_json,
     green,
     pairwise_log_chordal,
+    sq_chord,
     sample_uniform_array,
     sphere_to_stereo,
     stereo_to_sphere,
@@ -165,6 +166,21 @@ def test_pairwise_log_chordal_layouts_match_dense_reference():
             assert np.array_equal(got, want)
             # callers sum over the pairs; same layout, same addition order
             assert np.array_equal(np.sum(got, axis=-1), np.sum(want, axis=-1))
+
+
+def test_sq_chord_matches_numpy_sum_bitwise_under_broadcasting():
+    # the one squared-chord helper must give np.sum's bits over the component
+    # axis, for a scalar origin and for (3, lanes, 1) against (3, 1, M)
+    rng = np.random.default_rng(5)
+    a = np.ascontiguousarray(sample_uniform_array(rng, 7 * 5).T).reshape(3, 7, 5)
+    b = np.ascontiguousarray(sample_uniform_array(rng, 4).T).reshape(3, 1, 4)
+    assert np.array_equal(sq_chord(a, 0.0), np.sum((a - 0.0) ** 2, axis=0))
+    cols = a[:, :, :1]  # (3, lanes, 1)
+    got = sq_chord(cols, b)
+    assert got.shape == (7, 4)
+    assert np.array_equal(got, np.sum((cols - b) ** 2, axis=0))
+    # strided operands (a column of a component-major buffer) give the same bits
+    assert np.array_equal(sq_chord(a[:, :, 2:3], b), np.sum((a[:, :, 2:3] - b) ** 2, axis=0))
 
 
 def test_uniform_sampler_axial_moments():
