@@ -428,7 +428,10 @@ def _run_sample(args: argparse.Namespace, out_dir: Path):
         _require(Path(args.score).is_file(), f"--score {args.score} is not a file")
         _require(args.beta is not None, "sample --score needs --beta")
         curve = _standard_curve(args, default_trivial=True)
-        text = Path(args.score).read_text()
+        try:
+            text = Path(args.score).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"--score {args.score} is not a text file: {exc}") from exc
         config = config_from_csv(text)
         beta = float(_parse_fraction(args.beta, "beta"))
         pts = config.points
@@ -652,8 +655,8 @@ class _ConfigFile(argparse.Action):
         if not path.is_file():
             raise ValidationError(f"config file {path} does not exist")
         try:
-            values = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            values = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise ValidationError("config file must hold a single JSON object")

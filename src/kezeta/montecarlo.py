@@ -19,7 +19,10 @@ diagnostics.
 A draw is component-major: the proposal fills one (3, n) buffer, so the pair
 kernel and the marked-point distances read contiguous x, y and z rows, and the
 log chord of every point to each marked point is computed once, then read by
-both the integrand and the marked components of the proposal density.
+both the integrand and the marked components of the proposal density.  Neither
+step builds a gathered or stacked copy: the pair kernel fills its output row
+block by row block, and the proposal density adds its components' exps one at
+a time into one accumulator, in the order a sum over a stack would take.
 
 Tail safety: a Hill estimate on the top 1% of importance weights; an index
 <= 2 flags likely-infinite variance and switches aggregation to
@@ -99,11 +102,22 @@ def _draw_log_weights(
     return np.concatenate(parts)
 
 
-def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out
+def _logsumexp(terms: Sequence, shape: tuple) -> np.ndarray:
+    """log(sum_k exp(terms[k])) elementwise over arrays (or floats) that
+    broadcast to `shape`, with no stacked copy.  The shift is the running
+    maximum (0 where it is not finite), and the exps are added in list order:
+    the order a sum over axis 0 of the stacked terms takes, so the bits are
+    the stacked logsumexp's."""
+    top = np.full(shape, -np.inf)
+    for t in terms:
+        np.maximum(top, t, out=top)
+    top[~np.isfinite(top)] = 0.0
+    acc, tmp = np.zeros(shape), np.empty(shape)
+    for t in terms:
+        acc += np.exp(np.subtract(t, top, out=tmp), out=tmp)
+    np.log(acc, out=acc)
+    acc += top
+    return acc
 
 
 def _hill_tail_index(weights: np.ndarray) -> float:
@@ -256,7 +270,7 @@ class ProposalMixture:
         logs = []
         for comp in self.components:
             if comp.kind == "uniform":
-                logs.append(np.full(xyz.shape[1:], math.log(comp.weight)))
+                logs.append(math.log(comp.weight))
             else:
                 a = comp.radial_exponent
                 logr = chords.get(comp.point)
@@ -265,7 +279,7 @@ class ProposalMixture:
                 logs.append(
                     math.log(comp.weight) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * logr
                 )
-        return _logsumexp(np.stack(logs, axis=0), axis=0)
+        return _logsumexp(logs, xyz.shape[1:])
 
 
 # ---------------------------------------------------------------------------

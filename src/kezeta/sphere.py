@@ -177,15 +177,25 @@ def sq_chord(a, b) -> np.ndarray:
 
 def pairwise_log_chordal(arr: np.ndarray) -> np.ndarray:
     """log ||x_i - x_j|| for i < j along the last axis; arr has shape (..., N, 3)
-    in any memory layout.  The kernel works on the component-major view
-    (3, ..., N), which reads contiguous rows when arr is the .T of a (3, n)
-    buffer, and gathers the upper-triangle pairs only.  The gather keeps the
-    pair axis outermost in memory, as the dense (N, N) gather did, so a
-    caller's sum over pairs adds in the same order.  Squared distances are
-    clamped at _D2_FLOOR, so the result is always finite."""
-    xyz = np.moveaxis(arr, -1, 0)
-    iu0, iu1 = np.triu_indices(arr.shape[-2], k=1)
-    return 0.5 * np.log(np.maximum(sq_chord(xyz[..., iu0], xyz[..., iu1]), _D2_FLOOR))
+    in any memory layout.  The kernel fills one (N(N-1)/2, ...) buffer row
+    block by row block: block i holds sq_chord of point i against points
+    i+1..N-1, read from the (3, N, ...) view of arr, so the Python loop runs
+    N-1 times and no pair index is gathered.  Squared distances are clamped
+    at _D2_FLOOR (so the result is always finite), then logged and halved in
+    place.  The result is the (..., N(N-1)/2) view of that buffer: the pair
+    axis stays outermost in memory, and a caller's sum over pairs adds in
+    that order."""
+    n = arr.shape[-2]
+    xyz = np.moveaxis(arr, (-1, -2), (0, 1))
+    out = np.empty((n * (n - 1) // 2,) + arr.shape[:-2])
+    k = 0
+    for i in range(n - 1):
+        out[k:k + n - 1 - i] = sq_chord(xyz[:, i:i + 1], xyz[:, i + 1:])
+        k += n - 1 - i
+    np.maximum(out, _D2_FLOOR, out=out)
+    np.log(out, out=out)
+    out *= 0.5
+    return np.moveaxis(out, 0, -1)
 
 
 def config_energy(c: PointConfiguration, curve) -> float:

@@ -254,6 +254,26 @@ def test_sample_score_of_a_missing_file_is_validation_exit(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_sample_score_of_an_undecodable_file_is_validation_exit(tmp_path, capsys):
+    score = tmp_path / "bin.csv"
+    score.write_bytes(bytes(range(128, 256)) + bytes(range(72)))  # 200 bytes, not UTF-8
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["sample", "--score", str(score), "--beta", "1", "--out", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert "--score" in err
+    assert not any(out_dir.iterdir())
+
+
+def test_config_file_that_is_not_text_is_validation_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "bin.csv"
+    cfg.write_bytes(bytes(range(128, 256)) + bytes(range(72)))
+    code, out, err = run_cli(["stability", "--w", "1/2,1/2,1/2", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "config file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bin.csv"]
+
+
 def test_mc_batch_csv_in_a_missing_directory_exits_2_before_estimating(tmp_path, capsys, monkeypatch):
     def never(*a, **k):
         raise AssertionError("estimate started before --batch-csv was checked")

@@ -178,26 +178,33 @@ def _reference_log_chord(pts, p):
     return 0.5 * np.log(np.maximum(np.sum((pts - p) ** 2, axis=-1), 1e-300))
 
 
+def _reference_log_density(mix, flat):
+    """The mixture's log density at row-major points (n, 3): the components'
+    log densities stacked on a new axis 0, then a max-shifted logsumexp."""
+    logs = []
+    for c in mix.components:
+        if c.kind == "uniform":
+            logs.append(np.full(len(flat), math.log(c.weight)))
+        else:
+            a = c.radial_exponent
+            logr = _reference_log_chord(flat, c.point.vec)
+            logs.append(math.log(c.weight) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * logr)
+    stacked = np.stack(logs, axis=0)
+    top = np.max(stacked, axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.log(np.sum(np.exp(stacked - top), axis=0)) + top
+
+
 def _reference_draw(mix, rng, m, N):
     """Row-major points (m, N, 3), the dense (m, N, N, 3) pair sum, and the
     proposal log density recomputing its own chords."""
-    from kezeta.montecarlo import _logsumexp
-
     flat = _reference_sample(mix, rng, m * N)
     pts = flat.reshape(m, N, 3)
     diff = pts[..., :, None, :] - pts[..., None, :, :]
     d2 = np.sum(diff * diff, axis=-1)
     iu = np.triu_indices(N, k=1)
     pairs = np.sum(0.5 * np.log(np.maximum(d2[..., iu[0], iu[1]], 1e-300)), axis=-1)
-    logs = []
-    for c in mix.components:
-        if c.kind == "uniform":
-            logs.append(np.full(m * N, math.log(c.weight)))
-        else:
-            a = c.radial_exponent
-            logr = _reference_log_chord(flat, c.point.vec)
-            logs.append(math.log(c.weight) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * logr)
-    log_q = np.sum(_logsumexp(np.stack(logs, axis=0), axis=0).reshape(m, N), axis=-1)
+    log_q = np.sum(_reference_log_density(mix, flat).reshape(m, N), axis=-1)
     return pts, pairs, log_q
 
 
@@ -257,6 +264,30 @@ def test_importance_draws_reproduce_row_major_reference_bitwise():
     ]
     for est, ref in cases:
         assert json.dumps(est.to_json()) == json.dumps(ref.to_json())
+
+
+def test_log_density_matches_stacked_reference_bitwise():
+    # the mixture density adds its components' exps one at a time; the
+    # reference stacks them and reduces over the stack
+    curve = LogFanoCurve.standard((0.5, 0.4, 0.3))
+    rng = np.random.default_rng(31)
+    pts = rng.normal(size=(400, 3))
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    pts[7] = curve.marked_sphere_points()[1].vec  # on a marked point: the chord clamps
+    mixes = [
+        ProposalMixture.default_for_curve(TRIVIAL),  # uniform only
+        ProposalMixture.default_for_curve(curve),
+        ProposalMixture.cluster_safe((0.5, 0.4, 0.3)),
+    ]
+    assert [c.kind for c in mixes[0].components] == ["uniform"]
+    for mix in mixes:
+        got = mix.log_density(pts)
+        assert np.array_equal(got, _reference_log_density(mix, pts))
+        assert np.array_equal(mix.log_density(pts.reshape(20, 20, 3)), got.reshape(20, 20))
+    assert np.all(mixes[0].log_density(pts) == 0.0)
+    a = mixes[2].components[2].radial_exponent
+    clamped = math.log(0.1) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * 0.5 * math.log(1e-300)
+    assert mixes[2].log_density(pts)[7] == pytest.approx(clamped, rel=1e-12)
 
 
 def test_estimate_serializes():

@@ -9,6 +9,7 @@ Hand-derived pins used below:
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ def test_pairwise_log_chordal_matches_scalar():
 
 
 def test_pairwise_log_chordal_layouts_match_dense_reference():
-    # the kernel gathers upper-triangle pairs from a component-major view; the
+    # the kernel fills the upper-triangle pairs row block by row block; the
     # reference is the dense (..., N, N, 3) difference summed over its last axis
     def dense(arr):
         diff = arr[..., :, None, :] - arr[..., None, :, :]
@@ -155,17 +156,36 @@ def test_pairwise_log_chordal_layouts_match_dense_reference():
         return 0.5 * np.log(np.maximum(d2[..., iu[0], iu[1]], 1e-300))
 
     rng = np.random.default_rng(17)
-    for shape in [(40, 8, 3), (5, 16, 3), (3, 2, 4, 3), (6, 3)]:
+    for shape in [(40, 8, 3), (5, 16, 3), (3, 2, 4, 3), (6, 3), (1, 3), (2, 3), (300, 3)]:
         rows = sample_uniform_array(rng, math.prod(shape[:-1])).reshape(shape)
-        rows[(0,) * (len(shape) - 2) + (1,)] = rows[(0,) * (len(shape) - 1)]  # a coincident pair: the clamp
+        if shape[-2] > 1:
+            rows[(0,) * (len(shape) - 2) + (1,)] = rows[(0,) * (len(shape) - 1)]  # a coincident pair: the clamp
         buf = np.ascontiguousarray(np.moveaxis(rows, -1, 0))  # component-major (3, ..., N)
         want = dense(rows)
-        assert want.min() == 0.5 * math.log(1e-300)
+        assert want.shape == shape[:-2] + (shape[-2] * (shape[-2] - 1) // 2,)
+        if want.size:
+            assert want.min() == 0.5 * math.log(1e-300)
         for arr in (rows, np.moveaxis(buf, 0, -1)):
             got = pairwise_log_chordal(arr)
             assert np.array_equal(got, want)
             # callers sum over the pairs; same layout, same addition order
             assert np.array_equal(np.sum(got, axis=-1), np.sum(want, axis=-1))
+
+
+def test_pairwise_log_chordal_allocates_no_gather():
+    # one output buffer plus one row block's temporaries; an index gather of
+    # both pair ends (with their differences) peaks near ten times the output
+    rng = np.random.default_rng(23)
+    buf = np.ascontiguousarray(sample_uniform_array(rng, 20_000 * 8).T).reshape(3, 20_000, 8)
+    for arr in (np.moveaxis(buf, 0, -1), np.ascontiguousarray(np.moveaxis(buf, 0, -1))):
+        tracemalloc.start()
+        try:
+            got = pairwise_log_chordal(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (20_000, 28)
+        assert peak <= 4 * got.nbytes, peak / got.nbytes
 
 
 def test_sq_chord_matches_numpy_sum_bitwise_under_broadcasting():
