@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -60,6 +61,7 @@ from .closedforms import (
     zero_free_in_tube,
 )
 from .errors import (
+    CoincidenceError,
     ConvergenceError,
     PoleError,
     StabilityError,
@@ -99,7 +101,13 @@ from .sampler import (
     mean_energy_estimate,
     run_chain,
 )
-from .sphere import chordal, config_energy, config_from_csv, config_to_plane_json, green
+from .sphere import (
+    COINCIDENCE_TOL,
+    config_energy,
+    config_from_csv,
+    config_to_plane_json,
+    pairwise_sq_chord,
+)
 from .stability import LogFanoCurve, classify, lct_point_divisor
 from .verify import run_verify
 
@@ -121,8 +129,6 @@ OPERATION_COVERAGE = {
     "gammaprod.gp_to_json": ("zeta", "symbolic product in every report"),
     "sphere.stereo_to_sphere": ("sample", "marked points of the curve"),
     "sphere.sphere_to_stereo": ("sample", "--score plane-coordinate echo"),
-    "sphere.chordal": ("sample", "--score closest-pair field"),
-    "sphere.green": ("sample", "--score strongest-pair field"),
     "sphere.config_energy": ("sample", "--score"),
     "sphere.sample_uniform_array": ("sample", "chain initialization"),
     "closedforms.selberg_gamma_product": ("zeta", "--family selberg"),
@@ -281,10 +287,13 @@ def _run_zeta(args: argparse.Namespace, out_dir: Path):
     families = ("selberg", "pnmin", "p1three", "circular", "gaussdet")
     _require(args.family in families, f"--family must be one of {'|'.join(families)}")
     report: dict = {"family": args.family}
+    if args.family != "selberg":
+        _require(args.tube is None, "--tube needs --family selberg")
+        _require(args.w is None, "--w needs --family selberg")
 
     if args.family == "selberg":
         _require(args.n is not None and args.n >= 2, "selberg needs --n >= 2")
-        gp = selberg_gamma_product(args.n)
+        gp = full = selberg_gamma_product(args.n)
         if args.beta is not None:
             _require(
                 _parse_fraction(args.beta, "beta") == -1,
@@ -307,7 +316,8 @@ def _run_zeta(args: argparse.Namespace, out_dir: Path):
                 report["value_at"] = {k: str(v) for k, v in params.items()}
                 report["value"] = _mero_to_json(eval_gamma_product(gp, params))
         if args.tube is not None:
-            tube_report = zero_free_in_tube(selberg_gamma_product(args.n), selberg_tube(args.tube))
+            # the tube is scanned on the whole product, also when --w restricts it to a line
+            tube_report = zero_free_in_tube(full, selberg_tube(args.tube))
             report["tube"] = {"kind": args.tube, **tube_report.to_json()}
     else:
         param = "s" if args.family == "gaussdet" else "beta"
@@ -434,14 +444,20 @@ def _run_sample(args: argparse.Namespace, out_dir: Path):
             raise ValidationError(f"--score {args.score} is not a text file: {exc}") from exc
         config = config_from_csv(text)
         beta = float(_parse_fraction(args.beta, "beta"))
-        pts = config.points
-        pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        energy = config_energy(config, curve)
+        target = log_target(config, curve, beta)
+        # sqrt and -log are monotone, so the closest pair gives both fields
+        chords = np.sqrt(pairwise_sq_chord(config.array))
+        close = chords < COINCIDENCE_TOL
+        if close.any():
+            raise CoincidenceError(f"green evaluated at chordal distance {chords[close.argmax()]:.3e}")
+        closest = min(float(chords.min()), 2.0)
         report = {
             "n_points": len(config),
-            "energy": config_energy(config, curve),
-            "log_target": log_target(config, curve, beta),
-            "min_pair_chordal": min(chordal(pts[i], pts[j]) for i, j in pairs),
-            "max_pair_green": max(green(pts[i], pts[j]) for i, j in pairs),
+            "energy": energy,
+            "log_target": target,
+            "min_pair_chordal": closest,
+            "max_pair_green": -math.log(closest),
             "plane_coords": json.loads(config_to_plane_json(config)),
         }
         outcome = {k: report[k] for k in ("n_points", "energy", "log_target")}

@@ -21,9 +21,14 @@ Families implemented here (each returns a symbolic GammaProduct):
 
 Tube analysis: zeros of any Gamma product lie on affine hyperplane families
 {arg = -m} coming from negative-exponent factors, so zero-freeness over an
-open convex tube reduces to exact linear feasibility checks (Fourier-Motzkin
-over Fractions), with net-order cancellation against positive-exponent
-factors that land on the same hyperplane.
+open convex tube reduces to exact linear feasibility checks, with net-order
+cancellation against positive-exponent factors that land on the same
+hyperplane.  The checks are Fourier-Motzkin elimination over coprime integer
+rows: each rational row a.x < b is scaled to integers, rows are combined with
+positive integer multipliers and divided by their gcd (Schrijver, Theory of
+Linear and Integer Programming, 1986, sec. 12.2), so every step is plain int
+arithmetic and a Fraction is formed only for a final bound or a witness
+coordinate.
 
 A caution that shapes two public helpers: the Gamma-product formula is the
 meromorphic continuation of the defining integral.  At weight points where
@@ -161,7 +166,7 @@ def bernstein_product(n: int, s) -> Fraction | float:
 
 
 # ---------------------------------------------------------------------------
-# Tube domains and exact linear feasibility (Fourier-Motzkin over Fractions).
+# Tube domains and exact linear feasibility (Fourier-Motzkin over integer rows).
 
 @dataclass(frozen=True)
 class TubeConstraint:
@@ -252,69 +257,86 @@ def selberg_tube(kind: str = "canonical") -> TubeDomain:
     raise ValidationError(f"unknown selberg tube kind {kind!r}")
 
 
-Row = tuple[tuple[Fraction, ...], Fraction]
+Row = tuple[tuple[int, ...], int]  # a.x < b over coprime integers
+
+
+def _primitive(a: Sequence[int], b: int) -> Row:
+    """The row divided by the gcd of its entries: a positive multiple, so the
+    same inequality.  A row of zeros is returned as it is."""
+    g = math.gcd(*a, b)
+    if g > 1:
+        return tuple(x // g for x in a), b // g
+    return tuple(a), b
+
+
+def _int_row(a: Sequence[Fraction], b: Fraction) -> Row:
+    """The rational row a.x < b as its coprime integer multiple."""
+    scale = math.lcm(b.denominator, *(x.denominator for x in a))
+    return _primitive([x.numerator * (scale // x.denominator) for x in a],
+                      b.numerator * (scale // b.denominator))
+
+
+def _int_rows(rows) -> list[Row]:
+    return list(dict.fromkeys(_int_row(a, b) for a, b in rows))
 
 
 def _fm_split(rows: list[Row], idx: int):
+    """Rows bounding x_idx from below (a[idx] < 0), from above, and the rest."""
     lowers, uppers, keep = [], [], []
-    for a, b in rows:
-        c = a[idx]
-        if c == 0:
-            keep.append((a, b))
-            continue
-        scaled = (tuple(x / c for x in a), b / c)
-        (uppers if c > 0 else lowers).append(scaled)
+    for row in rows:
+        c = row[0][idx]
+        (keep if c == 0 else uppers if c > 0 else lowers).append(row)
     return lowers, uppers, keep
 
 
 def _fm_combine(lowers: list[Row], uppers: list[Row], idx: int) -> list[Row]:
-    """Every lower bound on x_idx against every upper one, x_idx cancelled."""
-    return [
-        (tuple(u - l if i != idx else Fraction(0) for i, (u, l) in enumerate(zip(ua, la))), ub - lb)
-        for la, lb in lowers
-        for ua, ub in uppers
-    ]
-
-
-def _fm_eliminate(rows: list[Row], idx: int) -> list[Row]:
-    lowers, uppers, keep = _fm_split(rows, idx)
-    return keep + _fm_combine(lowers, uppers, idx)
-
-
-def _fm_contradiction(rows: list[Row]) -> bool:
-    return any(all(x == 0 for x in a) and b <= 0 for a, b in rows)
-
-
-def _substitute(rows: list[Row], j: int, ell: tuple[Fraction, ...], value: Fraction) -> list[Row]:
-    """Impose the equality ell.x = value by solving for x_j and substituting."""
-    lj = ell[j]
+    """Every lower bound on x_idx against every upper one: (-c_l)*upper +
+    c_u*lower cancels x_idx with positive multipliers, then the gcd goes."""
     out = []
-    for a, b in rows:
-        cj = a[j]
-        if cj == 0:
-            out.append((a, b))
-            continue
-        # x_j = (value - sum_{i != j} ell_i x_i)/l_j
-        new_a = tuple(
-            a[i] - cj * ell[i] / lj if i != j else Fraction(0) for i in range(len(a))
-        )
-        out.append((new_a, b - cj * value / lj))
+    for la, lb in lowers:
+        cl = -la[idx]
+        for ua, ub in uppers:
+            cu = ua[idx]
+            out.append(_primitive([cl * u + cu * l for u, l in zip(ua, la)], cl * ub + cu * lb))
     return out
 
 
-def _functional_range(rows: list[Row], ell: tuple[Fraction, ...]):
+def _fm_eliminate(rows: list[Row], idx: int):
+    """(lowers, uppers, the rows without x_idx), duplicate rows dropped."""
+    lowers, uppers, keep = _fm_split(rows, idx)
+    return lowers, uppers, list(dict.fromkeys(keep + _fm_combine(lowers, uppers, idx)))
+
+
+def _fm_contradiction(rows: list[Row]) -> bool:
+    return any(b <= 0 and not any(a) for a, b in rows)
+
+
+def _substitute(rows: list[Row], j: int, ell: Sequence[int], value: int) -> list[Row]:
+    """Impose the equality ell.x = value by solving for x_j and substituting;
+    each row is scaled by |ell_j| so that it stays integer."""
+    scale, sign = abs(ell[j]), (1 if ell[j] > 0 else -1)
+    out = []
+    for a, b in rows:
+        k = a[j] * sign
+        if k == 0:
+            out.append((a, b))
+            continue
+        # |l_j| x_j = sign*(value - sum_{i != j} l_i x_i)
+        out.append(_primitive([scale * x - k * e for x, e in zip(a, ell)], scale * b - k * value))
+    return list(dict.fromkeys(out))
+
+
+def _functional_range(rows: list[Row], ell: Sequence[int]):
     """Exact open range (lo, hi) of ell.x over the open polytope; None side
     means unbounded; returns 'empty' if the polytope is empty."""
     n = len(ell)
     # introduce t as variable n, then substitute the equality t = ell.x away
-    wide = [(a + (Fraction(0),), b) for a, b in rows]
-    ext = tuple(ell) + (Fraction(-1),)
+    wide = [(a + (0,), b) for a, b in rows]
     j = next(i for i in range(n) if ell[i] != 0)
-    cur = _substitute(wide, j, ext, Fraction(0))
+    cur = _substitute(wide, j, tuple(ell) + (-1,), 0)
     for idx in range(n):
-        if idx == j:
-            continue
-        cur = _fm_eliminate(cur, idx)
+        if idx != j:
+            cur = _fm_eliminate(cur, idx)[2]
     if _fm_contradiction(cur):
         return "empty"
     lo, hi = None, None
@@ -322,7 +344,7 @@ def _functional_range(rows: list[Row], ell: tuple[Fraction, ...]):
         c = a[n]
         if c == 0:
             continue
-        bound = b / c
+        bound = Fraction(b, c)
         if c > 0:
             hi = bound if hi is None else min(hi, bound)
         else:
@@ -335,23 +357,22 @@ def _functional_range(rows: list[Row], ell: tuple[Fraction, ...]):
 def _fm_point(rows: list[Row], n: int, skip=(), pick=Fraction(1, 2)):
     """Interior rational point of the open polytope, or None.  Variables in
     `skip` are ignored (treated as already substituted away)."""
-    order = [i for i in range(n) if i not in skip]
     levels = []
     cur = rows
-    for idx in order:
-        lowers, uppers, keep = _fm_split(cur, idx)
-        levels.append((idx, lowers, uppers))
-        cur = keep + _fm_combine(lowers, uppers, idx)
+    for idx in range(n):
+        if idx not in skip:
+            lowers, uppers, cur = _fm_eliminate(cur, idx)
+            levels.append((idx, lowers, uppers))
     if _fm_contradiction(cur):
         return None
     x: list[Optional[Fraction]] = [None] * n
     for idx, lowers, uppers in reversed(levels):
         lo, hi = None, None
         for a, b in lowers:
-            v = b - sum(a[i] * x[i] for i in range(n) if i != idx and a[i] != 0)
+            v = (b - sum(a[i] * x[i] for i in range(n) if i != idx and a[i] != 0)) / Fraction(a[idx])
             lo = v if lo is None else max(lo, v)
         for a, b in uppers:
-            v = b - sum(a[i] * x[i] for i in range(n) if i != idx and a[i] != 0)
+            v = (b - sum(a[i] * x[i] for i in range(n) if i != idx and a[i] != 0)) / Fraction(a[idx])
             hi = v if hi is None else min(hi, v)
         if lo is None and hi is None:
             x[idx] = Fraction(0)
@@ -376,6 +397,9 @@ def _singular_hyperplanes(gp: GammaProduct, params: Sequence[str], rows: list[Ro
     hyperplane are summed.  Returns ({key: net order}, {key: (vec, value)}),
     where key normalizes {vec . x = value} to leading coefficient 1 and
     (vec, value) is the first representative met.
+
+    The range is solved once per primitive integer direction: vec is a
+    rational multiple lam of it, so Gamma(x) and Gamma(1 - x) share a solve.
     """
     range_cache: dict[tuple, object] = {}
     net: dict[tuple, int] = {}
@@ -390,12 +414,18 @@ def _singular_hyperplanes(gp: GammaProduct, params: Sequence[str], rows: list[Ro
                 )
             continue
         vec = tuple(grad.get(p, Fraction(0)) for p in params)
-        if vec not in range_cache:
-            range_cache[vec] = _functional_range(rows, vec)
-        rng = range_cache[vec]
+        direction, _ = _int_row(vec, Fraction(0))
+        k = next(i for i, v in enumerate(direction) if v != 0)
+        if direction[k] < 0:
+            direction = tuple(-v for v in direction)
+        if direction not in range_cache:
+            range_cache[direction] = _functional_range(rows, direction)
+        rng = range_cache[direction]
         if rng == "empty":
             raise ValidationError("tube domain is empty")
-        lo, hi = rng
+        lam = vec[k] / direction[k]
+        ends = [None if e is None else lam * e for e in rng]
+        lo, hi = ends if lam > 0 else ends[::-1]
         if lo is None:
             raise ValidationError(
                 f"tube is unbounded along the singular family of Gamma({f.arg})"
@@ -403,9 +433,9 @@ def _singular_hyperplanes(gp: GammaProduct, params: Sequence[str], rows: list[Ro
         c = f.arg.constant
         m_first = 0 if hi is None else max(0, math.floor(-c - hi) + 1)
         m_last = math.ceil(-c - lo) - 1
+        lead = vec[k]
         for m in range(m_first, m_last + 1):
             value = -c - m  # hyperplane {vec . x = value} meets the polytope
-            lead = next(v for v in vec if v != 0)
             key = (tuple(v / lead for v in vec), value / lead)
             net[key] = net.get(key, 0) + f.exponent
             rep.setdefault(key, (vec, value))
@@ -445,7 +475,7 @@ def zero_free_in_tube(gp: GammaProduct, dom: TubeDomain) -> ZeroFreeReport:
     if extra:
         raise ValidationError(f"tube constrains unknown parameters {sorted(extra)}")
     n = len(params)
-    rows = dom.rows(params)
+    rows = _int_rows(dom.rows(params))
     if _fm_point(rows, n) is None:
         raise ValidationError("tube domain is empty")
 
@@ -457,7 +487,7 @@ def zero_free_in_tube(gp: GammaProduct, dom: TubeDomain) -> ZeroFreeReport:
     vec, value = rep[zero_keys[0]]
     j = next(i for i in range(n) if vec[i] != 0)
     desc = " + ".join(f"{vec[i]}*{params[i]}" for i in range(n) if vec[i] != 0)
-    constrained = _substitute(rows, j, vec, value)
+    constrained = _substitute(rows, j, *_int_row(vec, value))
     for pick in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5), Fraction(3, 5)):
         x = _fm_point(constrained, n, skip={j}, pick=pick)
         if x is None:
@@ -522,7 +552,7 @@ def _selberg_walls(N: int) -> tuple[tuple[tuple[Fraction, ...], Fraction, bool],
             + [TubeConstraint.make({p: 1 for p in params}, "<", 2)]
         )
     )
-    net, rep = _singular_hyperplanes(gp, params, box.rows(params))
+    net, rep = _singular_hyperplanes(gp, params, _int_rows(box.rows(params)))
     a_ref = (Fraction(2, N + 2) + Fraction(2, 3)) / 2
     walls = []
     for key, e in net.items():

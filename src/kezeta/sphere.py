@@ -175,16 +175,12 @@ def sq_chord(a, b) -> np.ndarray:
     return d[0] + d[1] + d[2]
 
 
-def pairwise_log_chordal(arr: np.ndarray) -> np.ndarray:
-    """log ||x_i - x_j|| for i < j along the last axis; arr has shape (..., N, 3)
-    in any memory layout.  The kernel fills one (N(N-1)/2, ...) buffer row
-    block by row block: block i holds sq_chord of point i against points
-    i+1..N-1, read from the (3, N, ...) view of arr, so the Python loop runs
-    N-1 times and no pair index is gathered.  Squared distances are clamped
-    at _D2_FLOOR (so the result is always finite), then logged and halved in
-    place.  The result is the (..., N(N-1)/2) view of that buffer: the pair
-    axis stays outermost in memory, and a caller's sum over pairs adds in
-    that order."""
+def pairwise_sq_chord(arr: np.ndarray) -> np.ndarray:
+    """||x_i - x_j||^2 for i < j; arr has shape (..., N, 3) in any memory
+    layout.  The result is one (N(N-1)/2, ...) buffer, pair axis first,
+    filled row block by row block: block i holds sq_chord of point i against
+    points i+1..N-1, read from the (3, N, ...) view of arr, so the Python
+    loop runs N-1 times and no pair index is gathered."""
     n = arr.shape[-2]
     xyz = np.moveaxis(arr, (-1, -2), (0, 1))
     out = np.empty((n * (n - 1) // 2,) + arr.shape[:-2])
@@ -192,6 +188,17 @@ def pairwise_log_chordal(arr: np.ndarray) -> np.ndarray:
     for i in range(n - 1):
         out[k:k + n - 1 - i] = sq_chord(xyz[:, i:i + 1], xyz[:, i + 1:])
         k += n - 1 - i
+    return out
+
+
+def pairwise_log_chordal(arr: np.ndarray) -> np.ndarray:
+    """log ||x_i - x_j|| for i < j along the last axis; arr has shape (..., N, 3)
+    in any memory layout.  The squared distances of pairwise_sq_chord are
+    clamped at _D2_FLOOR (so the result is always finite), then logged and
+    halved in place.  The result is the (..., N(N-1)/2) view of that buffer:
+    the pair axis stays outermost in memory, and a caller's sum over pairs
+    adds in that order."""
+    out = pairwise_sq_chord(arr)
     np.maximum(out, _D2_FLOOR, out=out)
     np.log(out, out=out)
     out *= 0.5

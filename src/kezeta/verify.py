@@ -180,17 +180,16 @@ def criterion_2() -> CriterionResult:
     # "finite" means the integral converges (a pole-wall side check), not
     # that the formula evaluates without hitting a Gamma pole
     checks = agree = 0
+    products = {n: selberg_gamma_product(n) for n in range(3, 7)}
     for triples, want_stable in ((_STABLE_TRIPLES, True), (_UNSTABLE_TRIPLES, False)):
         for w in triples:
             verdict = classify(LogFanoCurve.standard(w))
             stable = verdict.kind == "GibbsStable"
-            for n in range(3, 7):
+            for n, gp in products.items():
                 finite = selberg_integral_finite(w, n)
                 ok = finite == stable == want_stable
                 if stable:
-                    mv = eval_gamma_product(
-                        selberg_gamma_product(n), {"w1": w[0], "w2": w[1], "w3": w[2]}
-                    )
+                    mv = eval_gamma_product(gp, {"w1": w[0], "w2": w[1], "w3": w[2]})
                     ok = ok and mv.kind == "regular" and mv.value.real > 0
                 checks += 1
                 agree += ok
@@ -279,11 +278,12 @@ def criterion_7() -> CriterionResult:
     )
     # negative control: widening one face must produce a validated witness
     widened = selberg_tube("widened")
-    report = zero_free_in_tube(selberg_gamma_product(3), widened)
+    gp3 = selberg_gamma_product(3)
+    report = zero_free_in_tube(gp3, widened)
     witness_ok = (
         not report.zero_free
         and widened.contains(report.witness)
-        and eval_gamma_product(selberg_gamma_product(3), report.witness).kind == "zero"
+        and eval_gamma_product(gp3, report.witness).kind == "zero"
     )
     return CriterionResult(
         7,

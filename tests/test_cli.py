@@ -32,8 +32,6 @@ EXPECTED_OPERATIONS = [
     "gammaprod.zeros_and_poles_in_strip",
     "sphere.stereo_to_sphere",
     "sphere.sphere_to_stereo",
-    "sphere.chordal",
-    "sphere.green",
     "sphere.config_energy",
     "sphere.sample_uniform_array",
     "closedforms.selberg_gamma_product",
@@ -302,6 +300,31 @@ def test_bad_tube_kind_is_validation_exit(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tube", "canonical"],
+    ["--tube", "bogus"],
+    ["--w", "1/2,1/2,1/2"],
+], ids=["tube", "bad-tube", "w"])
+def test_selberg_only_flag_on_another_family_is_validation_exit(tmp_path, capsys, flags):
+    code, out, err = run_cli(
+        ["zeta", "--family", "circular", "--n", "3", *flags, "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert flags[0] in err and "selberg" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_tube_on_a_line_scans_the_full_product(tmp_path, capsys):
+    # --w with a 't' entry restricts the reported product to a line; the tube
+    # is still scanned over all three weights
+    code, out, _ = run_cli(
+        ["zeta", "--family", "selberg", "--n", "3", "--w", "1/2,1/2,t", "--tube", "canonical",
+         "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["restricted_to_line"] == {"w1": ["0", "1/2"], "w2": ["0", "1/2"], "w3": ["1", "0"]}
+    assert report["tube"] == {"kind": "canonical", "families_checked": 8, "zero_free": True}
+
+
 # ----------------------------------------------------------------------
 # documented examples
 
@@ -503,6 +526,45 @@ def test_sample_score_mode_writes_no_payload(tmp_path, capsys):
     curve = LogFanoCurve.standard((0.5, 0.5, 0.5))
     assert report["log_target"] == pytest.approx(log_target(conf, curve, 1.0))
     assert not (tmp_path / "samples.csv").exists()
+
+
+def _score_file(tmp_path, planes):
+    from kezeta.sphere import PointConfiguration, config_to_csv, stereo_to_sphere
+
+    path = tmp_path / "conf.csv"
+    path.write_text(config_to_csv(PointConfiguration(tuple(stereo_to_sphere(z) for z in planes))))
+    return path
+
+
+def test_sample_score_pair_fields_match_scalar_pair_walk(tmp_path, capsys):
+    # the closest-pair fields, bit for bit, against a walk over every pair
+    # with the scalar chordal and green helpers
+    import numpy as np
+
+    from kezeta.sphere import PointConfiguration, chordal, config_from_csv, green
+
+    rng = np.random.default_rng(5)
+    path = _score_file(tmp_path, rng.standard_normal(60) + 1j * rng.standard_normal(60))
+    code, out, _ = run_cli(["sample", "--score", str(path), "--beta", "1", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    pts = config_from_csv(path.read_text()).points
+    pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
+    assert report["min_pair_chordal"] == min(chordal(p, q) for p, q in pairs)
+    assert report["max_pair_green"] == max(green(p, q) for p, q in pairs)
+
+
+def test_sample_score_of_a_coincident_pair_raises(tmp_path, capsys):
+    # two distinct points 1.7e-15 apart: below the coincidence tolerance, yet
+    # above the energy kernel's clamp, so only the pair fields see it
+    from kezeta.errors import CoincidenceError
+
+    path = _score_file(tmp_path, (0.3 + 0.1j, 0.3 + 0.1j + 1e-15, 2.0 + 0j))
+    out_dir = tmp_path / "out"
+    with pytest.raises(CoincidenceError, match="chordal distance 1.693e-15"):
+        cli.main(["sample", "--score", str(path), "--beta", "1", "--out", str(out_dir)])
+    assert capsys.readouterr().out == ""
+    assert not any(out_dir.iterdir())
 
 
 def test_oracle_meanfield_payloads(tmp_path, capsys):

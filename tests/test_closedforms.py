@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kezeta import closedforms as cf
 from kezeta.closedforms import (
     TubeConstraint,
     TubeDomain,
@@ -254,6 +255,206 @@ def test_deformation_segment_zero_free():
     restricted = restrict_to_line(gp, line)
     dom = TubeDomain.from_bounds({"t": (Fraction(-1, 10), Fraction(11, 10))})
     assert zero_free_in_tube(restricted, dom).zero_free
+
+
+# Pinned reports: the hyperplane and witness strings the FM elimination
+# picks on the widened and display tubes.
+
+WIDENED_PINS = {
+    2: ("-1/2*w1 + 1/2*w2 + -1/2*w3 = -1", {"w1": "7/4", "w2": "1/4", "w3": "1/2"}),
+    3: ("-1/4*w1 + 3/4*w2 + -1/4*w3 = -1/2", {"w1": "7/4", "w2": "1/12", "w3": "1/2"}),
+    5: ("-1/8*w1 + 7/8*w2 + -1/8*w3 = -1/4", {"w1": "7/4", "w2": "1/28", "w3": "1/2"}),
+}
+DISPLAY_FAMILIES = {2: 14, 3: 23, 4: 32, 5: 41, 6: 50, 7: 59, 8: 68}
+
+
+@pytest.mark.parametrize("n", sorted(WIDENED_PINS))
+def test_widened_tube_report_is_pinned(n):
+    hyperplane, witness = WIDENED_PINS[n]
+    got = zero_free_in_tube(selberg_gamma_product(n), selberg_tube("widened")).to_json()
+    assert got["hyperplane"] == hyperplane
+    assert got["witness"] == witness
+
+
+@pytest.mark.parametrize("n", sorted(DISPLAY_FAMILIES))
+def test_display_tube_report_is_pinned(n):
+    witness = {"w1": "3/4", "w2": "1/2", "w3": "-1"}
+    if n == 8:
+        witness = {"w1": "7/9", "w2": "1/3", "w3": "-1"}  # pick 1/2 lands on a pole
+    got = zero_free_in_tube(selberg_gamma_product(n), selberg_tube("display")).to_json()
+    assert got == {
+        "zero_free": False,
+        "families_checked": DISPLAY_FAMILIES[n],
+        "hyperplane": "1*w3 = -1",
+        "witness": witness,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin over integer rows against an independent reference: the
+# textbook elimination over Fractions, each row divided by |a[idx]|, written
+# out here rather than imported.
+
+def ref_split(rows, idx):
+    lowers, uppers, keep = [], [], []
+    for a, b in rows:
+        c = a[idx]
+        if c == 0:
+            keep.append((a, b))
+        else:
+            (uppers if c > 0 else lowers).append((tuple(x / c for x in a), b / c))
+    return lowers, uppers, keep
+
+
+def ref_combine(lowers, uppers, idx):
+    return [
+        (tuple(Fraction(0) if i == idx else u - l for i, (u, l) in enumerate(zip(ua, la))), ub - lb)
+        for la, lb in lowers
+        for ua, ub in uppers
+    ]
+
+
+def ref_contradiction(rows):
+    return any(all(x == 0 for x in a) and b <= 0 for a, b in rows)
+
+
+def ref_substitute(rows, j, ell, value):
+    out = []
+    for a, b in rows:
+        cj = a[j]
+        if cj == 0:
+            out.append((a, b))
+        else:
+            new_a = tuple(Fraction(0) if i == j else a[i] - cj * ell[i] / ell[j] for i in range(len(a)))
+            out.append((new_a, b - cj * value / ell[j]))
+    return out
+
+
+def ref_functional_range(rows, ell):
+    n = len(ell)
+    wide = [(tuple(a) + (Fraction(0),), b) for a, b in rows]
+    j = next(i for i in range(n) if ell[i] != 0)
+    cur = ref_substitute(wide, j, tuple(ell) + (Fraction(-1),), Fraction(0))
+    for idx in range(n):
+        if idx != j:
+            lowers, uppers, keep = ref_split(cur, idx)
+            cur = keep + ref_combine(lowers, uppers, idx)
+    if ref_contradiction(cur):
+        return "empty"
+    his = [b / a[n] for a, b in cur if a[n] > 0]
+    los = [b / a[n] for a, b in cur if a[n] < 0]
+    lo, hi = (max(los) if los else None), (min(his) if his else None)
+    if lo is not None and hi is not None and lo >= hi:
+        return "empty"
+    return lo, hi
+
+
+def ref_fm_point(rows, n, skip=(), pick=HALF):
+    levels, cur = [], rows
+    for idx in range(n):
+        if idx not in skip:
+            lowers, uppers, keep = ref_split(cur, idx)
+            levels.append((idx, lowers, uppers))
+            cur = keep + ref_combine(lowers, uppers, idx)
+    if ref_contradiction(cur):
+        return None
+    x = [None] * n
+    for idx, lowers, uppers in reversed(levels):
+        def bound(a, b):
+            return b - sum(a[i] * x[i] for i in range(n) if i != idx and a[i] != 0)
+        los = [bound(a, b) for a, b in lowers]
+        his = [bound(a, b) for a, b in uppers]
+        lo, hi = (max(los) if los else None), (min(his) if his else None)
+        if lo is None and hi is None:
+            x[idx] = Fraction(0)
+        elif lo is None:
+            x[idx] = hi - 1
+        elif hi is None:
+            x[idx] = lo + 1
+        elif lo >= hi:
+            return None
+        else:
+            x[idx] = lo + (hi - lo) * pick
+    return x
+
+
+small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def polytopes(draw):
+    """Rational rows a.x < b in 1-3 variables: a box with optional (and
+    possibly crossed) sides, a simplex, or a few arbitrary rows, so empty and
+    unbounded polytopes both come up."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    unit = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
+    shape = draw(st.sampled_from(("box", "simplex", "rows")))
+    rows = []
+    if shape == "box":
+        for e in unit:
+            lo, hi = draw(st.none() | small_fraction), draw(st.none() | small_fraction)
+            if lo is not None:
+                rows.append((tuple(-x for x in e), -lo))
+            if hi is not None:
+                rows.append((e, hi))
+    elif shape == "simplex":
+        # x_i > c_i and sum s_i x_i < b, s_i > 0: empty once b is small
+        for e in unit:
+            rows.append((tuple(-x for x in e), -draw(small_fraction)))
+        weights = draw(st.lists(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+                                min_size=n, max_size=n))
+        rows.append((tuple(weights), draw(small_fraction)))
+    else:
+        row = st.tuples(st.lists(small_fraction, min_size=n, max_size=n).map(tuple), small_fraction)
+        rows = draw(st.lists(row.filter(lambda r: any(r[0])), min_size=1, max_size=5))
+    return n, rows
+
+
+nonzero_direction = st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes(), nonzero_direction)
+def test_functional_range_matches_fraction_reference(poly, direction):
+    n, rows = poly
+    ell = tuple(direction[:n])
+    assume(any(ell))
+    want = ref_functional_range(rows, [Fraction(v) for v in ell])
+    assert cf._functional_range(cf._int_rows(rows), ell) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes(), st.sampled_from((HALF, Fraction(1, 3), Fraction(3, 5))))
+def test_fm_point_matches_fraction_reference(poly, pick):
+    n, rows = poly
+    assert cf._fm_point(cf._int_rows(rows), n, pick=pick) == ref_fm_point(rows, n, pick=pick)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes(), nonzero_direction, small_fraction)
+def test_fm_point_on_a_hyperplane_matches_fraction_reference(poly, direction, value):
+    # the witness path: impose ell.x = value, then find a point of the rest
+    n, rows = poly
+    ell = tuple(Fraction(v) for v in direction[:n])
+    assume(any(ell))
+    j = next(i for i in range(n) if ell[i] != 0)
+    got = cf._fm_point(cf._substitute(cf._int_rows(rows), j, *cf._int_row(ell, value)), n, skip={j})
+    assert got == ref_fm_point(ref_substitute(rows, j, ell, value), n, skip={j})
+
+
+@pytest.mark.parametrize("bounds, want", [
+    ({"x": (2, 1)}, "empty"),
+    ({"x": (0, None)}, (Fraction(0), None)),
+    ({"x": (None, None), "y": (0, 1)}, (None, None)),
+    ({"x": (Fraction(-1, 3), Fraction(5, 2)), "y": (1, 2)}, (Fraction(2, 3), Fraction(9, 2))),
+])
+def test_functional_range_edge_cases(bounds, want):
+    dom = TubeDomain.from_bounds(bounds)
+    params = sorted(bounds)
+    rows = dom.rows(params)
+    ell = (1,) * len(params)
+    assert cf._functional_range(cf._int_rows(rows), ell) == want
+    assert ref_functional_range(rows, [Fraction(v) for v in ell]) == want
 
 
 # ---------------------------------------------------------------------------
