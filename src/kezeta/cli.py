@@ -27,9 +27,9 @@ takes true or false, --beta and --s take a string or a number, and every
 other flag takes a string.
 
 Exit codes, fixed so CI can triage: 0 ok, 2 validation (malformed input,
-nothing written), 3 stability refusal (unstable weights / beta at or below
-the finiteness threshold), 4 solver non-convergence, 5 verification
-criterion failed.
+coincident points included; nothing written), 3 stability refusal
+(unstable weights / beta at or below the finiteness threshold), 4 solver
+non-convergence, 5 verification criterion failed.
 
 Numbers are parsed as exact rationals where poles matter ("1/2", "0.6",
 "-2/3" all work), so strip enumeration and pole reports stay exact.
@@ -273,8 +273,14 @@ def _standard_curve(args: argparse.Namespace, default_trivial: bool = False) -> 
 # ---------------------------------------------------------------------------
 # handlers: each returns (stdout payload, manifest outcome, files written)
 
+# every zeta flag but --log-gamma, which evaluates log Gamma alone
+_ZETA_FAMILY_FLAGS = ("family", "n", "w", "beta", "s", "poles_in", "tube")
+
+
 def _run_zeta(args: argparse.Namespace, out_dir: Path):
     if args.log_gamma is not None:
+        given = [f"--{f.replace('_', '-')}" for f in _ZETA_FAMILY_FLAGS if getattr(args, f) is not None]
+        _require(not given, f"--log-gamma takes no other zeta flag, got {' '.join(given)}")
         z = _parse_complex(args.log_gamma)
         val = log_gamma(z)
         report = {
@@ -811,7 +817,7 @@ def main(argv=None) -> int:
         payload, outcome, files = _DISPATCH[args.command](args, out_dir)
     except SystemExit as exc:  # argparse: --help, --version, a malformed command line
         return int(exc.code or 0)
-    except (ValidationError, PoleError) as exc:
+    except (ValidationError, PoleError, CoincidenceError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (StabilityError, ThresholdError) as exc:

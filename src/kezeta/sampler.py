@@ -29,12 +29,24 @@ candidate's distance row reads contiguous x, y and z rows; every squared
 distance comes from sphere.sq_chord.  Kept configurations are written out
 as (N, 3) rows.
 
+A sweep visits sites 0 .. N-1 in turn.  It starts by drawing all its
+proposal normals, rng.normal(size=(N, lanes, 3)), then all its acceptance
+uniforms, rng.uniform(size=(N, lanes)); step i reads row i of each.  In the
+same batch it forms all N candidates, normalises them and, when the curve has
+marked points, computes their guard against the marked points and their
+weight part.  This is exact, not an approximation: only step i moves site i,
+so at its turn site i still sits where it sat when the sweep began, and step
+scales change only between sweeps.  The kernel is the same one; hoisting
+only fixes which draws feed which step.  The per-step loop keeps what reads
+state other steps write: the candidate's distance row against the current
+positions, the pair guard, the log row and the Metropolis test.
+
 Each lane caches its N x N matrix of log squared distances, L: (lanes, N, N),
 and the weight part of every site, SW: (lanes, N).  A step computes the
-candidate's distance row and weight part only, reuses the cached row and
-weight of the point it would replace, and rewrites row and column i of the
-cache where the proposal is accepted.  Kept energies are summed from the
-cached logs.
+candidate's distance row only, reuses the cached row and weight of the point
+it would replace, and rewrites row and column i of the cache (and SW[:, i])
+where the proposal is accepted.  Kept energies are summed from the cached
+logs.
 """
 
 from __future__ import annotations
@@ -212,13 +224,20 @@ def _run_lanes(
     energies = np.empty((lanes, kept))
     configs = np.empty((lanes, kept, N, 3)) if keep_configs else None
     for sweep in range(burn_in + sweeps):
+        # The sweep's draws and every candidate, in one batch: step i moves
+        # site i only, so site i still sits at X[:, :, i] when its turn comes.
+        g = rng.normal(size=(N, lanes, 3)).transpose(2, 1, 0)  # (3, lanes, N)
+        logu = np.log(rng.uniform(size=(N, lanes)))
+        gx = g * X
+        cands = X + scales[:, None] * (g - (gx[0] + gx[1] + gx[2]) * X)
+        cands /= np.sqrt(sq_chord(cands, 0.0))  # |cand|
+        if marked.shape[1]:
+            dm = _marked_sq_dists(cands, marked)  # (lanes, N, M)
+            mguard = np.minimum.reduce(dm, axis=-1) < _GUARD_TOL**2
+            sw = _weight_part(dm, wts)
+            dsw = sw - SW  # SW[:, i] changes only at step i
         for i in range(N):
-            x = X[:, :, i]
-            g = rng.normal(size=(lanes, 3)).T
-            gx = g * x
-            cand = x + scales * (g - (gx[0] + gx[1] + gx[2]) * x)
-            cand /= np.sqrt(sq_chord(cand, 0.0))  # |cand|
-
+            cand = cands[:, :, i]
             # only the candidate's row is new; the old one is L[:, i]
             d2 = sq_chord(X, cand[:, :, None])
             d2[:, i] = 1.0  # mask self
@@ -226,19 +245,17 @@ def _run_lanes(
             row = np.log(d2)
             dlt = coef * (-0.5 * (np.add.reduce(row, axis=-1) - np.add.reduce(L[:, i], axis=-1)))
             if marked.shape[1]:
-                dm = sq_chord(cand[:, :, None], marked[:, None, :])
-                guard |= np.minimum.reduce(dm, axis=-1) < _GUARD_TOL**2
-                sw = _weight_part(dm, wts)
-                dlt += sw - SW[:, i]
-            accept = (np.log(rng.uniform(size=lanes)) < dlt) & ~guard
+                guard |= mguard[:, i]
+                dlt += dsw[:, i]
+            accept = (logu[i] < dlt) & ~guard
             on = accept[:, None]
             np.copyto(X[:, :, i], cand, where=accept)
             np.copyto(L[:, i], row, where=on)
             np.copyto(L[:, :, i], row, where=on)
             if marked.shape[1]:
-                np.copyto(SW[:, i], sw, where=accept)
+                np.copyto(SW[:, i], sw[:, i], where=accept)
             acc += accept
-            prop += 1
+        prop += N
 
         if sweep < burn_in and (sweep + 1) % _ADAPT_WINDOW == 0:
             rate = acc / np.maximum(prop, 1)

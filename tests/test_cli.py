@@ -313,6 +313,23 @@ def test_selberg_only_flag_on_another_family_is_validation_exit(tmp_path, capsys
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "circular"],
+    ["--n", "3"],
+    ["--w", "1"],
+    ["--beta", "1"],
+    ["--s", "0"],
+    ["--poles-in=-2:1"],
+    ["--tube", "bogus"],
+    ["--family", "circular", "--tube", "bogus", "--n", "3", "--w", "1"],
+], ids=["family", "n", "w", "beta", "s", "poles-in", "tube", "several"])
+def test_log_gamma_with_another_zeta_flag_is_validation_exit(tmp_path, capsys, flags):
+    code, out, err = run_cli(["zeta", "--log-gamma", "2", *flags, "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert "--log-gamma" in err and flags[0].split("=")[0] in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_tube_on_a_line_scans_the_full_product(tmp_path, capsys):
     # --w with a 't' entry restricts the reported product to a line; the tube
     # is still scanned over all three weights
@@ -556,14 +573,13 @@ def test_sample_score_pair_fields_match_scalar_pair_walk(tmp_path, capsys):
 
 def test_sample_score_of_a_coincident_pair_raises(tmp_path, capsys):
     # two distinct points 1.7e-15 apart: below the coincidence tolerance, yet
-    # above the energy kernel's clamp, so only the pair fields see it
-    from kezeta.errors import CoincidenceError
-
+    # above the energy kernel's clamp, so only the pair fields see it; the
+    # CoincidenceError is a validation exit, not a traceback
     path = _score_file(tmp_path, (0.3 + 0.1j, 0.3 + 0.1j + 1e-15, 2.0 + 0j))
     out_dir = tmp_path / "out"
-    with pytest.raises(CoincidenceError, match="chordal distance 1.693e-15"):
-        cli.main(["sample", "--score", str(path), "--beta", "1", "--out", str(out_dir)])
-    assert capsys.readouterr().out == ""
+    code, out, err = run_cli(["sample", "--score", str(path), "--beta", "1", "--out", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and "chordal distance 1.693e-15" in err
     assert not any(out_dir.iterdir())
 
 

@@ -222,9 +222,13 @@ def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains
     prop = np.zeros(chains, dtype=np.int64)
     kept_X, kept_E = [], []
     for sweep in range(burn_in + sweeps):
+        # a sweep's normals, then its uniforms; each candidate is still made
+        # from the current X at its step
+        normals = rng.normal(size=(N, chains, 3))
+        uniforms = rng.uniform(size=(N, chains))
         for i in range(N):
             x = X[:, i, :]
-            g = rng.normal(size=(chains, 3))
+            g = normals[i]
             cand = x + scales[:, None] * (g - np.sum(g * x, axis=-1, keepdims=True) * x)
             cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
             d2_new = np.sum((X - cand[:, None, :]) ** 2, axis=-1)
@@ -235,7 +239,7 @@ def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains
                 guard |= np.sum((cand[:, None, :] - marked) ** 2, axis=-1).min(axis=-1) < 1e-24
             dpair = -0.5 * (np.sum(np.log(d2_new), axis=-1) - np.sum(np.log(d2_old), axis=-1))
             dw = weight_part(cand) - weight_part(x)
-            accept = (np.log(rng.uniform(size=chains)) < -beta * N * pref * 2.0 * dpair + dw) & ~guard
+            accept = (np.log(uniforms[i]) < -beta * N * pref * 2.0 * dpair + dw) & ~guard
             X[accept, i, :] = cand[accept]
             acc += accept
             prop += 1
