@@ -24,6 +24,16 @@ step builds a gathered or stacked copy: the pair kernel fills its output row
 block by row block, and the proposal density adds its components' exps one at
 a time into one accumulator, in the order a sum over a stack would take.
 
+Streams run concurrently: `workers` independent RNG streams are spread over
+min(workers, usable cores) lanes, the calling thread and plain threads, and
+each worker writes its rows of one preallocated output (numpy's RNG fills and
+ufunc loops release the GIL).  A worker's draws and rows depend only on its
+index, so every result is bit for bit the serial loop's and does not depend
+on the core count.  A draw makes its RNG calls per chunk of _CHUNK
+configurations, then does the rest of its work a block of _BLOCK
+configurations at a time, so two lanes never hold two chunks' worth of
+temporaries.
+
 Tail safety: a Hill estimate on the top 1% of importance weights; an index
 <= 2 flags likely-infinite variance and switches aggregation to
 median-of-means.
@@ -32,6 +42,8 @@ median-of-means.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -55,6 +67,7 @@ __all__ = [
 ]
 
 _CHUNK = 20_000
+_BLOCK = 4096  # configurations per block of a draw's work after its RNG calls
 _RHO = 0.9  # a marked component's radial exponent: 2 w _RHO (cluster_safe: at least that)
 _ONE = np.array([1.0, 0.0, 0.0])
 _NORTH = np.array([0.0, 0.0, 1.0])
@@ -80,26 +93,67 @@ class McEstimate:
         }
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (all cores where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _draw_log_weights(
-    seed: int, workers: int, n_samples: int, draw: Callable, chunk: int = _CHUNK
+    seed: int, workers: int, n_samples: int, draw: Callable, chunk: int = _CHUNK, row_shape: tuple = ()
 ) -> np.ndarray:
-    """Per-sample log-weights from `workers` independent streams spawned from
-    `seed`.  Each worker draws its share of n_samples (the first
-    n_samples % workers take one more) in consecutive calls draw(rng, m),
-    m <= chunk; the results are concatenated along axis 0 in (worker, chunk)
-    order."""
+    """Per-sample log-weights, shape (n_samples,) + row_shape, from `workers`
+    independent streams spawned from `seed`.  Worker k draws its share of
+    n_samples (the first n_samples % workers take one more) in consecutive
+    calls draw(rng, rows), where rows is the next block of at most `chunk`
+    rows of the output, in (worker, chunk) order, and draw fills it.
+
+    The workers run on min(workers, usable cores) lanes: the calling thread
+    is lane 0, each other lane a thread of its own, and worker k always runs
+    on lane k mod lanes.  A worker's draws and rows depend on k alone, so the
+    result is bit for bit the serial loop's, whatever the core count.  The
+    first exception in any lane stops every lane at its next chunk and is
+    raised here, after all lanes have ended."""
     if n_samples < 2:
         raise ValidationError("need at least 2 samples")
     if workers < 1:
         raise ValidationError("need at least 1 worker")
     streams = np.random.SeedSequence(seed).spawn(workers)
     base, extra = divmod(n_samples, workers)
-    parts = []
-    for k, stream in enumerate(streams):
-        rng = np.random.Generator(np.random.PCG64(stream))
-        size = base + (k < extra)
-        parts += [draw(rng, min(chunk, size - done)) for done in range(0, size, chunk)]
-    return np.concatenate(parts)
+    starts = [k * base + min(k, extra) for k in range(workers + 1)]
+    out = np.empty((n_samples,) + row_shape)
+    lanes = min(workers, _usable_cores())
+    errors: list = []
+
+    def run(lane):
+        try:
+            for k in range(lane, workers, lanes):
+                rng = np.random.Generator(np.random.PCG64(streams[k]))
+                for lo in range(starts[k], starts[k + 1], chunk):
+                    if errors:
+                        return
+                    draw(rng, out[lo:min(lo + chunk, starts[k + 1])])
+        except BaseException as exc:  # re-raised by the caller's thread below
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(lane,)) for lane in range(1, lanes)]
+    for t in helpers:
+        t.start()
+    run(0)
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _blocks(m: int) -> list:
+    """Bounds of ceil(m / _BLOCK) near-equal blocks of range(m).  No block
+    holds a single configuration unless m == 1: a one-row pair sum reduces
+    its pair axis in another order, so its bits would differ."""
+    q = -(-m // _BLOCK)
+    return [(m * i // q, m * (i + 1) // q) for i in range(q)]
 
 
 def _logsumexp(terms: Sequence, shape: tuple) -> np.ndarray:
@@ -126,7 +180,8 @@ def _hill_tail_index(weights: np.ndarray) -> float:
     if w.size < 200:
         return float("inf")
     k = max(2, w.size // 100)
-    top = np.sort(w)[-k:]
+    w.partition(w.size - k)
+    top = np.sort(w[-k:])
     logs = np.log(top[1:] / top[0])
     denom = float(np.mean(logs))
     return float("inf") if denom <= 0 else 1.0 / denom
@@ -235,9 +290,10 @@ class ProposalMixture:
         """n points of shape (n, 3): the .T view of a component-major (3, n) buffer."""
         probs = np.array([c.weight for c in self.components])
         which = rng.choice(len(self.components), size=n, p=probs)
+        groups = [np.nonzero(which == k)[0] for k in range(len(self.components))]
+        del which  # the groups hold as many indices; two n-long index arrays need not coexist
         out = np.empty((3, n))
-        for k, comp in enumerate(self.components):
-            idx = np.nonzero(which == k)[0]
+        for comp, idx in zip(self.components, groups):
             if idx.size == 0:
                 continue
             if comp.kind == "uniform":
@@ -292,12 +348,16 @@ def _log_chord_to(xyz: np.ndarray, p: SpherePoint) -> np.ndarray:
     return 0.5 * np.log(np.maximum(sq_chord(xyz, p_col), _D2_FLOOR))
 
 
-def _draw_points(proposal: ProposalMixture, rng: np.random.Generator, m: int, N: int, marked) -> tuple:
-    """m configurations of N proposal points, component-major (3, m, N), their
-    log pair chords (m, N(N-1)/2) and their log chords to each marked point."""
+def _draw_points(proposal: ProposalMixture, rng: np.random.Generator, m: int, N: int, marked):
+    """m configurations of N proposal points, drawn in one proposal.sample
+    call, then taken a _blocks block at a time: yields the block's row slice,
+    its points, component-major (3, b, N), their log pair chords
+    (b, N(N-1)/2) and their log chords to each marked point."""
     xyz = proposal.sample(rng, m * N).T.reshape(3, m, N)
-    pairs = pairwise_log_chordal(np.moveaxis(xyz, 0, -1))
-    return xyz, pairs, {p: _log_chord_to(xyz, p) for p, _ in marked}
+    for lo, hi in _blocks(m):
+        blk = xyz[:, lo:hi]
+        pairs = pairwise_log_chordal(np.moveaxis(blk, 0, -1))
+        yield slice(lo, hi), blk, pairs, {p: _log_chord_to(blk, p) for p, _ in marked}
 
 
 def mc_selberg(
@@ -330,13 +390,13 @@ def mc_selberg(
     log_const = N * math.log(math.pi) + math.log(2.0) * (d * N + 2 * N * w1 + N * w2 + 2 * N * w3)
     marked = tuple(zip(curve.marked_sphere_points(), (w1, w2, w3)))  # 0, 1, INFINITY
 
-    def draw(rng, m):
-        xyz, pairs, chords = _draw_points(proposal, rng, m, N, marked)
-        logw = -dprime * 2.0 * np.sum(pairs, axis=-1)
-        for p, wj in marked:
-            logw -= 2.0 * wj * np.sum(chords[p], axis=-1)
-        logw -= np.sum(proposal._log_density(xyz, chords), axis=-1)
-        return logw
+    def draw(rng, out):
+        for rows, xyz, pairs, chords in _draw_points(proposal, rng, len(out), N, marked):
+            logw = out[rows]
+            np.multiply(np.sum(pairs, axis=-1), -dprime * 2.0, out=logw)
+            for p, wj in marked:
+                logw -= 2.0 * wj * np.sum(chords[p], axis=-1)
+            logw -= np.sum(proposal._log_density(xyz, chords), axis=-1)
 
     return _aggregate(_draw_log_weights(seed, workers, n_samples, draw), log_const, seed, workers)
 
@@ -348,8 +408,10 @@ def _ratio_estimate(
     n = num.size
     nbar, dbar = float(np.mean(num)), float(np.mean(den))
     ratio = nbar / dbar
-    resid = num - ratio * den
-    se = float(np.sqrt(np.mean(resid * resid) / n) / abs(dbar))
+    resid = np.multiply(den, ratio)
+    np.subtract(num, resid, out=resid)
+    resid *= resid
+    se = float(np.sqrt(np.mean(resid) / n) / abs(dbar))
     nbatch = min(100, max(2, n // 50))
     bm = np.array(
         [b.sum() for b in np.array_split(num, nbatch)]
@@ -396,22 +458,27 @@ def mc_sphere_partition(
     marked = tuple(zip(curve.marked_sphere_points(), curve.weights))
     energy_pref = curve.d_L / (N * (N - 1))
 
-    def draw(rng, m):
-        xyz, pairs, chords = _draw_points(proposal, rng, m, N, marked)
-        # E = -pref * sum_{i != j} log c_ij  =>  -beta N E = 2 beta N pref * sum_{i<j}
-        log_gibbs = 2.0 * beta * N * energy_pref * np.sum(pairs, axis=-1)
-        log_ref = np.zeros(m)
-        for p, wgt in marked:
-            log_ref -= 2.0 * wgt * np.sum(chords[p], axis=-1)
-        log_q = np.sum(proposal._log_density(xyz, chords), axis=-1)
-        return np.stack([log_gibbs + log_ref - log_q, log_ref - log_q], axis=-1)
+    def draw(rng, out):
+        for rows, xyz, pairs, chords in _draw_points(proposal, rng, len(out), N, marked):
+            logw = out[rows]
+            # E = -pref * sum_{i != j} log c_ij  =>  -beta N E = 2 beta N pref * sum_{i<j}
+            log_gibbs = 2.0 * beta * N * energy_pref * np.sum(pairs, axis=-1)
+            log_ref = np.zeros(len(logw))
+            for p, wgt in marked:
+                log_ref -= 2.0 * wgt * np.sum(chords[p], axis=-1)
+            log_q = np.sum(proposal._log_density(xyz, chords), axis=-1)
+            np.add(log_gibbs, log_ref, out=logw[:, 0])
+            logw[:, 0] -= log_q
+            np.subtract(log_ref, log_q, out=logw[:, 1])
 
-    logw = _draw_log_weights(seed, workers, n_samples, draw)
-    ln, ld = logw[:, 0], logw[:, 1]
-    shift_n, shift_d = float(np.max(ln)), float(np.max(ld))
+    w = _draw_log_weights(seed, workers, n_samples, draw, row_shape=(2,))
+    shift_n, shift_d = float(np.max(w[:, 0])), float(np.max(w[:, 1]))
+    w[:, 0] -= shift_n
+    w[:, 1] -= shift_d
+    np.exp(w, out=w)
     return _ratio_estimate(
-        np.exp(ln - shift_n),
-        np.exp(ld - shift_d),
+        w[:, 0],
+        w[:, 1],
         shift_n - shift_d,
         seed,
         workers,
@@ -430,27 +497,65 @@ def mc_circular(
     expo = 2.0 * beta / (N - 1)
     iu = np.triu_indices(N, k=1)
 
-    def draw(rng, m):
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=(m, N))
-        half = 0.5 * (theta[:, iu[0]] - theta[:, iu[1]])
-        # |e^ia - e^ib| = 2 |sin((a-b)/2)|
-        logs = np.log(np.maximum(2.0 * np.abs(np.sin(half)), 1e-300))
-        return expo * np.sum(logs, axis=-1)
+    def draw(rng, out):
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=(len(out), N))
+        for lo, hi in _blocks(len(out)):
+            t = theta[lo:hi]
+            logs = t[:, iu[0]] - t[:, iu[1]]
+            logs *= 0.5
+            # |e^ia - e^ib| = 2 |sin((a-b)/2)|
+            np.sin(logs, out=logs)
+            np.abs(logs, out=logs)
+            logs *= 2.0
+            np.maximum(logs, 1e-300, out=logs)
+            np.log(logs, out=logs)
+            np.multiply(np.sum(logs, axis=-1), expo, out=out[lo:hi])
 
     logw = _draw_log_weights(seed, workers, n_samples, draw)
     return _aggregate(logw, N * math.log(2.0 * math.pi), seed, workers)
 
 
-def _det_log_weights(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """log |det|^2 of `size` standard complex Gaussian (n+1)x(n+1) matrices.
-    All real parts are drawn before all imaginary parts, so splitting a
-    worker's share into chunks would change the stream: callers draw each
-    share in one call."""
+def _log_abs_det_sq(a: np.ndarray) -> np.ndarray:
+    """log |det a|^2 for a batch of complex square matrices a: (b, k, k),
+    which is overwritten.  Gaussian elimination with partial pivoting on
+    |Re| + |Im| (LAPACK's pivot rule), vectorised over the batch axis: no
+    per-matrix LAPACK call.  The log moduli of the pivots are added in order
+    and the sum doubled, as np.linalg.slogdet adds them.  A singular matrix
+    gives -inf: a zero pivot column is left as it is, not divided by 0."""
+    b, k, _ = a.shape
+    rows = np.arange(b)
+    acc = np.zeros(b)
+    with np.errstate(divide="ignore"):
+        for j in range(k):
+            if j + 1 < k:
+                col = a[:, j:, j]
+                p = j + np.argmax(np.abs(col.real) + np.abs(col.imag), axis=1)
+                top = a[rows, j, j:]
+                a[rows, j, j:] = a[rows, p, j:]
+                a[rows, p, j:] = top
+            piv = a[:, j, j]
+            mod = np.abs(piv)
+            acc += np.log(mod)
+            if j + 1 < k:
+                f = a[:, j + 1:, j] / np.where(mod == 0.0, 1.0, piv)[:, None]
+                a[:, j + 1:, j + 1:] -= f[:, :, None] * a[:, j, None, j + 1:]
+    acc *= 2.0
+    return acc
+
+
+def _det_log_weights(n: int, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill out with log |det|^2 of len(out) standard complex Gaussian
+    (n+1)x(n+1) matrices.  All real parts are drawn before all imaginary
+    parts, so splitting a worker's share into chunks would change the stream:
+    callers draw each share in one call.  The complex matrices are then built
+    and reduced by _log_abs_det_sq a _blocks block at a time."""
     k = n + 1
-    re = rng.normal(0.0, math.sqrt(0.5), size=(size, k, k))
-    im = rng.normal(0.0, math.sqrt(0.5), size=(size, k, k))
-    _, logabs = np.linalg.slogdet(re + 1j * im)
-    return 2.0 * logabs  # log |det|^2
+    re = rng.normal(0.0, math.sqrt(0.5), size=(len(out), k, k))
+    im = rng.normal(0.0, math.sqrt(0.5), size=(len(out), k, k))
+    for lo, hi in _blocks(len(out)):
+        a = np.empty((hi - lo, k, k), dtype=complex)
+        a.real, a.imag = re[lo:hi], im[lo:hi]
+        out[lo:hi] = _log_abs_det_sq(a)
 
 
 def mc_gaussian_det(
@@ -461,7 +566,8 @@ def mc_gaussian_det(
         raise ThresholdError("moment diverges for s <= -1")
     k = n + 1
     draw = partial(_det_log_weights, n)
-    logw = s * _draw_log_weights(seed, workers, n_samples, draw, chunk=n_samples)
+    logw = _draw_log_weights(seed, workers, n_samples, draw, chunk=n_samples)
+    logw *= s
     return _aggregate(logw, k * k * math.log(math.pi), seed, workers)
 
 

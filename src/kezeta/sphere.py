@@ -221,8 +221,15 @@ def _uniform_rows(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndar
     """The x, y and z rows of n uniform points (z uniform on [-1, 1])."""
     t = rng.uniform(-1.0, 1.0, size=n)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    return r * np.cos(theta), r * np.sin(theta), t
+    r = t * t
+    np.subtract(1.0, r, out=r)
+    np.maximum(0.0, r, out=r)
+    np.sqrt(r, out=r)
+    x = np.cos(theta)
+    x *= r
+    np.sin(theta, out=theta)
+    theta *= r
+    return x, theta, t
 
 
 def sample_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ should show up in the report, not crash the runner.
 Levels:
   quick -- deterministic checks only (strip enumeration, tube scans,
            quadrature, reference tables); seconds, byte-reproducible.
-  full  -- adds the Monte Carlo / MCMC comparisons; about 24 s on 2 cores.
+  full  -- adds the Monte Carlo / MCMC comparisons; about 22 s on 2 cores.
 
 tests/test_acceptance.py calls the same criterion functions, so the CLI
 report and the test suite cannot drift apart.  Stochastic criteria compare

@@ -6,6 +6,10 @@ deterministic replays of runs that were verified once; they don't flake.
 
 import json
 import math
+import os
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +18,14 @@ from hypothesis import strategies as st
 
 from kezeta.closedforms import gaussian_det_Z, p1_three_point_Z
 from kezeta.errors import StabilityError, ThresholdError, ValidationError
+from kezeta import montecarlo
 from kezeta.gammaprod import eval_gamma_product
 from kezeta.montecarlo import (
     McEstimate,
     ProposalComponent,
     ProposalMixture,
+    _draw_log_weights,
+    _log_abs_det_sq,
     free_energy_curve,
     mc_circular,
     mc_gaussian_det,
@@ -208,9 +215,84 @@ def _reference_draw(mix, rng, m, N):
     return pts, pairs, log_q
 
 
-def _reference_selberg(w, N, n_samples, seed, workers, mix):
-    from kezeta.montecarlo import _aggregate, _draw_log_weights
+def _reference_streams(seed, workers, n_samples, draw, chunk=20_000):
+    """The serial stream loop: worker after worker, chunk after chunk, each
+    draw(rng, m) returning its m rows, concatenated in that order."""
+    streams = np.random.SeedSequence(seed).spawn(workers)
+    base, extra = divmod(n_samples, workers)
+    parts = []
+    for k, stream in enumerate(streams):
+        rng = np.random.Generator(np.random.PCG64(stream))
+        size = base + (k < extra)
+        parts += [draw(rng, min(chunk, size - done)) for done in range(0, size, chunk)]
+    return np.concatenate(parts)
 
+
+def _reference_hill(weights):
+    w = weights[weights > 0]
+    if w.size < 200:
+        return float("inf")
+    k = max(2, w.size // 100)
+    top = np.sort(w)[-k:]
+    denom = float(np.mean(np.log(top[1:] / top[0])))
+    return float("inf") if denom <= 0 else 1.0 / denom
+
+
+def _reference_aggregate(logw, log_const, seed, workers):
+    shift = float(np.max(logw))
+    weights = np.exp(logw - shift)
+    s = math.exp(log_const + shift)
+    n = weights.size
+    mean = float(np.mean(weights))
+    se = float(np.std(weights, ddof=1) / math.sqrt(n))
+    batch_means = np.array([b.mean() for b in np.array_split(weights, min(100, max(2, n // 50)))])
+    diagnostics = {
+        "batch_means_variance": float(np.var(batch_means, ddof=1)),
+        "batch_means": [float(b * s) for b in batch_means],
+        "tail_index_estimate": _reference_hill(weights),
+        "warnings": [],
+    }
+    if diagnostics["tail_index_estimate"] <= 2.0:
+        diagnostics["warnings"].append(
+            "tail index <= 2: importance weights look heavy-tailed (infinite "
+            "variance); reporting median-of-means"
+        )
+        groups = np.array([b.mean() for b in np.array_split(weights, 32)])
+        mean = float(np.median(groups))
+        se = float(1.2533 * np.std(groups, ddof=1) / math.sqrt(32))
+    return McEstimate(mean * s, se * s, n, seed, workers, diagnostics)
+
+
+def _reference_ratio(num, den, scale_log, seed, workers, extra_diag):
+    n = num.size
+    nbar, dbar = float(np.mean(num)), float(np.mean(den))
+    ratio = nbar / dbar
+    resid = num - ratio * den
+    se = float(np.sqrt(np.mean(resid * resid) / n) / abs(dbar))
+    nbatch = min(100, max(2, n // 50))
+    bm = np.array([b.sum() for b in np.array_split(num, nbatch)]) / np.maximum(
+        np.array([b.sum() for b in np.array_split(den, nbatch)]), 1e-300)
+    s = math.exp(scale_log)
+    diagnostics = {
+        "batch_means_variance": float(np.var(bm, ddof=1)),
+        "batch_means": [float(b) * s for b in bm],
+        "tail_index_estimate": _reference_hill(num),
+        "warnings": [],
+        **extra_diag,
+    }
+    if diagnostics["tail_index_estimate"] <= 2.0:
+        diagnostics["warnings"].append(
+            "tail index <= 2: numerator weights look heavy-tailed (infinite "
+            "variance); reporting median-of-means of batch ratios"
+        )
+        gn = np.array([b.mean() for b in np.array_split(num, 32)])
+        gd = np.maximum(np.array([b.mean() for b in np.array_split(den, 32)]), 1e-300)
+        ratio = float(np.median(gn / gd))
+        se = float(1.2533 * np.std(gn / gd, ddof=1) / math.sqrt(32))
+    return McEstimate(ratio * s, se * s, n, seed, workers, diagnostics)
+
+
+def _reference_selberg(w, N, n_samples, seed, workers, mix):
     d = 2.0 - sum(w)
     marked = LogFanoCurve.standard(w).marked_sphere_points()
     log_const = N * math.log(math.pi) + math.log(2.0) * (d * N + 2 * N * w[0] + N * w[1] + 2 * N * w[2])
@@ -222,12 +304,11 @@ def _reference_selberg(w, N, n_samples, seed, workers, mix):
             logw -= 2.0 * wj * np.sum(_reference_log_chord(pts, p.vec), axis=-1)
         return logw - log_q
 
-    return _aggregate(_draw_log_weights(seed, workers, n_samples, draw), log_const, seed, workers)
+    logw = _reference_streams(seed, workers, n_samples, draw)
+    return _reference_aggregate(logw, log_const, seed, workers), logw
 
 
 def _reference_sphere(curve, beta, N, n_samples, seed, workers):
-    from kezeta.montecarlo import _draw_log_weights, _ratio_estimate
-
     mix = ProposalMixture.default_for_curve(curve)
     pref = curve.d_L / (N * (N - 1))
 
@@ -238,32 +319,194 @@ def _reference_sphere(curve, beta, N, n_samples, seed, workers):
             log_ref -= 2.0 * wj * np.sum(_reference_log_chord(pts, p.vec), axis=-1)
         return np.stack([2.0 * beta * N * pref * pairs + log_ref - log_q, log_ref - log_q], axis=-1)
 
-    logw = _draw_log_weights(seed, workers, n_samples, draw)
+    logw = _reference_streams(seed, workers, n_samples, draw)
     shift_n, shift_d = float(np.max(logw[:, 0])), float(np.max(logw[:, 1]))
     conv = N * math.log(math.pi) - beta * N * curve.d_L * math.log(2.0)
-    return _ratio_estimate(np.exp(logw[:, 0] - shift_n), np.exp(logw[:, 1] - shift_d), shift_n - shift_d,
+    est = _reference_ratio(np.exp(logw[:, 0] - shift_n), np.exp(logw[:, 1] - shift_d), shift_n - shift_d,
                            seed, workers, {"log_plane_conversion": conv})
+    return est, logw
 
 
-def test_importance_draws_reproduce_row_major_reference_bitwise():
-    # the component-major draw (one (3, n) buffer, upper-triangle pairs, each
-    # marked chord computed once) must give the row-major draw's bits
+def _reference_circular(N, beta, n_samples, seed, workers):
+    iu = np.triu_indices(N, k=1)
+
+    def draw(rng, m):
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=(m, N))
+        half = 0.5 * (theta[:, iu[0]] - theta[:, iu[1]])
+        logs = np.log(np.maximum(2.0 * np.abs(np.sin(half)), 1e-300))
+        return 2.0 * beta / (N - 1) * np.sum(logs, axis=-1)
+
+    logw = _reference_streams(seed, workers, n_samples, draw)
+    return _reference_aggregate(logw, N * math.log(2.0 * math.pi), seed, workers), logw
+
+
+def _reference_gaussdet_ratio(n, s, n_samples, seed, workers):
+    def draw(rng, m):
+        re = rng.normal(0.0, math.sqrt(0.5), size=(m, n + 1, n + 1))
+        im = rng.normal(0.0, math.sqrt(0.5), size=(m, n + 1, n + 1))
+        return 2.0 * np.linalg.slogdet(re + 1j * im)[1]
+
+    logd = _reference_streams(seed, workers, n_samples, draw, chunk=n_samples)
+    shift = float(np.max(logd)) if s >= 0 else 0.0
+    num = np.exp((s + 1.0) * logd - (s + 1.0) * shift)
+    den = np.exp(s * logd - s * shift)
+    return _reference_ratio(num, den, shift, seed, workers, {}), logd
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 200_000))
+def test_blocks_cover_a_chunk_with_no_one_row_block(m):
+    # a one-row block would reduce its pair axis in another order (other bits)
+    bounds = montecarlo._blocks(m)
+    assert bounds[0][0] == 0 and bounds[-1][1] == m
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    sizes = [hi - lo for lo, hi in bounds]
+    assert max(sizes) <= montecarlo._BLOCK
+    assert min(sizes) >= 2 or m == 1
+
+
+def _spy_on_log_weights(monkeypatch):
+    """Record a copy of every output of the stream driver."""
+    drawn = []
+
+    def spy(*args, **kwargs):
+        out = _draw_log_weights(*args, **kwargs)
+        drawn.append(out.copy())
+        return out
+
+    monkeypatch.setattr(montecarlo, "_draw_log_weights", spy)
+    return drawn
+
+
+def test_importance_draws_reproduce_row_major_reference_bitwise(monkeypatch):
+    # the component-major, blocked draws on concurrent lanes must give the
+    # bits of the serial loop over row-major draws, whatever the core count:
+    # every per-sample log-weight, and the estimate built from them
+    drawn = _spy_on_log_weights(monkeypatch)
     uniform = ProposalMixture((ProposalComponent("uniform", 1.0),))
+    half = ProposalMixture.cluster_safe((0.5, 0.5, 0.5))
+    curve = LogFanoCurve.standard((0.5, 0.4, 0.3))
     cases = [
         # three workers, shares 20001/20000/20000: the first takes two chunks
-        (mc_selberg((0.5, 0.5, 0.5), 3, 60_001, seed=5, workers=3),
-         _reference_selberg((0.5, 0.5, 0.5), 3, 60_001, 5, 3, ProposalMixture.cluster_safe((0.5, 0.5, 0.5)))),
-        (mc_selberg((0.3, 0.6, 0.7), 5, 3_000, seed=2),
+        (lambda: mc_selberg((0.5, 0.5, 0.5), 3, 60_001, seed=5, workers=3),
+         _reference_selberg((0.5, 0.5, 0.5), 3, 60_001, 5, 3, half)),
+        # one share of three chunks (20000, 20000, 5001), several blocks each
+        (lambda: mc_selberg((0.5, 0.5, 0.5), 5, 45_001, seed=8),
+         _reference_selberg((0.5, 0.5, 0.5), 5, 45_001, 8, 1, half)),
+        (lambda: mc_selberg((0.3, 0.6, 0.7), 5, 3_000, seed=2),
          _reference_selberg((0.3, 0.6, 0.7), 5, 3_000, 2, 1, ProposalMixture.cluster_safe((0.3, 0.6, 0.7)))),
-        (mc_selberg((0.5, 0.5, 0.5), 2, 3_000, seed=11, proposal=uniform),
+        (lambda: mc_selberg((0.5, 0.5, 0.5), 2, 3_000, seed=11, proposal=uniform),
          _reference_selberg((0.5, 0.5, 0.5), 2, 3_000, 11, 1, uniform)),
-        (mc_sphere_partition(LogFanoCurve.standard((0.5, 0.4, 0.3)), 1.0, 3, 3_001, seed=4, workers=2),
-         _reference_sphere(LogFanoCurve.standard((0.5, 0.4, 0.3)), 1.0, 3, 3_001, 4, 2)),
-        (mc_sphere_partition(TRIVIAL, -0.74, 4, 3_000, seed=6),
+        # shares of 4097: a chunk one configuration longer than a block
+        (lambda: mc_selberg((0.5, 0.5, 0.5), 5, 5 * 4_097, seed=19, workers=5),
+         _reference_selberg((0.5, 0.5, 0.5), 5, 5 * 4_097, 19, 5, half)),
+        # more workers than any small machine has cores
+        (lambda: mc_selberg((0.5, 0.5, 0.5), 4, 30_003, seed=9, workers=5),
+         _reference_selberg((0.5, 0.5, 0.5), 4, 30_003, 9, 5, half)),
+        # shares 1/1/1/0: the last worker draws nothing
+        (lambda: mc_selberg((0.5, 0.5, 0.5), 3, 3, seed=12, workers=4),
+         _reference_selberg((0.5, 0.5, 0.5), 3, 3, 12, 4, half)),
+        (lambda: mc_sphere_partition(curve, 1.0, 3, 3_001, seed=4, workers=2),
+         _reference_sphere(curve, 1.0, 3, 3_001, 4, 2)),
+        (lambda: mc_sphere_partition(TRIVIAL, -0.74, 4, 3_000, seed=6),
          _reference_sphere(TRIVIAL, -0.74, 4, 3_000, 6, 1)),
+        (lambda: mc_sphere_partition(curve, 0.5, 5, 50_002, seed=13, workers=5),
+         _reference_sphere(curve, 0.5, 5, 50_002, 13, 5)),
+        (lambda: mc_sphere_partition(TRIVIAL, 1.0, 3, 3, seed=14, workers=4),
+         _reference_sphere(TRIVIAL, 1.0, 3, 3, 14, 4)),
+        (lambda: mc_circular(5, 2.0, 60_001, seed=15, workers=3),
+         _reference_circular(5, 2.0, 60_001, 15, 3)),
+        (lambda: mc_circular(3, 1.0, 45_001, seed=16), _reference_circular(3, 1.0, 45_001, 16, 1)),
+        (lambda: mc_circular(6, 0.5, 30_003, seed=17, workers=5), _reference_circular(6, 0.5, 30_003, 17, 5)),
+        (lambda: mc_circular(4, 1.0, 3, seed=18, workers=4), _reference_circular(4, 1.0, 3, 18, 4)),
     ]
-    for est, ref in cases:
+    for run, (ref, ref_logw) in cases:
+        drawn.clear()
+        est = run()
+        assert len(drawn) == 1 and np.array_equal(drawn[0], ref_logw)
         assert json.dumps(est.to_json()) == json.dumps(ref.to_json())
+
+
+@pytest.mark.parametrize("n,s,n_samples,workers", [(1, 0.5, 20_001, 3), (2, 0.0, 9_000, 5), (3, 1.0, 3, 4)])
+def test_gaussian_det_ratio_matches_serial_slogdet_reference(monkeypatch, n, s, n_samples, workers):
+    # the batched elimination replaces slogdet, so the bits may move by an ulp
+    drawn = _spy_on_log_weights(monkeypatch)
+    est = mc_gaussian_det_ratio(n, s, n_samples, seed=21, workers=workers)
+    ref, ref_logd = _reference_gaussdet_ratio(n, s, n_samples, 21, workers)
+    np.testing.assert_allclose(drawn[0], ref_logd, rtol=0, atol=1e-12)
+    assert est.mean == pytest.approx(ref.mean, rel=1e-12)
+    assert est.std_error == pytest.approx(ref.std_error, rel=1e-12)
+    assert est.diagnostics["batch_means"] == pytest.approx(ref.diagnostics["batch_means"], rel=1e-12)
+    assert est.diagnostics["tail_index_estimate"] == pytest.approx(ref.diagnostics["tail_index_estimate"], rel=1e-9)
+
+
+def test_stream_driver_raises_a_lane_error_and_leaves_no_thread():
+    def draw(rng, rows):
+        if rng.bit_generator.seed_seq.spawn_key == (1,):
+            raise ValidationError("worker 1 refuses")
+        rows[:] = 0.0
+
+    before = threading.active_count()
+    with pytest.raises(ValidationError, match="worker 1 refuses"):
+        _draw_log_weights(3, 4, 50_000, draw, chunk=1_000)
+    assert threading.active_count() == before
+    assert np.all(_draw_log_weights(3, 4, 50_000, lambda rng, rows: rows.fill(1.0)) == 1.0)
+    assert threading.active_count() == before
+
+
+def test_stream_driver_runs_at_most_one_thread_per_usable_core():
+    idents = set()
+
+    def draw(rng, rows):
+        idents.add(threading.get_ident())
+        rows[:] = rng.uniform(size=len(rows))
+
+    out = _draw_log_weights(0, 10_000, 20_000, draw)
+    assert out.shape == (20_000,) and np.all((0.0 <= out) & (out < 1.0))
+    assert 1 <= len(idents) <= len(os.sched_getaffinity(0))
+
+
+def test_log_abs_det_sq_matches_slogdet():
+    rng = np.random.default_rng(41)
+    for k in range(1, 7):
+        a = rng.normal(size=(500, k, k)) + 1j * rng.normal(size=(500, k, k))
+        if k > 1:
+            a[:100, 0, 0] = 0.0  # the first pivot must come from a row swap
+        want = 2.0 * np.linalg.slogdet(a)[1]
+        got = _log_abs_det_sq(a.copy())
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    singular = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    singular[0] = [[2, 4, 6], [1, 2, 5], [1, 2, 3]]  # exact zero second pivot column
+    singular[1, :, 1] = 0.0  # a zero column
+    singular[2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_abs_det_sq(singular.copy())
+    want = 2.0 * np.linalg.slogdet(singular)[1]
+    assert np.all(got[:3] == -np.inf) and np.all(want[:3] == -np.inf)
+    assert not np.any(np.isnan(got))
+    assert abs(got[3] - want[3]) <= 1e-12
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda n: mc_selberg((0.5, 0.5, 0.5), 4, n, seed=3, workers=4),
+    lambda n: mc_circular(5, 2.0, n, seed=3, workers=4),
+    lambda n: mc_gaussian_det_ratio(1, 0.5, n, seed=3, workers=4),
+    lambda n: mc_sphere_partition(TRIVIAL, 1.0, 3, n, seed=3, workers=4),
+], ids=["selberg", "circular", "gaussdet-ratio", "sphere"])
+def test_estimator_peak_allocation_is_a_few_weight_vectors(estimate):
+    # concurrent lanes hold their chunks' buffers at the same time: the
+    # blocked, in-place post-sample work keeps the traced peak near the
+    # serial loop's.  A small warm-up run keeps one-time allocations out.
+    n = 250_000
+    estimate(5_000)
+    tracemalloc.start()
+    try:
+        estimate(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * n * 8, peak / (n * 8)
 
 
 def test_log_density_matches_stacked_reference_bitwise():
