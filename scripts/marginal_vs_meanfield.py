@@ -14,22 +14,10 @@ import argparse
 
 import numpy as np
 
-from kezeta.meanfield import solve_mean_field
+from kezeta.meanfield import bin_probabilities, solve_mean_field
 from kezeta.sampler import marginal_histogram, run_chain
 from kezeta.stability import LogFanoCurve
 from kezeta.sphere import INFINITY
-
-
-def bin_probabilities(density, edges):
-    # integrate the mean-field density over each histogram bin (trapezoid on
-    # the fine grid, then lump into bins)
-    t, mu = density.grid, density.values
-    probs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mask = (t >= lo) & (t <= hi)
-        probs.append(np.trapezoid(mu[mask], t[mask]) if mask.sum() > 1 else 0.0)
-    probs = np.array(probs)
-    return probs / probs.sum()
 
 
 def main():

@@ -167,16 +167,22 @@ OPERATION_COVERAGE = {
 # small parsers (all raise ValidationError, never ValueError)
 
 def _parse_fraction(tok, what: str) -> Fraction:
+    """The exact rational; refused when it overflows a float, since every
+    handler computes with it in floats somewhere."""
     try:
-        if isinstance(tok, str):
-            return Fraction(tok.strip())
-        if isinstance(tok, int):
-            return Fraction(tok)
         if isinstance(tok, float):
-            return Fraction(tok).limit_denominator(10**12)
-    except (ValueError, ZeroDivisionError) as exc:
+            value = Fraction(tok).limit_denominator(10**12)
+        elif isinstance(tok, (str, int)):
+            value = Fraction(tok)  # a string may carry surrounding whitespace
+        else:
+            raise ValueError(tok)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"cannot parse {what} {tok!r} as a rational") from exc
-    raise ValidationError(f"cannot parse {what} {tok!r} as a rational")
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{what} {tok!r} overflows a float") from exc
+    return value
 
 
 def _parse_weights(text, allow_symbol: bool = False):
@@ -206,7 +212,7 @@ def _parse_complex(text: str) -> complex:
     try:
         re = float(Fraction(parts[0]))
         im = float(Fraction(parts[1])) if len(parts) == 2 else 0.0
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"cannot parse complex number {text!r}") from exc
     return complex(re, im)
 
@@ -529,7 +535,7 @@ def _oracle_target(args: argparse.Namespace):
     if spec_.startswith("exp:"):
         try:
             a = float(Fraction(spec_[4:]))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValidationError(f"bad exponent in target {spec_!r}") from exc
         return density_from_function(lambda t: np.exp(a * t), m=args.m), spec_
     raise ValidationError(f"oracle target must be 'uniform' or 'exp:<a>', got {spec_!r}")
@@ -575,7 +581,7 @@ def _run_oracle(args: argparse.Namespace, out_dir: Path):
 
     target, target_name = _oracle_target(args)
     if solver == "poisson":
-        phi, coeffs = solve_poisson(target, degree=args.degree, return_coeffs=True)
+        phi, coeffs = solve_poisson(target, degree=args.degree)
         files = [_field_csv(out_dir / "poisson_potential.csv", phi)]
         report = {
             "solver": solver,

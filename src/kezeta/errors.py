@@ -1,7 +1,7 @@
 """Shared exception taxonomy.
 
 Every error that callers are expected to branch on gets its own class so the
-CLI can map failures onto its exit-code contract (see cli.EXIT_CODES).
+CLI can map failures onto its exit-code contract (cli.EXIT_OK ... cli.EXIT_MISMATCH).
 """
 
 

@@ -30,9 +30,10 @@ The mean-field equation solved here is the axial Gibbs fixed point
 
     1/2 + c L[phi] = exp(beta*phi) * rho_ref / Z(phi),
 
-discretized in flux (finite-volume) form so that the discrete L has exact
-zero column sums against the trapezoid weights.  Newton's method on the
-bordered system (phi, log Z) keeps the linear algebra tridiagonal.
+discretized in flux (finite-volume) form so that the discrete L has zero
+column sums against the trapezoid weights.  L is one tridiagonal matrix,
+_laplacian_bands: reduced_laplacian applies it, and Newton's method on the
+bordered system (phi, log Z) applies and inverts it.
 
 Free energy of a density mu at inverse temperature beta:
 
@@ -72,6 +73,8 @@ _FIELD_KINDS = ("Potential", "Density", "DensityIncrement")
 _MIN_GRID_CELLS = 200
 _DENSITY_TOL = 1e-10
 _TAIL_K = 5  # HarmonicCoeffs.tail_mass reads this many trailing coefficients
+_NEWTON_TOL = 1e-8  # sup-norm residual (and gauge) at which the Newton solve stops
+_MAX_NEWTON = 50
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,8 @@ class AxialField:
 
 
 def uniform_grid(m: int) -> np.ndarray:
+    if m < 1:
+        raise ValidationError(f"grid needs at least 1 cell; got m = {m}")
     return np.linspace(-1.0, 1.0, m + 1)
 
 
@@ -186,10 +191,6 @@ class HarmonicCoeffs:
         if not np.all(np.isfinite(c)):
             raise ValidationError("coefficients must be finite")
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
     def evaluate(self, t) -> np.ndarray:
         return np.polynomial.legendre.legval(np.asarray(t, dtype=float), self.coeffs)
 
@@ -204,9 +205,12 @@ def legendre_coeffs(field: AxialField, degree: int = 120) -> HarmonicCoeffs:
     Gauss-Legendre quadrature of the projection integrals; the field is
     resampled onto the quadrature nodes with a cubic spline (the grids we
     use are fine enough that the spline error is below the spectral tail).
+    Needs degree >= 1: below that there is no mode a Poisson solve can use.
     """
     from scipy.interpolate import CubicSpline
 
+    if degree < 1:
+        raise ValidationError(f"Legendre degree must be >= 1; got {degree}")
     nodes, wts = np.polynomial.legendre.leggauss(max(2 * degree + 2, 64))
     f = CubicSpline(field.grid, field.values)(nodes)
     coeffs = np.empty(degree + 1)
@@ -214,8 +218,7 @@ def legendre_coeffs(field: AxialField, degree: int = 120) -> HarmonicCoeffs:
     p_prev = np.ones_like(nodes)
     p_cur = nodes.copy()
     coeffs[0] = 0.5 * np.sum(wts * f)
-    if degree >= 1:
-        coeffs[1] = 1.5 * np.sum(wts * f * p_cur)
+    coeffs[1] = 1.5 * np.sum(wts * f * p_cur)
     for ell in range(2, degree + 1):
         p_next = ((2 * ell - 1) * nodes * p_cur - (ell - 1) * p_prev) / ell
         coeffs[ell] = (2 * ell + 1) / 2.0 * np.sum(wts * f * p_next)
@@ -227,14 +230,14 @@ def solve_poisson(
     target: AxialField,
     degree: int = 120,
     coupling: float = C_LAP,
-    return_coeffs: bool = False,
-):
+) -> tuple[AxialField, HarmonicCoeffs]:
     """Solve 1/2 + coupling * L[phi] = target for phi, sigma-mean-zero gauge.
 
     Spectral: if target - 1/2 = sum_{l>=1} b_l P_l then
     phi = sum_{l>=1} -b_l / (coupling * l(l+1)) P_l and a_0 = 0.
     Warns when the Legendre tail of the target has not decayed below 1e-8
-    (the answer is then truncation-limited; raise the degree).
+    (the answer is then truncation-limited; raise the degree).  Returns the
+    potential on the target's grid and its Legendre coefficients.
     """
     if target.kind != "Density":
         raise ValidationError("solve_poisson expects a Density field")
@@ -250,9 +253,7 @@ def solve_poisson(
         )
     coeffs = HarmonicCoeffs(a)
     phi = AxialField(target.grid, coeffs.evaluate(target.grid), "Potential")
-    if return_coeffs:
-        return phi, coeffs
-    return phi
+    return phi, coeffs
 
 
 def poisson_residual(
@@ -275,13 +276,39 @@ def poisson_residual(
 # ---------------------------------------------------------------------------
 
 
+def _laplacian_bands(grid: np.ndarray, coupling: float):
+    """Tridiagonal bands (lower, diag, upper) of coupling * L in flux form.
+
+    The conductivity coupling * (1 - t^2) / h^2 sits at the cell interfaces.
+    Cell widths are h for interior nodes and h/2 for the two boundary nodes,
+    so the columns sum to zero against the trapezoid weights: the operator
+    conserves mass.
+    """
+    h = grid[1] - grid[0]
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    a = coupling * (1.0 - mid * mid) / (h * h)
+    # an interior row couples to both neighbours; a boundary row (a cell of
+    # width h/2) couples twice as strongly to its one neighbour
+    lower = np.concatenate(([0.0], a[:-1], [2.0 * a[-1]]))
+    upper = np.concatenate(([2.0 * a[0]], a[1:], [0.0]))
+    return lower, -(lower + upper), upper
+
+
+def _apply_bands(bands, x: np.ndarray) -> np.ndarray:
+    """Product of the tridiagonal matrix (lower, diag, upper) with x."""
+    lower, diag, upper = bands
+    out = np.empty_like(x)
+    out[0] = diag[0] * x[0] + upper[0] * x[1]
+    out[1:-1] = lower[1:-1] * x[:-2] + diag[1:-1] * x[1:-1] + upper[1:-1] * x[2:]
+    out[-1] = lower[-1] * x[-2] + diag[-1] * x[-1]
+    return out
+
+
 def reduced_laplacian(phi: AxialField, coupling: float = C_LAP) -> AxialField:
     """coupling * d/dt[(1 - t^2) phi'] in conservative finite-volume form.
 
-    Cell widths are h for interior nodes and h/2 for the two boundary
-    nodes, so the weighted column sums (trapezoid weights) vanish exactly:
-    the discrete operator conserves mass bit-for-bit.  Needs at least
-    200 cells — below that the boundary cells poison the interior.
+    The matrix is _laplacian_bands, the one solve_mean_field inverts.  Needs
+    at least 200 cells: below that the boundary cells poison the interior.
     """
     if phi.kind != "Potential":
         raise ValidationError("reduced_laplacian expects a Potential field")
@@ -289,36 +316,8 @@ def reduced_laplacian(phi: AxialField, coupling: float = C_LAP) -> AxialField:
         raise GridTooCoarseError(
             f"grid has {phi.m} cells; need at least {_MIN_GRID_CELLS}"
         )
-    g, v, h = phi.grid, phi.values, phi.spacing
-    mid = 0.5 * (g[:-1] + g[1:])
-    a = 1.0 - mid * mid            # conductivity at cell interfaces
-    flux = a * np.diff(v) / h      # (1-t^2) phi' at midpoints
-    out = np.empty_like(v)
-    out[1:-1] = (flux[1:] - flux[:-1]) / h
-    out[0] = flux[0] / (0.5 * h)   # boundary cells have width h/2
-    out[-1] = -flux[-1] / (0.5 * h)
-    return AxialField(g, coupling * out, "DensityIncrement")
-
-
-def _laplacian_bands(grid: np.ndarray, coupling: float):
-    """Tridiagonal bands (lower, diag, upper) of the flux-form operator."""
-    h = grid[1] - grid[0]
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    a = coupling * (1.0 - mid * mid) / (h * h)
-    n = grid.size
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    # interior rows
-    diag[1:-1] = -(a[:-1] + a[1:])
-    lower[1:-1] = a[:-1]
-    upper[1:-1] = a[1:]
-    # boundary rows (width h/2 cells)
-    diag[0] = -2.0 * a[0]
-    upper[0] = 2.0 * a[0]
-    diag[-1] = -2.0 * a[-1]
-    lower[-1] = 2.0 * a[-1]
-    return lower, diag, upper
+    out = _apply_bands(_laplacian_bands(phi.grid, coupling), phi.values)
+    return AxialField(phi.grid, out, "DensityIncrement")
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +385,19 @@ def _log_reference(curve: LogFanoCurve, grid: np.ndarray) -> np.ndarray:
     return log_rho - log_norm
 
 
+def _log_caller_reference(reference: AxialField, grid: np.ndarray) -> np.ndarray:
+    """log of a caller's `reference` Density; -inf where it vanishes.
+
+    Rejects negative values and a grid with another node count (two
+    AxialField grids with one node count agree to 1e-12)."""
+    if reference.kind != "Density" or reference.grid.size != grid.size:
+        raise ValidationError("reference must be a Density on the same grid")
+    if np.any(reference.values < 0.0):
+        raise ValidationError("reference density must be nonnegative")
+    with np.errstate(divide="ignore"):
+        return np.log(reference.values)
+
+
 # ---------------------------------------------------------------------------
 # mean-field Newton solver
 # ---------------------------------------------------------------------------
@@ -413,8 +425,6 @@ def solve_mean_field(
     beta: float,
     m: int = 800,
     reference: AxialField | None = None,
-    max_newton: int = 50,
-    tol: float = 1e-8,
 ) -> MeanFieldSolution:
     """Newton solve of the axial mean-field equation
 
@@ -424,7 +434,7 @@ def solve_mean_field(
     and pole weights < 1.  `reference` overrides the curve's weighted
     reference density (used for smooth-source cross-checks against the
     Poisson solver).  Raises ConvergenceError if the sup-norm residual is
-    still above tol after max_newton steps.
+    still above _NEWTON_TOL after _MAX_NEWTON steps.
     """
     from scipy.linalg import solve_banded
 
@@ -436,38 +446,28 @@ def solve_mean_field(
         raise GridTooCoarseError(f"m = {m} cells; need at least {_MIN_GRID_CELLS}")
     grid = uniform_grid(m)
     if reference is not None:
-        if reference.kind != "Density":
-            raise ValidationError("reference must be a Density field")
-        if reference.grid.size != grid.size or abs(reference.spacing - (grid[1] - grid[0])) > 1e-12:
-            raise ValidationError("reference grid must match the solver grid (same m)")
-        if np.any(reference.values <= 0.0):
+        log_ref = _log_caller_reference(reference, grid)
+        if np.any(np.isneginf(log_ref)):
             raise ValidationError("reference density must be strictly positive")
-        log_ref = np.log(reference.values)
         axial_pole_weights(curve)  # still validates marked-point placement
     else:
         log_ref = _log_reference(curve, grid)
     coupling = 1.0 / (2.0 * curve.d_L)
     wq = _trapezoid_weights(grid)
-    lower, diag, upper = _laplacian_bands(grid, coupling)
+    lap = _laplacian_bands(grid, coupling)
+    lower, diag, upper = lap
     # (super, main, sub) diagonals in solve_banded's layout; row 1 is set per step
     bands = np.stack([np.roll(upper, 1), diag, np.roll(lower, -1)])
-
-    def lap(phi):
-        out = np.empty_like(phi)
-        out[0] = diag[0] * phi[0] + upper[0] * phi[1]
-        out[1:-1] = lower[1:-1] * phi[:-2] + diag[1:-1] * phi[1:-1] + upper[1:-1] * phi[2:]
-        out[-1] = lower[-1] * phi[-2] + diag[-1] * phi[-1]
-        return out
 
     phi = np.zeros(grid.size)
     loz = math.log(float(np.sum(wq * np.exp(log_ref))))  # log Z at phi = 0
     residual = np.inf
-    for iteration in range(1, max_newton + 1):
+    for iteration in range(1, _MAX_NEWTON + 1):
         rho = np.exp(beta * phi + log_ref - loz)
-        g_res = 0.5 + lap(phi) - rho
+        g_res = 0.5 + _apply_bands(lap, phi) - rho
         gauge_res = float(np.sum(wq * phi))
         residual = float(np.max(np.abs(g_res)))
-        if residual < tol and abs(gauge_res) < tol:
+        if residual < _NEWTON_TOL and abs(gauge_res) < _NEWTON_TOL:
             break
         # bordered Newton system in (phi, log Z):
         #   [T  rho] [dphi] = [-G]        T = Lap - beta diag(rho)
@@ -492,7 +492,7 @@ def solve_mean_field(
             cand_phi = phi + step * dphi
             cand_loz = loz + step * dloz
             cand_rho = np.exp(beta * cand_phi + log_ref - cand_loz)
-            cand_res = 0.5 + lap(cand_phi) - cand_rho
+            cand_res = 0.5 + _apply_bands(lap, cand_phi) - cand_rho
             cand = float(np.max(np.abs(cand_res))) + abs(float(np.sum(wq * cand_phi)))
             if np.isfinite(cand) and cand < base:
                 break
@@ -502,7 +502,7 @@ def solve_mean_field(
     else:
         raise ConvergenceError(
             f"mean-field Newton stalled at residual {residual:.3e} after "
-            f"{max_newton} steps (beta = {beta})"
+            f"{_MAX_NEWTON} steps (beta = {beta})"
         )
     rho = np.exp(beta * phi + log_ref - loz)
     rho = rho / float(np.trapezoid(rho, grid))  # exact renormalization (< 1e-12 shift)
@@ -591,12 +591,7 @@ def relative_entropy(
     if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
         return math.inf
     if reference is not None:
-        if reference.kind != "Density" or reference.grid.size != mu.grid.size:
-            raise ValidationError("reference must be a Density on the same grid")
-        if np.any(reference.values < 0.0):
-            raise ValidationError("reference density must be nonnegative")
-        with np.errstate(divide="ignore"):
-            log_ref = np.log(reference.values)  # -inf where the reference dies
+        log_ref = _log_caller_reference(reference, mu.grid)
     else:
         log_ref = _log_reference(curve, mu.grid)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -658,17 +653,20 @@ def phi_n_approximant(
     elif mode == "montecarlo":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         # inverse-CDF sampling of the latitude from the target density
-        cdf = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (target.values[1:] + target.values[:-1])) * target.spacing]
-        )
-        cdf = cdf / cdf[-1]
-        draws = np.sort(np.interp(rng.random(samples), cdf, g))
+        cdf = _cumulative_trapezoid(target)
+        draws = np.sort(np.interp(rng.random(samples), cdf / cdf[-1], g))
         phi = -2.0 * d_l / samples * _kernel_sums(g, draws, np.ones(samples))
     else:
         raise ValidationError(f"unknown mode {mode!r}; use 'quadrature' or 'montecarlo'")
     # gauge: mean zero against the target measure
     phi = phi - float(np.sum(wq * target.values * phi))
     return AxialField(g, phi, "Potential")
+
+
+def _cumulative_trapezoid(field: AxialField) -> np.ndarray:
+    """Trapezoid integral of the field from -1 up to each grid node."""
+    g, v = field.grid, field.values
+    return np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
 
 
 def bin_probabilities(mu: AxialField, edges: np.ndarray) -> np.ndarray:
@@ -678,7 +676,6 @@ def bin_probabilities(mu: AxialField, edges: np.ndarray) -> np.ndarray:
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValidationError("edges must be increasing, at least two of them")
-    g, v = mu.grid, mu.values
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
-    at_edges = np.interp(np.clip(edges, g[0], g[-1]), g, cum)
+    g = mu.grid
+    at_edges = np.interp(np.clip(edges, g[0], g[-1]), g, _cumulative_trapezoid(mu))
     return np.diff(at_edges)

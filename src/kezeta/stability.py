@@ -68,10 +68,6 @@ class LogFanoCurve:
     def d_L(self) -> float:
         return float(2 - sum(self.weights))
 
-    @property
-    def m(self) -> int:
-        return len(self.weights)
-
     def marked_sphere_points(self) -> tuple[SpherePoint, ...]:
         return tuple(stereo_to_sphere(p) for p in self.marked_points)
 

@@ -382,10 +382,8 @@ def criterion_11() -> CriterionResult:
     n_indep = float(np.max(np.abs(phi3.values - phi8.values)))
 
     # c_lap read at call time so a tampered calibration shows up here
-    ps = solve_poisson(target, coupling=meanfield.C_LAP)
-    g = target.grid
-    wq = np.full(g.size, g[1] - g[0])
-    wq[0] = wq[-1] = 0.5 * (g[1] - g[0])
+    ps, _ = solve_poisson(target, coupling=meanfield.C_LAP)
+    wq = meanfield._trapezoid_weights(target.grid)
     shift = float(np.sum(wq * target.values * ps.values))
     sup_dev = float(np.max(np.abs(phi3.values - (ps.values - shift))))
     return CriterionResult(

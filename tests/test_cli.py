@@ -7,6 +7,7 @@ console script, but fast enough to run the whole battery in seconds.
 import json
 import math
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,48 @@ def test_log_gamma_with_another_zeta_flag_is_validation_exit(tmp_path, capsys, f
     assert code == 2 and out == ""
     assert "--log-gamma" in err and flags[0].split("=")[0] in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--target", "circular", "--n", "3", "--beta", "1e400"],
+    ["sample", "--beta", "1e400", "--N", "3", "--sweeps", "20"],
+    ["oracle", "meanfield", "--beta", "1e400"],
+    ["zeta", "--log-gamma", "1e400"],
+    ["zeta", "--family", "circular", "--n", "3", "--beta", "1e400"],
+    ["mc", "--target", "gaussdet", "--n", "1", "--s", "1e400"],
+    ["mc", "--target", "sphere", "--n", "3", "--beta", "1", "--w", "1e400"],
+    ["stability", "--w", "1e400,1/2,1/2"],
+    ["stability", "--lct", "1e400"],
+    ["oracle", "poisson", "--target", "exp:1e400"],
+    ["mc", "--target", "free-energy", "--n", "3", "--grid", "0:1e400:1"],
+], ids=["mc-circular-beta", "sample-beta", "meanfield-beta", "log-gamma", "zeta-beta",
+        "gaussdet-s", "sphere-w", "stability-w", "lct", "poisson-target", "free-energy-grid"])
+def test_rational_that_overflows_a_float_is_validation_exit(tmp_path, capsys, argv):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli([*argv, "--out", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ")
+    assert not any(out_dir.iterdir())
+
+
+def test_parse_fraction_keeps_the_exact_rational():
+    big = "1" + "0" * 300 + "/3"
+    assert cli._parse_fraction(big, "beta") == Fraction(10**300, 3)
+    assert cli._parse_fraction("1e-400", "beta") == Fraction(1, 10**400)  # underflows to 0.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "poisson", "--degree", "-1"], "degree"),
+    (["oracle", "poisson", "--degree", "0"], "degree"),
+    (["oracle", "poisson", "--m", "-5"], "at least 1 cell"),
+    (["oracle", "phin", "--N", "3", "--m", "-2"], "at least 1 cell"),
+], ids=["poisson-degree-negative", "poisson-degree-zero", "poisson-m", "phin-m"])
+def test_oracle_grid_and_degree_bounds_are_validation_exit(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli([*argv, "--out", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and message in err
+    assert not any(out_dir.iterdir())
 
 
 def test_tube_on_a_line_scans_the_full_product(tmp_path, capsys):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kezeta import meanfield
 from kezeta.errors import (
     ConvergenceError,
     GridTooCoarseError,
@@ -231,7 +232,7 @@ def test_laplacian_conserves_mass(coeffs):
 
 
 def test_poisson_uniform_gives_zero():
-    phi = solve_poisson(uniform_density(800))
+    phi, _ = solve_poisson(uniform_density(800))
     assert np.max(np.abs(phi.values)) < 1e-12
 
 
@@ -239,7 +240,7 @@ def test_poisson_exp_residual_and_gauge():
     # fine grid so the trapezoid normalization of the target matches the
     # spectral one below the residual requirement
     f = density_from_function(np.exp, 8000)
-    phi, coeffs = solve_poisson(f, return_coeffs=True)
+    phi, coeffs = solve_poisson(f)
     assert poisson_residual(coeffs, f) < 1e-8
     assert coeffs.coeffs[0] == 0.0                      # a_0 gauge, exact
     assert abs(np.trapezoid(phi.values, f.grid)) < 1e-8   # same thing on the grid
@@ -247,8 +248,8 @@ def test_poisson_exp_residual_and_gauge():
 
 def test_poisson_two_resolutions_agree():
     m = 400
-    a = solve_poisson(density_from_function(np.exp, m))
-    b = solve_poisson(density_from_function(np.exp, 2 * m))
+    a, _ = solve_poisson(density_from_function(np.exp, m))
+    b, _ = solve_poisson(density_from_function(np.exp, 2 * m))
     assert np.max(np.abs(b.values[::2] - a.values)) < (2.0 / m) ** 2
 
 
@@ -267,12 +268,29 @@ def test_poisson_green_calibration():
     f = density_from_function(lambda t: np.exp(-0.5 * ((t - t0) / sig) ** 2), 1600)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # must be resolved, no tail warning
-        phi = solve_poisson(f, degree=260)
+        phi, _ = solve_poisson(f, degree=260)
     g = f.grid
     pred = -4.0 * pair_kernel(g, t0)
     pred -= np.trapezoid(pred, g) / 2.0  # same sigma-mean-zero gauge
     away = np.abs(g - t0) > 6 * sig
     assert np.max(np.abs(phi.values[away] - pred[away])) < 3e-3
+
+
+def test_uniform_grid_needs_a_cell():
+    for m in (0, -5):
+        with pytest.raises(ValidationError, match="at least 1 cell"):
+            uniform_grid(m)
+
+
+def test_legendre_degree_below_one_is_refused():
+    # at degree 0 there is no l >= 1 mode: the Poisson solve would give
+    # phi = 0 for every target
+    f = density_from_function(np.exp, 400)
+    for degree in (0, -1):
+        with pytest.raises(ValidationError, match="degree"):
+            legendre_coeffs(f, degree)
+        with pytest.raises(ValidationError, match="degree"):
+            solve_poisson(f, degree=degree)
 
 
 def test_poisson_rejects_potential_input():
@@ -308,7 +326,7 @@ def test_mean_field_beta_zero_limit_matches_poisson():
     # at beta ~ 0 the fixed point equation linearizes to the Poisson equation
     m = 3200
     ref = density_from_function(np.exp, m)
-    lin = solve_poisson(ref)
+    lin, _ = solve_poisson(ref)
     sol = solve_mean_field(TRIVIAL, beta=1e-6, reference=ref, m=m)
     assert np.max(np.abs(sol.potential.values - lin.values)) < 1e-6
 
@@ -339,9 +357,10 @@ def test_mean_field_validation():
         solve_mean_field(TRIVIAL, 1.0, m=800, reference=uniform_density(400))
 
 
-def test_mean_field_nonconvergence_raises():
+def test_mean_field_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(meanfield, "_MAX_NEWTON", 2)
     with pytest.raises(ConvergenceError):
-        solve_mean_field(W_HALF_NORTH, 1.0, max_newton=2)
+        solve_mean_field(W_HALF_NORTH, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +496,7 @@ def test_phi_n_quadrature_is_n_independent():
 def test_phi_n_matches_poisson():
     f = density_from_function(np.exp, 800)
     p = phi_n_approximant(f, 3)
-    phi = solve_poisson(f)
+    phi, _ = solve_poisson(f)
     # align gauges: poisson is sigma-mean-zero, phi_N is dV-mean-zero
     h = f.spacing
     wq = np.full(f.grid.size, h)
@@ -529,6 +548,21 @@ def test_bin_probabilities_weighted_mass_near_pole():
     p = bin_probabilities(sol.density, edges)
     assert abs(p.sum() - 1.0) < 1e-9
     assert p[-1] > p[0]  # mass piles up at the weighted pole
+
+
+@pytest.mark.parametrize("bins", [30, 40])
+def test_bin_probabilities_between_grid_nodes_match_the_integral(bins):
+    # 30 bins put the edges between the nodes of the m = 800 grid, 40 put
+    # them on nodes up to rounding; lumping whole cells by a node mask
+    # misses some bins by ~4% in both cases
+    f = density_from_function(np.exp, 800)
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    want = np.diff(np.exp(edges)) / (math.e - 1.0 / math.e)
+    got = bin_probabilities(f, edges)
+    # linear interpolation of the cumulative integral inside a cell is off by
+    # at most h^2/8 max|mu'| per edge, mu' = mu <= e / (e - 1/e)
+    bound = f.spacing**2 / 4.0 * math.e / (math.e - 1.0 / math.e)
+    assert np.max(np.abs(got - want)) < bound
 
 
 def test_bin_probabilities_validation():
