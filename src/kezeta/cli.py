@@ -228,8 +228,12 @@ def _parse_strip(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+_MAX_GRID_NODES = 1000  # of a START:STOP:STEP grid; the ladder and criterion 10 use 13
+
+
 def _parse_grid(text) -> list[float]:
-    """Either 'start:stop:step' (inclusive) or a comma list of rationals."""
+    """Either 'start:stop:step' (inclusive, at most _MAX_GRID_NODES nodes) or
+    a comma list of rationals."""
     if not isinstance(text, str):
         raise ValidationError("grid must be a string (START:STOP:STEP or comma list)")
     if ":" in text:
@@ -239,6 +243,9 @@ def _parse_grid(text) -> list[float]:
         start, stop, step = (_parse_fraction(p, "grid bound") for p in parts)
         if step <= 0 or stop < start:
             raise ValidationError("grid range needs step > 0 and stop >= start")
+        nodes = (stop - start) // step + 1
+        if nodes > _MAX_GRID_NODES:
+            raise ValidationError(f"grid range has {nodes} nodes, more than {_MAX_GRID_NODES}")
         vals, x = [], start
         while x <= stop:
             vals.append(float(x))

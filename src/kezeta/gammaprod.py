@@ -9,9 +9,9 @@ Numerics: log_gamma is the principal branch, computed by the Stirling series
 with Bernoulli-number tail after shifting the argument into |z| >= 20 by the
 recurrence  log Gamma(z) = log Gamma(z+1) - Log z.  Both sides of the
 recurrence are analytic on the plane cut along (-inf, 0] and agree on the
-positive reals, so iterating it preserves the principal branch; this handles
-Re z < 1/2 without a separate reflection step (the reflection identity is
-still exercised as a test property).
+positive reals, so iterating it preserves the principal branch.  Below
+Re z = -64 the reflection formula maps z to 1 - z instead, so the shift never
+takes more than about 85 steps, however negative Re z is.
 
 Exact classification: a factor is singular at a parameter point when its
 affine argument is a nonpositive integer.  With rational parameters this is
@@ -66,14 +66,36 @@ _STIRLING_COEF = [
 _STIRLING_RADIUS = 20.0
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _NEAR_SINGULAR_TOL = 1e-9
+_REFLECT_BELOW = -64.0  # Re z below which log_gamma reflects instead of shifting
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and float(z.real).is_integer()
 
 
+def _log_sin_pi(z: complex) -> complex:
+    """Log sin(pi z), principal branch, from Re z reduced mod 2 (exactly, by
+    fmod) and an Im z of any size:
+    log cosh(pi y) + log(sin^2 pi x + cos^2 pi x tanh^2 pi y) / 2
+    + i atan2(cos pi x tanh pi y, sin pi x)."""
+    x = math.fmod(z.real, 2.0)
+    k = round(x)
+    r = x - k  # exact and in [-1/2, 1/2], so sin(pi r) keeps its digits near an integer x
+    sign = -1.0 if k % 2 else 1.0
+    sin_x, cos_x = sign * math.sin(math.pi * r), sign * math.cos(math.pi * r)
+    t = math.pi * (z.imag + 0.0)  # -0.0 goes with Im z >= 0
+    tanh_y = math.tanh(t)
+    log_cosh_y = math.log(math.cosh(t)) if abs(t) < 300.0 else abs(t) - math.log(2.0)
+    return complex(
+        log_cosh_y + 0.5 * math.log(sin_x * sin_x + cos_x * cos_x * tanh_y * tanh_y),
+        math.atan2(cos_x * tanh_y, sin_x),
+    )
+
+
 def log_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma, relative accuracy ~1e-14 for |z| <= 50.
+    """Principal-branch log Gamma, within 1e-12 relative of mpmath wherever
+    criterion 12 and tests/test_gammaprod.py compare them (|z| <= 50, and
+    out to Re z = -1e20, |Im z| = 1e6).
 
     Raises PoleError at the exact nonpositive integers.
     """
@@ -82,6 +104,12 @@ def log_gamma(z: complex) -> complex:
         raise ValidationError(f"log_gamma argument must be finite, got {z}")
     if _is_nonpositive_integer(z):
         raise PoleError(f"log Gamma has a pole at z = {z.real:g}")
+    if z.real < _REFLECT_BELOW:
+        # log Gamma(z) = log pi - Log sin(pi z) - log Gamma(1 - z) + 2 pi i s floor(Re z / 2 + 1/4),
+        # s the sign of Im z (+1 at 0): the last term keeps the principal branch
+        s = 1.0 if z.imag >= 0.0 else -1.0
+        winding = 2j * math.pi * s * math.floor(z.real / 2.0 + 0.25)
+        return math.log(math.pi) - _log_sin_pi(z) - log_gamma(1.0 - z) + winding
 
     # Shift right until the Stirling series applies.  Each Log is principal
     # and analytic off the cut, so the branch survives the recurrence.

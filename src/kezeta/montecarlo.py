@@ -34,9 +34,10 @@ configurations, then does the rest of its work a block of _BLOCK
 configurations at a time, so two lanes never hold two chunks' worth of
 temporaries.
 
-Tail safety: a Hill estimate on the top 1% of importance weights; an index
-<= 2 flags likely-infinite variance and switches aggregation to
-median-of-means.
+Tail safety: every estimate is the plain (or self-normalised) mean and its
+SE, with a Hill estimate on the top 1% of the weights; an index <= 2 flags
+likely-infinite variance with a warning, since the SE then understates the
+error, but does not change the estimate.
 """
 
 from __future__ import annotations
@@ -187,32 +188,44 @@ def _hill_tail_index(weights: np.ndarray) -> float:
     return float("inf") if denom <= 0 else 1.0 / denom
 
 
+def _diagnostics(weights: np.ndarray, s: float, den: Optional[np.ndarray] = None) -> dict:
+    """Diagnostics of the estimate s * mean(weights), or of the ratio
+    s * sum(weights) / sum(den): the same estimate on each of
+    min(100, max(2, n // 50)) consecutive batches and their variance, both in
+    the estimate's units, and the Hill index of the weights' top 1%, with a
+    warning when it is <= 2."""
+    nbatch = min(100, max(2, weights.size // 50))
+    parts = np.array_split(weights, nbatch)
+    batch_means = np.array([b.sum() for b in parts])
+    if den is None:
+        batch_means /= [b.size for b in parts]
+    else:
+        batch_means /= np.maximum([b.sum() for b in np.array_split(den, nbatch)], 1e-300)
+    batch_means *= s
+    hill = _hill_tail_index(weights)
+    warnings = []
+    if hill <= 2.0:
+        warnings.append(
+            f"tail index {hill:.3g} <= 2: importance weights look heavy-tailed (likely "
+            "infinite variance), so the standard error may understate the error"
+        )
+    return {
+        "batch_means_variance": float(np.var(batch_means, ddof=1)),
+        "batch_means": batch_means.tolist(),
+        "tail_index_estimate": hill,
+        "warnings": warnings,
+    }
+
+
 def _aggregate(logw: np.ndarray, log_const: float, seed: int, workers: int) -> McEstimate:
-    """Turn per-sample log importance weights (plus log_const) into an estimate."""
+    """The plain mean of the importance weights e^(logw + log_const), and its SE."""
     shift = float(np.max(logw))
     weights = np.exp(logw - shift)
     s = math.exp(log_const + shift)
     n = weights.size
     mean = float(np.mean(weights))
     se = float(np.std(weights, ddof=1) / math.sqrt(n))
-    nbatch = min(100, max(2, n // 50))
-    batch_means = np.array([b.mean() for b in np.array_split(weights, nbatch)])
-    diagnostics = {
-        "batch_means_variance": float(np.var(batch_means, ddof=1)),
-        "batch_means": [float(b * s) for b in batch_means],
-        "tail_index_estimate": _hill_tail_index(weights),
-        "warnings": [],
-    }
-    if diagnostics["tail_index_estimate"] <= 2.0:
-        diagnostics["warnings"].append(
-            "tail index <= 2: importance weights look heavy-tailed (infinite "
-            "variance); reporting median-of-means"
-        )
-        g = 32
-        groups = np.array([b.mean() for b in np.array_split(weights, g)])
-        mean = float(np.median(groups))
-        se = float(1.2533 * np.std(groups, ddof=1) / math.sqrt(g))
-    return McEstimate(mean * s, se * s, n, seed, workers, diagnostics)
+    return McEstimate(mean * s, se * s, n, seed, workers, _diagnostics(weights, s))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +417,8 @@ def mc_selberg(
 def _ratio_estimate(
     num: np.ndarray, den: np.ndarray, scale_log: float, seed: int, workers: int, extra_diag: dict
 ) -> McEstimate:
-    """Self-normalized ratio of shared-sample weights, times e^scale_log."""
+    """Self-normalized ratio of shared-sample weights, times e^scale_log, and
+    its delta-method SE."""
     n = num.size
     nbar, dbar = float(np.mean(num)), float(np.mean(den))
     ratio = nbar / dbar
@@ -412,28 +426,8 @@ def _ratio_estimate(
     np.subtract(num, resid, out=resid)
     resid *= resid
     se = float(np.sqrt(np.mean(resid) / n) / abs(dbar))
-    nbatch = min(100, max(2, n // 50))
-    bm = np.array(
-        [b.sum() for b in np.array_split(num, nbatch)]
-    ) / np.maximum(np.array([b.sum() for b in np.array_split(den, nbatch)]), 1e-300)
     s = math.exp(scale_log)
-    diagnostics = {
-        "batch_means_variance": float(np.var(bm, ddof=1)),
-        "batch_means": [float(b) * s for b in bm],
-        "tail_index_estimate": _hill_tail_index(num),
-        "warnings": [],
-        **extra_diag,
-    }
-    if diagnostics["tail_index_estimate"] <= 2.0:
-        diagnostics["warnings"].append(
-            "tail index <= 2: numerator weights look heavy-tailed (infinite "
-            "variance); reporting median-of-means of batch ratios"
-        )
-        g = 32
-        gn = np.array([b.mean() for b in np.array_split(num, g)])
-        gd = np.maximum(np.array([b.mean() for b in np.array_split(den, g)]), 1e-300)
-        ratio = float(np.median(gn / gd))
-        se = float(1.2533 * np.std(gn / gd, ddof=1) / math.sqrt(g))
+    diagnostics = {**_diagnostics(num, s, den), **extra_diag}
     return McEstimate(ratio * s, se * s, n, seed, workers, diagnostics)
 
 

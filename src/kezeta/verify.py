@@ -10,7 +10,7 @@ should show up in the report, not crash the runner.
 Levels:
   quick -- deterministic checks only (strip enumeration, tube scans,
            quadrature, reference tables); seconds, byte-reproducible.
-  full  -- adds the Monte Carlo / MCMC comparisons; about 22 s on 2 cores.
+  full  -- adds the Monte Carlo / MCMC comparisons; about 16 s on 2 cores.
 
 tests/test_acceptance.py calls the same criterion functions, so the CLI
 report and the test suite cannot drift apart.  Stochastic criteria compare
@@ -125,10 +125,11 @@ def three_point_free_energy(beta: float) -> float:
 # criteria 1-7: closed forms, exact verdicts, strip scans.
 
 _SELBERG_MC_CASES = (
-    # ((w1, w2, w3), N, seed).  All three cases trip the heavy-tail guard, so
-    # the estimate is a median of batch means, which sits ~0.8 SE below the
-    # true mean for these right-skewed weights; seeds were scanned from 100
-    # upward and the first draw within 1.5 SE kept (all three: seed 100).
+    # ((w1, w2, w3), N, seed).  All three cases flag a heavy tail (Hill index
+    # 1.5-1.8), and the estimate is the plain mean.  Seed 100 was picked under
+    # an earlier median-of-batch-means estimate, which sat ~0.8 SE low: seeds
+    # were scanned from 100 upward and the first draw within 1.5 SE kept.  The
+    # plain mean reads -1.19, +0.70 and -0.33 SE at it.
     ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), 3, 100),
     ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), 4, 100),
     ((Fraction(2, 5), Fraction(2, 5), Fraction(2, 5)), 4, 100),

@@ -353,6 +353,18 @@ def test_rational_that_overflows_a_float_is_validation_exit(tmp_path, capsys, ar
     assert not any(out_dir.iterdir())
 
 
+@pytest.mark.parametrize("grid", ["0:1:1/1000000000000", "0:1e300:1", "0:1:1/1000"],
+                         ids=["tiny-step", "huge-span", "one-past-the-cap"])
+def test_grid_range_above_the_node_cap_is_validation_exit(tmp_path, capsys, grid):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(["mc", "--target", "free-energy", "--n", "3", "--grid", grid,
+                              "--out", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and "nodes" in err
+    assert not any(out_dir.iterdir())
+    assert len(cli._parse_grid("0:1:1/999")) == cli._MAX_GRID_NODES
+
+
 def test_parse_fraction_keeps_the_exact_rational():
     big = "1" + "0" * 300 + "/3"
     assert cli._parse_fraction(big, "beta") == Fraction(10**300, 3)

@@ -68,6 +68,19 @@ def test_log_gamma_real_negative_matches_mpmath_branch():
         assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("x", [-64.5, -65.75, -1000.3, -1e6 + 0.25, -1e15 + 0.5, -1e15, -1e20])
+def test_log_gamma_reflects_far_left_against_mpmath(x):
+    # below Re z = -64 the reflection formula replaces the shift, which would
+    # need -x steps (and never ends at -1e20, where z + 1 == z)
+    with mp.workdps(60):
+        for y in (0.0, 1e-3, -1e-3, 0.5, -0.5, 1.0, -1.0, -7.0, 300.0, -300.0, 1e6, -1e6):
+            if y == 0.0 and x.is_integer():
+                continue
+            ref = complex(mp.loggamma(mp.mpc(x, y)))
+            got = log_gamma(complex(x, y))
+            assert abs(got - ref) <= 1e-15 * abs(ref), (x, y, got, ref)
+
+
 def test_eval_simple_pole():
     v = eval_gamma_product(gamma_pow({"x": 1}, 0), {"x": -1})
     assert v.kind == "pole" and v.order == 1

@@ -238,6 +238,24 @@ def _reference_hill(weights):
     return float("inf") if denom <= 0 else 1.0 / denom
 
 
+def _reference_diagnostics(weights, s, den=None):
+    nbatch = min(100, max(2, weights.size // 50))
+    if den is None:
+        bm = np.array([b.mean() for b in np.array_split(weights, nbatch)])
+    else:
+        bm = np.array([b.sum() for b in np.array_split(weights, nbatch)]) / np.maximum(
+            np.array([b.sum() for b in np.array_split(den, nbatch)]), 1e-300)
+    bm = [float(b * s) for b in bm]
+    hill = _reference_hill(weights)
+    return {
+        "batch_means_variance": float(np.var(bm, ddof=1)),
+        "batch_means": bm,
+        "tail_index_estimate": hill,
+        "warnings": [f"tail index {hill:.3g} <= 2: importance weights look heavy-tailed (likely "
+                     "infinite variance), so the standard error may understate the error"] if hill <= 2.0 else [],
+    }
+
+
 def _reference_aggregate(logw, log_const, seed, workers):
     shift = float(np.max(logw))
     weights = np.exp(logw - shift)
@@ -245,22 +263,7 @@ def _reference_aggregate(logw, log_const, seed, workers):
     n = weights.size
     mean = float(np.mean(weights))
     se = float(np.std(weights, ddof=1) / math.sqrt(n))
-    batch_means = np.array([b.mean() for b in np.array_split(weights, min(100, max(2, n // 50)))])
-    diagnostics = {
-        "batch_means_variance": float(np.var(batch_means, ddof=1)),
-        "batch_means": [float(b * s) for b in batch_means],
-        "tail_index_estimate": _reference_hill(weights),
-        "warnings": [],
-    }
-    if diagnostics["tail_index_estimate"] <= 2.0:
-        diagnostics["warnings"].append(
-            "tail index <= 2: importance weights look heavy-tailed (infinite "
-            "variance); reporting median-of-means"
-        )
-        groups = np.array([b.mean() for b in np.array_split(weights, 32)])
-        mean = float(np.median(groups))
-        se = float(1.2533 * np.std(groups, ddof=1) / math.sqrt(32))
-    return McEstimate(mean * s, se * s, n, seed, workers, diagnostics)
+    return McEstimate(mean * s, se * s, n, seed, workers, _reference_diagnostics(weights, s))
 
 
 def _reference_ratio(num, den, scale_log, seed, workers, extra_diag):
@@ -269,26 +272,8 @@ def _reference_ratio(num, den, scale_log, seed, workers, extra_diag):
     ratio = nbar / dbar
     resid = num - ratio * den
     se = float(np.sqrt(np.mean(resid * resid) / n) / abs(dbar))
-    nbatch = min(100, max(2, n // 50))
-    bm = np.array([b.sum() for b in np.array_split(num, nbatch)]) / np.maximum(
-        np.array([b.sum() for b in np.array_split(den, nbatch)]), 1e-300)
     s = math.exp(scale_log)
-    diagnostics = {
-        "batch_means_variance": float(np.var(bm, ddof=1)),
-        "batch_means": [float(b) * s for b in bm],
-        "tail_index_estimate": _reference_hill(num),
-        "warnings": [],
-        **extra_diag,
-    }
-    if diagnostics["tail_index_estimate"] <= 2.0:
-        diagnostics["warnings"].append(
-            "tail index <= 2: numerator weights look heavy-tailed (infinite "
-            "variance); reporting median-of-means of batch ratios"
-        )
-        gn = np.array([b.mean() for b in np.array_split(num, 32)])
-        gd = np.maximum(np.array([b.mean() for b in np.array_split(den, 32)]), 1e-300)
-        ratio = float(np.median(gn / gd))
-        se = float(1.2533 * np.std(gn / gd, ddof=1) / math.sqrt(32))
+    diagnostics = {**_reference_diagnostics(num, s, den), **extra_diag}
     return McEstimate(ratio * s, se * s, n, seed, workers, diagnostics)
 
 
@@ -531,6 +516,18 @@ def test_log_density_matches_stacked_reference_bitwise():
     a = mixes[2].components[2].radial_exponent
     clamped = math.log(0.1) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * 0.5 * math.log(1e-300)
     assert mixes[2].log_density(pts)[7] == pytest.approx(clamped, rel=1e-12)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda: mc_selberg((0.5, 0.5, 0.5), 3, 20_000, seed=1),
+    lambda: mc_sphere_partition(TRIVIAL, 1.0, 3, 20_000, seed=1),
+    lambda: mc_circular(3, 1.0, 20_000, seed=1),
+    lambda: mc_gaussian_det(1, 1.0, 20_000, seed=1),
+    lambda: mc_gaussian_det_ratio(1, 0.5, 20_000, seed=1),
+], ids=["selberg", "sphere", "circular", "gaussdet", "gaussdet-ratio"])
+def test_batch_means_variance_is_in_the_estimates_units(estimate):
+    diag = estimate().diagnostics
+    assert diag["batch_means_variance"] == pytest.approx(np.var(diag["batch_means"], ddof=1), rel=1e-12)
 
 
 def test_estimate_serializes():

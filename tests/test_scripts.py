@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("marginal_vs_meanfield.py", ["--N", "4", "--sweeps", "50", "--bins", "10"]),
         ("free_energy_scan.py", ["--budget", "2000"]),
-        ("selberg_convergence.py", ["--help"]),
+        ("selberg_convergence.py", []),
     ],
     ids=["marginal_vs_meanfield", "free_energy_scan", "selberg_convergence"],
 )
