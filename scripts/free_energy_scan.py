@@ -19,7 +19,6 @@ import argparse
 import math
 
 import numpy as np
-from scipy.special import digamma
 
 from kezeta.montecarlo import free_energy_curve
 from kezeta.stability import LogFanoCurve

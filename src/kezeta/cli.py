@@ -10,8 +10,8 @@ Results print to stdout as JSON (verify: plain text); bulk payloads land in
 JSON line to <out>/manifest.jsonl.  Its "config" echoes the subcommand's own
 flags (and the command name), nothing else.
 
-Each subcommand takes only the flags it reads: --seed exists on mc, sample
-and oracle, the three that draw random numbers, and --workers on mc only.
+Each subcommand takes only the flags it reads: --seed exists on mc and
+sample, the two that draw random numbers, and --workers on mc only.
 Every subcommand takes --config and --out.
 
 Config precedence: built-in defaults < --config JSON file < explicit flags.
@@ -602,20 +602,16 @@ def _run_oracle(args: argparse.Namespace, out_dir: Path):
         return report, outcome, files
 
     _require(args.N is not None and args.N >= 2, "oracle phin needs --N >= 2")
-    mode = {"quadrature": "quadrature", "montecarlo": "montecarlo"}.get(args.mode)
-    _require(mode is not None, "--mode must be quadrature or montecarlo")
-    _require(args.samples >= 2, "samples must be >= 2")
-    phi = phi_n_approximant(target, args.N, mode=mode, samples=args.samples, seed=args.seed)
+    phi = phi_n_approximant(target, args.N)
     files = [_field_csv(out_dir / "phi_n.csv", phi)]
     report = {
         "solver": solver,
         "target": target_name,
         "n_points": args.N,
-        "mode": mode,
         "sup_abs": float(np.max(np.abs(phi.values))),
         "files": files,
     }
-    outcome = {k: report[k] for k in ("target", "n_points", "mode", "sup_abs")}
+    outcome = {k: report[k] for k in ("target", "n_points", "sup_abs")}
     return report, outcome, files
 
 
@@ -724,7 +720,6 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     seed = {"type": int, "default": 0, "help": "RNG seed (default 0)"}
-    samples = {"type": int, "default": 100_000}
 
     p = command("zeta", "closed-form partition functions")
     p.add_argument("--family", help="selberg|pnmin|p1three|circular|gaussdet")
@@ -747,7 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="points N (selberg/sphere/circular/free-energy) or size n")
     p.add_argument("--beta", help="inverse temperature")
     p.add_argument("--s", help="determinant-moment exponent")
-    p.add_argument("--samples", **samples, help="sample budget (default 100000)")
+    p.add_argument("--samples", type=int, default=100_000, help="sample budget (default 100000)")
     p.add_argument("--grid", help="beta grid START:STOP:STEP or comma list (free-energy)")
     p.add_argument("--budget", type=int, default=200_000,
                    help="total MCMC sweeps for free-energy (default 200000)")
@@ -779,9 +774,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=800, help="grid intervals (default 800)")
     p.add_argument("--degree", type=int, default=120, help="spectral degree (default 120)")
     p.add_argument("--N", type=int, help="points N (phin)")
-    p.add_argument("--mode", default="quadrature", help="quadrature|montecarlo (phin, default quadrature)")
-    p.add_argument("--samples", **samples, help="montecarlo samples (phin, default 100000)")
-    p.add_argument("--seed", **seed)
 
     p = command("verify", "run the acceptance gate")
     p.add_argument("--level", default="quick", help="quick (exact checks) or full (adds MC/MCMC)")

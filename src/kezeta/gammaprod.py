@@ -102,6 +102,9 @@ def log_gamma(z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError(f"log_gamma argument must be finite, got {z}")
+    # Im z = -0.0 becomes +0.0, the side every branch below takes on the
+    # negative real axis (the shift loop's first Log would see -0.0)
+    z = complex(z.real, z.imag + 0.0)
     if _is_nonpositive_integer(z):
         raise PoleError(f"log Gamma has a pole at z = {z.real:g}")
     if z.real < _REFLECT_BELOW:

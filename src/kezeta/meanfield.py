@@ -75,6 +75,12 @@ _DENSITY_TOL = 1e-10
 _TAIL_K = 5  # HarmonicCoeffs.tail_mass reads this many trailing coefficients
 _NEWTON_TOL = 1e-8  # sup-norm residual (and gauge) at which the Newton solve stops
 _MAX_NEWTON = 50
+# Size caps, refused before anything is allocated.  On a 2-core machine the
+# Newton solve (w = 1/2 at the north pole) already stalls at _NEWTON_TOL from
+# 25,600 cells at beta = -1/2 and 40,000 at beta = 1, and solve_poisson takes
+# 0.6-1.9 s and 144 MiB at degree 1,000.
+_MAX_GRID_CELLS = 65_536
+_MAX_DEGREE = 1_000
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,8 @@ class AxialField:
 def uniform_grid(m: int) -> np.ndarray:
     if m < 1:
         raise ValidationError(f"grid needs at least 1 cell; got m = {m}")
+    if m > _MAX_GRID_CELLS:
+        raise ValidationError(f"grid takes at most {_MAX_GRID_CELLS} cells; got m = {m}")
     return np.linspace(-1.0, 1.0, m + 1)
 
 
@@ -205,12 +213,13 @@ def legendre_coeffs(field: AxialField, degree: int = 120) -> HarmonicCoeffs:
     Gauss-Legendre quadrature of the projection integrals; the field is
     resampled onto the quadrature nodes with a cubic spline (the grids we
     use are fine enough that the spline error is below the spectral tail).
-    Needs degree >= 1: below that there is no mode a Poisson solve can use.
+    Needs 1 <= degree <= _MAX_DEGREE: below 1 there is no mode a Poisson
+    solve can use.
     """
     from scipy.interpolate import CubicSpline
 
-    if degree < 1:
-        raise ValidationError(f"Legendre degree must be >= 1; got {degree}")
+    if not 1 <= degree <= _MAX_DEGREE:
+        raise ValidationError(f"Legendre degree must be in 1..{_MAX_DEGREE}; got {degree}")
     nodes, wts = np.polynomial.legendre.leggauss(max(2 * degree + 2, 64))
     f = CubicSpline(field.grid, field.values)(nodes)
     coeffs = np.empty(degree + 1)
@@ -227,14 +236,13 @@ def legendre_coeffs(field: AxialField, degree: int = 120) -> HarmonicCoeffs:
 
 
 def solve_poisson(
-    target: AxialField,
-    degree: int = 120,
-    coupling: float = C_LAP,
+    target: AxialField, degree: int = 120
 ) -> tuple[AxialField, HarmonicCoeffs]:
-    """Solve 1/2 + coupling * L[phi] = target for phi, sigma-mean-zero gauge.
+    """Solve 1/2 + C_LAP * L[phi] = target for phi, sigma-mean-zero gauge.
 
     Spectral: if target - 1/2 = sum_{l>=1} b_l P_l then
-    phi = sum_{l>=1} -b_l / (coupling * l(l+1)) P_l and a_0 = 0.
+    phi = sum_{l>=1} -b_l / (C_LAP * l(l+1)) P_l and a_0 = 0.  C_LAP is
+    read at call time, so a tampered calibration reaches criterion 11.
     Warns when the Legendre tail of the target has not decayed below 1e-8
     (the answer is then truncation-limited; raise the degree).  Returns the
     potential on the target's grid and its Legendre coefficients.
@@ -244,7 +252,7 @@ def solve_poisson(
     b = legendre_coeffs(target, degree)
     ell = np.arange(degree + 1, dtype=float)
     a = np.zeros(degree + 1)
-    a[1:] = -b.coeffs[1:] / (coupling * ell[1:] * (ell[1:] + 1.0))
+    a[1:] = -b.coeffs[1:] / (C_LAP * ell[1:] * (ell[1:] + 1.0))
     if b.tail_mass() > 1e-8:
         warnings.warn(
             f"Legendre tail of the source is {b.tail_mass():.2e} at degree "
@@ -256,10 +264,8 @@ def solve_poisson(
     return phi, coeffs
 
 
-def poisson_residual(
-    coeffs: HarmonicCoeffs, target: AxialField, coupling: float = C_LAP
-) -> float:
-    """Sup-norm residual of 1/2 + coupling * L[phi] = target for a spectral phi.
+def poisson_residual(coeffs: HarmonicCoeffs, target: AxialField) -> float:
+    """Sup-norm residual of 1/2 + C_LAP * L[phi] = target for a spectral phi.
 
     The Laplacian is applied exactly on the Legendre ansatz
     (L[P_l] = -l(l+1) P_l), so this measures only the truncation error of
@@ -268,7 +274,7 @@ def poisson_residual(
     ell = np.arange(coeffs.coeffs.size, dtype=float)
     lap_coeffs = -ell * (ell + 1.0) * coeffs.coeffs
     lap_vals = np.polynomial.legendre.legval(target.grid, lap_coeffs)
-    return float(np.max(np.abs(0.5 + coupling * lap_vals - target.values)))
+    return float(np.max(np.abs(0.5 + C_LAP * lap_vals - target.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +415,7 @@ class MeanFieldSolution:
     density: AxialField
     residual: float
     iterations: int
-    beta: float
-    log_partition: float = 0.0
+    log_partition: float
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -511,7 +516,6 @@ def solve_mean_field(
         density=AxialField(grid, rho, "Density"),
         residual=residual,
         iterations=iteration,
-        beta=beta,
         log_partition=loz,
     )
 
@@ -521,33 +525,27 @@ def solve_mean_field(
 # ---------------------------------------------------------------------------
 
 
-def _kernel_sums(grid: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j K(t_i, s_j) at every grid node t_i, for increasing s.
+def _kernel_sums(grid: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j K(t_i, t_j) at every grid node t_i.
 
-    Prefix sums over s_j < t_i plus suffix sums over s_j >= t_i (module
-    docstring).  At the corners t = s = +-1 the zero factor's log is its
-    average over the end half-cell, log(h/2) - 1, as in _log_reference: the
-    corner carries -(1/2)(log h - 1), the half-cell average of K along the
-    edge row, and the h/2 trapezoid end weight integrates that cell exactly.
+    Prefix sums over j < i plus suffix sums over j >= i (module docstring).
+    At the corners t = s = +-1 the zero factor's log is its average over the
+    end half-cell, log(h/2) - 1, as in _log_reference: the corner carries
+    -(1/2)(log h - 1), the half-cell average of K along the edge row, and the
+    h/2 trapezoid end weight integrates that cell exactly.
     """
     end = math.log(0.5 * (grid[1] - grid[0])) - 1.0
-
-    def logs(x):
-        with np.errstate(divide="ignore"):
-            lp, lm = np.log1p(x), np.log1p(-x)
-        lp[x == -1.0] = end
-        lm[x == 1.0] = end
-        return lp, lm
-
-    lp_t, lm_t = logs(grid)
-    lp_s, lm_s = logs(s)
-    k = np.searchsorted(s, grid)  # s_j < t_i exactly for j < k_i
+    with np.errstate(divide="ignore"):
+        lp, lm = np.log1p(grid), np.log1p(-grid)
+    lp[grid == -1.0] = end
+    lm[grid == 1.0] = end
     # extended precision: a float64 cumsum drifts by ~1e-12 at m = 6400
     cw, clm, clp = (
         np.concatenate(([0.0], np.cumsum(x, dtype=np.longdouble)))
-        for x in (w, w * lm_s, w * lp_s)
+        for x in (w, w * lm, w * lp)
     )
-    total = cw[k] * lp_t + clm[k] + (clp[-1] - clp[k]) + (cw[-1] - cw[k]) * lm_t
+    # with the leading 0, entry i of each cumsum sums j < i
+    total = cw[:-1] * lp + clm[:-1] + (clp[-1] - clp[:-1]) + (cw[-1] - cw[:-1]) * lm
     return -0.5 * total.astype(float)
 
 
@@ -564,7 +562,7 @@ def interaction_energy(mu: AxialField, curve: LogFanoCurve) -> float:
         raise ValidationError("interaction_energy expects a Density field")
     g = mu.grid
     wf = _trapezoid_weights(g) * mu.values
-    double = float(wf @ _kernel_sums(g, g, wf))
+    double = float(wf @ _kernel_sums(g, wf))
     # diagonal kink correction (skip the two corner cells where 1-u^2 ~ 0
     # and the log model breaks; their weight is O(h^2 log h))
     h = mu.spacing
@@ -624,22 +622,15 @@ def free_energy_functional(
 # ---------------------------------------------------------------------------
 
 
-def phi_n_approximant(
-    target: AxialField,
-    n_points: int,
-    mode: str = "quadrature",
-    samples: int = 20000,
-    seed: int = 0,
-) -> AxialField:
+def phi_n_approximant(target: AxialField, n_points: int) -> AxialField:
     """Potential whose Gibbs ensemble at large N concentrates on `target`.
 
     For the trivial curve the N-point construction yields, in the mean-field
     limit, phi(t) = -2 d_L Int K(t, s) f(s) ds + const (d_L = 2), gauged so
-    Int phi f dt = 0.  The quadrature mode integrates the closed-form kernel
-    directly and is exactly independent of n_points (kept in the signature
-    because the estimator it idealizes is the N-point empirical average; the
-    invariance is asserted by the harness).  The montecarlo mode replaces the
-    integral with an empirical mean over latitude draws from f.
+    Int phi f dt = 0.  The closed-form kernel is integrated by trapezoid
+    quadrature, so the result never depends on n_points (kept in the
+    signature because the estimator it idealizes is the N-point empirical
+    average; only n_points >= 2 is checked).
     """
     if target.kind != "Density":
         raise ValidationError("phi_n_approximant expects a Density target")
@@ -648,16 +639,7 @@ def phi_n_approximant(
     g = target.grid
     d_l = 2.0  # trivial curve
     wq = _trapezoid_weights(g)
-    if mode == "quadrature":
-        phi = -2.0 * d_l * _kernel_sums(g, g, wq * target.values)
-    elif mode == "montecarlo":
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        # inverse-CDF sampling of the latitude from the target density
-        cdf = _cumulative_trapezoid(target)
-        draws = np.sort(np.interp(rng.random(samples), cdf / cdf[-1], g))
-        phi = -2.0 * d_l / samples * _kernel_sums(g, draws, np.ones(samples))
-    else:
-        raise ValidationError(f"unknown mode {mode!r}; use 'quadrature' or 'montecarlo'")
+    phi = -2.0 * d_l * _kernel_sums(g, wq * target.values)
     # gauge: mean zero against the target measure
     phi = phi - float(np.sum(wq * target.values * phi))
     return AxialField(g, phi, "Potential")

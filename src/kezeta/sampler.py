@@ -22,7 +22,7 @@ fixed (seed, lanes) and lanes are mutually independent.  Each lane carries
 its own beta.  run_chain broadcasts one beta to its `chains` lanes and keeps
 configurations and energies, merged in (chain index, step index) order.
 mean_energy_run runs a whole beta list as one batch, node-major (node k owns
-lanes k*chains .. (k+1)*chains - 1), and keeps energies only.
+lanes k*_LADDER_CHAINS .. (k+1)*_LADDER_CHAINS - 1), and keeps energies only.
 
 Positions are stored component-major, as one (3, lanes, N) array, so the
 candidate's distance row reads contiguous x, y and z rows; every squared
@@ -85,6 +85,7 @@ _ADAPT_WINDOW = 50  # sweeps between step-scale updates during burn-in
 _GUARD_TOL = 1e-12  # outright-reject radius around other points and marked points
 _SCALE_LO, _SCALE_HI = 1e-3, 2.0
 _STEP_SCALE = 0.5  # every lane's proposal scale before adaptation
+_LADDER_CHAINS = 16  # lanes per beta node in mean_energy_run
 KS_99 = 1.628  # asymptotic K-S quantile sqrt(-log(0.005)/2)
 MIN_BINS = 10  # fewest axial histogram bins marginal_histogram accepts
 
@@ -401,13 +402,12 @@ def mean_energy_run(
     N: int,
     sweeps: int,
     seed: int = 0,
-    chains: int = 16,
 ) -> list[McEstimate]:
     """Mean-energy estimates at every beta of `betas` from one lane batch;
     the unit free_energy_curve builds on.
 
-    Node k owns lanes k*chains .. (k+1)*chains - 1.  Every chain makes
-    max(50, ceil(sweeps / chains)) measurement sweeps after
+    Node k owns lanes k*_LADDER_CHAINS .. (k+1)*_LADDER_CHAINS - 1.  Every
+    chain makes max(50, ceil(sweeps / _LADDER_CHAINS)) measurement sweeps after
     max(200, that // 5) burn-in sweeps and keeps the energy of each, so
     `sweeps` is the budget of one node pooled over its chains.  All lanes
     draw from the one stream of `seed`, in run_chain's order: a single-node
@@ -416,8 +416,9 @@ def mean_energy_run(
     stored; node k's estimate comes from its row block.
     """
     betas = [float(b) for b in betas]
-    if not betas or chains < 1:
-        raise ValidationError("need a non-empty beta list and at least one chain")
+    if not betas:
+        raise ValidationError("need a non-empty beta list")
+    chains = _LADDER_CHAINS
     per_chain = max(50, int(math.ceil(sweeps / chains)))
     run = _run_lanes(
         curve, np.repeat(betas, chains), N, per_chain, max(200, per_chain // 5),

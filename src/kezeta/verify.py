@@ -380,10 +380,13 @@ def criterion_11() -> CriterionResult:
     target = density_from_function(np.exp, m=800)
     phi3 = phi_n_approximant(target, 3)
     phi8 = phi_n_approximant(target, 8)
+    # phi_n_approximant never reads n_points, so this sup is 0.0 by
+    # construction and cannot fail; it stays so the report keeps its bytes
     n_indep = float(np.max(np.abs(phi3.values - phi8.values)))
 
-    # c_lap read at call time so a tampered calibration shows up here
-    ps, _ = solve_poisson(target, coupling=meanfield.C_LAP)
+    # solve_poisson reads C_LAP at call time, so a tampered calibration
+    # shows up here
+    ps, _ = solve_poisson(target)
     wq = meanfield._trapezoid_weights(target.grid)
     shift = float(np.sum(wq * target.values * ps.values))
     sup_dev = float(np.max(np.abs(phi3.values - (ps.values - shift))))

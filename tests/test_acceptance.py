@@ -7,8 +7,9 @@ prints what was measured against what was allowed (visible with -s, and on
 any failure).
 
 Budget note: criteria 1, 8, 9 and 10 do real Monte Carlo / MCMC work; on a
-2-core machine they took 4.8, 13.0, 7.2 and 6.8 s (about 32 s together).
-Everything else is exact arithmetic and takes under a second per criterion.
+shared 2-core machine, over three runs, they took 1.6-2.1, 5.5-7.4, 1.9-3.5
+and 3.4-5.3 s (13-18 s together).  Everything else is exact arithmetic and
+takes under a second per criterion.
 """
 
 from kezeta import verify

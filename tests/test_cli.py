@@ -10,6 +10,7 @@ import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kezeta import cli
@@ -376,8 +377,25 @@ def test_parse_fraction_keeps_the_exact_rational():
     (["oracle", "poisson", "--degree", "0"], "degree"),
     (["oracle", "poisson", "--m", "-5"], "at least 1 cell"),
     (["oracle", "phin", "--N", "3", "--m", "-2"], "at least 1 cell"),
-], ids=["poisson-degree-negative", "poisson-degree-zero", "poisson-m", "phin-m"])
-def test_oracle_grid_and_degree_bounds_are_validation_exit(tmp_path, capsys, argv, message):
+    (["oracle", "meanfield", "--w", "1/2", "--beta", "1", "--m", "1000000000"], "at most 65536 cells"),
+    (["oracle", "poisson", "--target", "exp:1", "--degree", "100000000"], "degree"),
+], ids=["poisson-degree-negative", "poisson-degree-zero", "poisson-m", "phin-m",
+        "meanfield-m-cap", "poisson-degree-cap"])
+def test_oracle_grid_and_degree_bounds_are_validation_exit(tmp_path, capsys, monkeypatch, argv, message):
+    # an over-cap size must be refused before its arrays are allocated: the
+    # grid and quadrature builders fail the test if asked for more than a cap
+    linspace, leggauss = np.linspace, np.polynomial.legendre.leggauss
+
+    def capped_linspace(start, stop, num=50, **kwargs):
+        assert num <= kezeta.meanfield._MAX_GRID_CELLS + 1, f"linspace of {num} nodes"
+        return linspace(start, stop, num, **kwargs)
+
+    def capped_leggauss(deg):
+        assert deg <= 2 * kezeta.meanfield._MAX_DEGREE + 2, f"leggauss of degree {deg}"
+        return leggauss(deg)
+
+    monkeypatch.setattr(np, "linspace", capped_linspace)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", capped_leggauss)
     out_dir = tmp_path / "run"
     code, out, err = run_cli([*argv, "--out", str(out_dir)], capsys)
     assert code == 2 and out == ""
@@ -664,7 +682,7 @@ def test_oracle_poisson_and_phin(tmp_path, capsys):
         ["oracle", "phin", "--target", "exp:1", "--N", "3", "--out", str(tmp_path)],
         capsys)
     assert code == 0
-    assert json.loads(out)["mode"] == "quadrature"
+    assert json.loads(out)["n_points"] == 3
     assert (tmp_path / "phi_n.csv").exists()
 
 
@@ -695,6 +713,13 @@ def test_verify_quick_runs_are_byte_identical(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "summary: 6/6 criteria passed" in out1
+
+
+def test_verify_quick_report_matches_the_pinned_bytes():
+    # the quick report is pinned across commits: a change that is meant to
+    # move it updates tests/data/verify_quick.txt and says so in CHANGES.md
+    pinned = (Path(__file__).resolve().parent / "data" / "verify_quick.txt").read_text()
+    assert kezeta.verify.run_verify("quick").text() == pinned
 
 
 def test_verify_failure_exits_5(tmp_path, capsys, monkeypatch):

@@ -62,10 +62,12 @@ def test_log_gamma_against_mpmath_disk():
 
 
 def test_log_gamma_real_negative_matches_mpmath_branch():
+    # Im z = -0.0 takes the same branch as +0.0, as mpmath does
     for x in (-0.5, -2.25, -17.333, -49.5):
         ref = complex(mp.loggamma(mp.mpc(x, 0.0)))
-        got = log_gamma(complex(x, 0.0))
-        assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+        for y in (0.0, -0.0):
+            got = log_gamma(complex(x, y))
+            assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref)), (x, y, got, ref)
 
 
 @pytest.mark.parametrize("x", [-64.5, -65.75, -1000.3, -1e6 + 0.25, -1e15 + 0.5, -1e15, -1e20])

@@ -135,11 +135,11 @@ def test_pair_kernel_pole_row():
     assert np.max(np.abs(pair_kernel(1.0, s) + 0.5 * np.log(2 - 2 * s))) < 1e-14
 
 
-def _dense_kernel_sums(grid, s, w):
+def _dense_kernel_sums(grid, w):
     # reference: the dense kernel with the corners t = s = +-1 set to their
     # half-cell average -(1/2)(log h - 1)
-    k = pair_kernel(grid[:, None], s[None, :])
-    corner = (grid[:, None] == s[None, :]) & (np.abs(s[None, :]) == 1.0)
+    k = pair_kernel(grid[:, None], grid[None, :])
+    corner = (grid[:, None] == grid[None, :]) & (np.abs(grid[None, :]) == 1.0)
     k[corner] = -0.5 * (math.log(grid[1] - grid[0]) - 1.0)
     return k @ w
 
@@ -149,17 +149,8 @@ def test_kernel_sums_match_dense_pair_kernel_on_grid(m):
     g = uniform_grid(m)
     for density in (np.ones_like, np.exp, lambda t: 1.0 + 0.9 * np.sin(3.0 * t)):
         w = _trapezoid_weights(g) * density(g)
-        want = _dense_kernel_sums(g, g, w)
-        assert np.max(np.abs(_kernel_sums(g, g, w) - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_kernel_sums_match_dense_pair_kernel_at_draws():
-    # off-grid draws plus some that sit exactly on interior grid nodes (ties)
-    g = uniform_grid(400)
-    s = np.sort(np.concatenate([np.random.default_rng(7).uniform(-1.0, 1.0, 3000), g[1:-1:50]]))
-    w = np.ones(s.size)
-    want = _dense_kernel_sums(g, s, w)
-    assert np.max(np.abs(_kernel_sums(g, s, w) - want)) <= 1e-13 * np.max(np.abs(want))
+        want = _dense_kernel_sums(g, w)
+        assert np.max(np.abs(_kernel_sums(g, w) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_pair_kernel_symmetries():
@@ -384,8 +375,8 @@ def test_energy_kernel_symmetry():
     wq = _trapezoid_weights(g)
     wf1 = wq * sol.density.values
     wf2 = wq * density_from_function(lambda t: np.exp(1.5 * t) * (1.2 + np.sin(4.0 * t)), m=g.size - 1).values
-    a = float(wf1 @ _kernel_sums(g, g, wf2))
-    b = float(wf2 @ _kernel_sums(g, g, wf1))
+    a = float(wf1 @ _kernel_sums(g, wf2))
+    b = float(wf2 @ _kernel_sums(g, wf1))
     assert abs(a - b) <= 1e-13 * abs(a)
 
 
@@ -505,26 +496,10 @@ def test_phi_n_matches_poisson():
     assert np.max(np.abs(p.values - aligned)) < 1e-3
 
 
-def test_phi_n_montecarlo_mode():
-    f = density_from_function(np.exp, 400)
-    pq = phi_n_approximant(f, 3)
-    pm = phi_n_approximant(f, 3, mode="montecarlo", samples=20000, seed=3)
-    pm2 = phi_n_approximant(f, 3, mode="montecarlo", samples=20000, seed=3)
-    assert np.array_equal(pm.values, pm2.values)  # substream determinism
-    assert np.max(np.abs(pm.values - pq.values)) < 0.05
-    # dV-mean-zero gauge holds for the empirical version too
-    h = f.spacing
-    wq = np.full(f.grid.size, h)
-    wq[0] = wq[-1] = h / 2
-    assert abs(float(np.sum(wq * f.values * pm.values))) < 1e-12
-
-
 def test_phi_n_validation():
     f = density_from_function(np.exp, 400)
     with pytest.raises(ValidationError):
         phi_n_approximant(f, 1)
-    with pytest.raises(ValidationError):
-        phi_n_approximant(f, 4, mode="exact")
     g = uniform_grid(400)
     with pytest.raises(ValidationError):
         phi_n_approximant(AxialField(g, np.zeros(g.size), "Potential"), 4)

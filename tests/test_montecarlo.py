@@ -612,10 +612,10 @@ def test_free_energy_se_propagates_shared_node_coefficients(monkeypatch, grid):
 
     stub = {"node": None}
 
-    def fixed_run(curve, betas, N, sweeps, seed=0, chains=16):
+    def fixed_run(curve, betas, N, sweeps, seed=0):
         stub["nodes"] = len(betas)
         return [
-            McEstimate(-0.3 * b + (1.0 if k == stub["node"] else 0.0), 0.01 * (1 + k), sweeps, seed, chains)
+            McEstimate(-0.3 * b + (1.0 if k == stub["node"] else 0.0), 0.01 * (1 + k), sweeps, seed, 16)
             for k, b in enumerate(betas)
         ]
 

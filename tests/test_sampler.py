@@ -346,13 +346,15 @@ def test_mean_energy_run_mixed_betas_match_digamma_closed_form():
 
 
 def test_mean_energy_run_lanes_are_node_major_run_chain_lanes():
-    # nodes [b, b] with c chains are run_chain's 2c lanes split in two blocks,
-    # each estimated by the estimator mean_energy_estimate uses
+    # nodes [b, b] with c chains each are run_chain's 2c lanes split in two
+    # blocks, each estimated by the estimator mean_energy_estimate uses
     from dataclasses import replace
 
-    c, per_chain = 4, 60
+    import kezeta.sampler as sampler
+
+    c, per_chain = sampler._LADDER_CHAINS, 60
     stream = run_chain(TRIVIAL, 0.5, 3, sweeps=per_chain, burn_in=200, seed=13, thinning=1, chains=2 * c)
-    ests = mean_energy_run(TRIVIAL, [0.5, 0.5], 3, sweeps=c * per_chain, seed=13, chains=c)
+    ests = mean_energy_run(TRIVIAL, [0.5, 0.5], 3, sweeps=c * per_chain, seed=13)
     rows = c * per_chain
     for k, est in enumerate(ests):
         block = slice(k * rows, (k + 1) * rows)
@@ -373,8 +375,6 @@ def test_mean_energy_run_gates_before_sampling(monkeypatch):
         mean_energy_run(TRIVIAL, [-2.0 / 3.0], 3, sweeps=1000)
     with pytest.raises(ValidationError):
         mean_energy_run(TRIVIAL, [], 3, sweeps=1000)
-    with pytest.raises(ValidationError):
-        mean_energy_run(TRIVIAL, [1.0], 3, sweeps=1000, chains=0)
 
 
 # ---------------------------------------------------------------------------
