@@ -49,7 +49,7 @@ def main():
     l1 = float(np.abs(emp - mf).sum())
     print(f"\nL1 distance between binned laws: {l1:.4f}")
     print(f"acceptance: {np.asarray(stream.acceptance_rate).mean():.3f}, "
-          f"kept {len(stream.energies)} configurations")
+          f"kept {stream.energies.size} configurations")
 
 
 if __name__ == "__main__":

@@ -119,50 +119,6 @@ EXIT_MISMATCH = 5
 
 MANIFEST_SCHEMA = 1
 
-# Which public operation is exercised by which subcommand; the coverage test
-# in tests/test_cli.py walks this table against the package's exported API.
-OPERATION_COVERAGE = {
-    "gammaprod.log_gamma": ("zeta", "--log-gamma Z"),
-    "gammaprod.eval_gamma_product": ("zeta", "--family with full parameter values"),
-    "gammaprod.restrict_to_line": ("zeta", "--family selberg --w with one 't' entry"),
-    "gammaprod.zeros_and_poles_in_strip": ("zeta", "--poles-in lo:hi"),
-    "gammaprod.gp_to_json": ("zeta", "symbolic product in every report"),
-    "sphere.stereo_to_sphere": ("sample", "marked points of the curve"),
-    "sphere.sphere_to_stereo": ("sample", "--score plane-coordinate echo"),
-    "sphere.config_energy": ("sample", "--score"),
-    "sphere.sample_uniform_array": ("sample", "chain initialization"),
-    "closedforms.selberg_gamma_product": ("zeta", "--family selberg"),
-    "closedforms.pn_minimal_Z": ("zeta", "--family pnmin"),
-    "closedforms.p1_three_point_Z": ("zeta", "--family p1three"),
-    "closedforms.circular_Z": ("zeta", "--family circular"),
-    "closedforms.gaussian_det_Z": ("zeta", "--family gaussdet"),
-    "closedforms.bernstein_product": ("zeta", "--family gaussdet --s"),
-    "closedforms.zero_free_in_tube": ("zeta", "--tube canonical|widened|display"),
-    "closedforms.selberg_integral_finite": ("stability", "--n with three weights"),
-    "stability.weight_condition": ("stability", "verdict JSON field"),
-    "stability.gamma_threshold": ("stability", "--n"),
-    "stability.classify": ("stability", "--w"),
-    "stability.lct_point_divisor": ("stability", "--lct"),
-    "montecarlo.mc_selberg": ("mc", "--target selberg"),
-    "montecarlo.mc_sphere_partition": ("mc", "--target sphere"),
-    "montecarlo.mc_circular": ("mc", "--target circular"),
-    "montecarlo.mc_gaussian_det": ("mc", "--target gaussdet"),
-    "montecarlo.mc_gaussian_det_ratio": ("mc", "--target gaussdet-ratio"),
-    "montecarlo.free_energy_curve": ("mc", "--target free-energy"),
-    "sampler.log_target": ("sample", "--score"),
-    "sampler.run_chain": ("sample", "run mode"),
-    "sampler.mean_energy_estimate": ("sample", "run report"),
-    "sampler.marginal_histogram": ("sample", "run report"),
-    "sampler.ks_against": ("sample", "--ks-uniform"),
-    "meanfield.reduced_laplacian": ("oracle", "meanfield defect check"),
-    "meanfield.solve_mean_field": ("oracle", "meanfield"),
-    "meanfield.free_energy_functional": ("oracle", "meanfield summary"),
-    "meanfield.solve_poisson": ("oracle", "poisson"),
-    "meanfield.phi_n_approximant": ("oracle", "phin"),
-    "verify.run_verify": ("verify", "--level quick|full"),
-}
-
-
 # ---------------------------------------------------------------------------
 # small parsers (all raise ValidationError, never ValueError)
 
@@ -501,10 +457,11 @@ def _run_sample(args: argparse.Namespace, out_dir: Path):
     lines = [",".join(header)]
     # one row's tolist() at a time: the whole table as Python floats would
     # add its own size to the peak memory
-    coords = stream.configs.reshape(len(stream.energies), -1)
-    for c, s, e, row in zip(stream.chain_index.tolist(), stream.step_index.tolist(),
-                            stream.energies.tolist(), coords):
-        lines.append(",".join([str(c), str(s), repr(e), *map(repr, row.tolist())]))
+    kept = stream.sweeps // stream.thinning
+    coords = stream.configs.reshape(stream.energies.size, -1)
+    for r, (e, row) in enumerate(zip(stream.energies.ravel().tolist(), coords)):
+        c, j = divmod(r, kept)  # chain c's j-th kept sweep
+        lines.append(f"{c},{(j + 1) * stream.thinning - 1},{e!r}," + ",".join(map(repr, row.tolist())))
     csv_path.write_text("\n".join(lines) + "\n")
 
     run_report = stream.to_report()
@@ -602,7 +559,7 @@ def _run_oracle(args: argparse.Namespace, out_dir: Path):
         return report, outcome, files
 
     _require(args.N is not None and args.N >= 2, "oracle phin needs --N >= 2")
-    phi = phi_n_approximant(target, args.N)
+    phi = phi_n_approximant(target)  # --N is only echoed, as n_points
     files = [_field_csv(out_dir / "phi_n.csv", phi)]
     report = {
         "solver": solver,

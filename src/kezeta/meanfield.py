@@ -622,20 +622,17 @@ def free_energy_functional(
 # ---------------------------------------------------------------------------
 
 
-def phi_n_approximant(target: AxialField, n_points: int) -> AxialField:
+def phi_n_approximant(target: AxialField) -> AxialField:
     """Potential whose Gibbs ensemble at large N concentrates on `target`.
 
     For the trivial curve the N-point construction yields, in the mean-field
     limit, phi(t) = -2 d_L Int K(t, s) f(s) ds + const (d_L = 2), gauged so
     Int phi f dt = 0.  The closed-form kernel is integrated by trapezoid
-    quadrature, so the result never depends on n_points (kept in the
-    signature because the estimator it idealizes is the N-point empirical
-    average; only n_points >= 2 is checked).
+    quadrature, the N -> infinity limit of the N-point empirical average, so
+    no point count enters.
     """
     if target.kind != "Density":
         raise ValidationError("phi_n_approximant expects a Density target")
-    if n_points < 2:
-        raise ValidationError("need at least 2 points")
     g = target.grid
     d_l = 2.0  # trivial curve
     wq = _trapezoid_weights(g)

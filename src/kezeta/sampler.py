@@ -20,7 +20,8 @@ Chains run as lanes of one vectorized sweep loop: lane l uses lane l of
 every draw from a single master stream, so results are bit-reproducible for
 fixed (seed, lanes) and lanes are mutually independent.  Each lane carries
 its own beta.  run_chain broadcasts one beta to its `chains` lanes and keeps
-configurations and energies, merged in (chain index, step index) order.
+the (chains, kept) energy and (chains, kept, N, 3) configuration arrays the
+loop fills: row c is chain c, column j its sweep (j + 1) * thinning - 1.
 mean_energy_run runs a whole beta list as one batch, node-major (node k owns
 lanes k*_LADDER_CHAINS .. (k+1)*_LADDER_CHAINS - 1), and keeps energies only.
 
@@ -52,7 +53,7 @@ logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -105,10 +106,8 @@ class SampleStream:
 
     beta: float
     n_points: int
-    configs: np.ndarray  # (kept_total, N, 3), chain-major
-    energies: np.ndarray  # config_energy per kept configuration
-    chain_index: np.ndarray
-    step_index: np.ndarray
+    configs: np.ndarray  # (chains, kept, N, 3)
+    energies: np.ndarray  # (chains, kept), config_energy of each configuration
     seed: int
     chains: int
     sweeps: int
@@ -116,11 +115,7 @@ class SampleStream:
     thinning: int
     acceptance_rate: np.ndarray  # per chain, measurement phase
     final_step_scale: np.ndarray
-    adaptation_trace: list = field(default_factory=list)
-
-    def axial_values(self) -> np.ndarray:
-        """z-coordinates (t = cos theta) of every retained point, pooled."""
-        return self.configs[:, :, 2].ravel()
+    adaptation_trace: list
 
     def to_report(self) -> dict:
         return {
@@ -131,7 +126,7 @@ class SampleStream:
             "burn_in": self.burn_in,
             "thinning": self.thinning,
             "seed": self.seed,
-            "kept": int(self.configs.shape[0]),
+            "kept": int(self.energies.size),
             "acceptance_rate": [float(a) for a in self.acceptance_rate],
             "final_step_scale": [float(s) for s in self.final_step_scale],
             "adaptation_trace": self.adaptation_trace,
@@ -154,16 +149,6 @@ def _weight_part(dm: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return -np.add.reduce(wts * np.log(np.maximum(dm, _D2_FLOOR)), axis=-1)
 
 
-@dataclass
-class _LaneRun:
-    energies: np.ndarray  # (lanes, kept)
-    configs: Optional[np.ndarray]  # (lanes, kept, N, 3) if keep_configs, else None
-    scales: np.ndarray
-    acc: np.ndarray
-    prop: np.ndarray
-    trace: list  # (sweep, acceptance rates, step scales) at each adaptation
-
-
 def _run_lanes(
     curve: LogFanoCurve,
     betas: np.ndarray,
@@ -173,11 +158,12 @@ def _run_lanes(
     seed: int,
     thinning: int,
     keep_configs: bool,
-) -> _LaneRun:
+):
     """The one Metropolis sweep loop: lane l targets inverse temperature
     betas[l] and draws lane l of every draw from the master stream of `seed`.
-    Energies (and configurations, if asked) of every `thinning`-th
-    measurement sweep go into preallocated (lanes, kept) arrays."""
+    Returns (energies, configs or None, step scales, acceptance rates, trace):
+    every `thinning`-th measurement sweep fills column j of the preallocated
+    (lanes, kept) arrays, and trace holds (sweep, rates, scales) per adaptation."""
     if N < 2:
         raise ValidationError("need at least 2 points")
     if sweeps < 1 or betas.size < 1 or thinning < 1:
@@ -218,7 +204,7 @@ def _run_lanes(
 
     scales = np.full(lanes, _STEP_SCALE)
     acc = np.zeros(lanes, dtype=np.int64)
-    prop = np.zeros(lanes, dtype=np.int64)
+    prop = 0  # proposals per lane since the last reset: N per sweep
     trace = []
 
     kept = sweeps // thinning
@@ -259,16 +245,16 @@ def _run_lanes(
         prop += N
 
         if sweep < burn_in and (sweep + 1) % _ADAPT_WINDOW == 0:
-            rate = acc / np.maximum(prop, 1)
+            rate = acc / max(prop, 1)
             scales = np.where(rate > 0.5, scales * 1.4, scales)
             scales = np.where(rate < 0.2, scales * 0.7, scales)
             scales = np.clip(scales, _SCALE_LO, _SCALE_HI)
             trace.append((sweep + 1, rate, scales))
             acc[:] = 0
-            prop[:] = 0
+            prop = 0
         if sweep + 1 == burn_in:
             acc[:] = 0
-            prop[:] = 0
+            prop = 0
 
         k = sweep - burn_in
         if k >= 0 and (k + 1) % thinning == 0:
@@ -278,7 +264,7 @@ def _run_lanes(
             energies[:, j] = -2.0 * pref * np.sum(0.5 * L[:, iu[0], iu[1]], axis=-1)
             if configs is not None:
                 configs[:, j] = np.moveaxis(X, 0, -1)
-    return _LaneRun(energies, configs, scales, acc, prop, trace)
+    return energies, configs, scales, acc / max(prop, 1), trace
 
 
 def run_chain(
@@ -295,28 +281,25 @@ def run_chain(
     sweeps each."""
     if burn_in is None:
         burn_in = max(100, sweeps // 10)
-    run = _run_lanes(
+    energies, configs, scales, rate, trace = _run_lanes(
         curve, np.full(max(chains, 0), beta, dtype=float), N, sweeps, burn_in,
         seed, thinning, keep_configs=True,
     )
-    kept = run.energies.shape[1]
     return SampleStream(
         beta=beta,
         n_points=N,
-        configs=run.configs.reshape(chains * kept, N, 3),
-        energies=run.energies.reshape(chains * kept),
-        chain_index=np.repeat(np.arange(chains), kept),
-        step_index=np.tile(np.arange(thinning - 1, sweeps, thinning), chains),
+        configs=configs,
+        energies=energies,
         seed=seed,
         chains=chains,
         sweeps=sweeps,
         burn_in=burn_in,
         thinning=thinning,
-        acceptance_rate=run.acc / np.maximum(run.prop, 1),
-        final_step_scale=run.scales,
+        acceptance_rate=rate,
+        final_step_scale=scales,
         adaptation_trace=[
-            {"sweep": k, "acceptance": [float(r) for r in rate], "step_scale": [float(x) for x in sc]}
-            for k, rate, sc in run.trace
+            {"sweep": k, "acceptance": [float(r) for r in r_k], "step_scale": [float(x) for x in sc]}
+            for k, r_k, sc in trace
         ],
     )
 
@@ -391,9 +374,9 @@ def _energy_estimate(energies: np.ndarray, seed: int) -> McEstimate:
 
 def mean_energy_estimate(samples: SampleStream) -> McEstimate:
     """Batch-means estimate of E[config_energy] over the stream."""
-    if samples.configs.shape[0] == 0:
+    if samples.energies.size == 0:
         raise ValidationError("empty sample stream")
-    return _energy_estimate(samples.energies.reshape(samples.chains, -1), samples.seed)
+    return _energy_estimate(samples.energies, samples.seed)
 
 
 def mean_energy_run(
@@ -420,11 +403,11 @@ def mean_energy_run(
         raise ValidationError("need a non-empty beta list")
     chains = _LADDER_CHAINS
     per_chain = max(50, int(math.ceil(sweeps / chains)))
-    run = _run_lanes(
+    energies = _run_lanes(
         curve, np.repeat(betas, chains), N, per_chain, max(200, per_chain // 5),
         seed, 1, keep_configs=False,
-    )
-    return [_energy_estimate(run.energies[k * chains:(k + 1) * chains], seed) for k in range(len(betas))]
+    )[0]
+    return [_energy_estimate(energies[k * chains:(k + 1) * chains], seed) for k in range(len(betas))]
 
 
 @dataclass
@@ -453,15 +436,12 @@ def marginal_histogram(samples: SampleStream, bins: int = 40) -> MarginalHistogr
     """
     if bins < MIN_BINS:
         raise ValidationError(f"need at least {MIN_BINS} bins")
-    t = samples.axial_values()
+    t = samples.configs[..., 2]  # (chains, kept, N)
     edges = np.linspace(-1.0, 1.0, bins + 1)
     counts, _ = np.histogram(t, bins=edges)
-    taus = []
-    for c in range(samples.chains):
-        axial_mean = samples.configs[samples.chain_index == c, :, 2].mean(axis=-1)
-        taus.append(_integrated_autocorr(axial_mean))
+    taus = [_integrated_autocorr(axial_mean) for axial_mean in t.mean(axis=-1)]
     tau = float(np.mean(taus)) if taus else 0.0
-    ess = samples.configs.shape[0] / (1.0 + 2.0 * tau)
+    ess = samples.energies.size / (1.0 + 2.0 * tau)
     return MarginalHistogram(edges, counts.astype(float), float(ess))
 
 

@@ -98,15 +98,19 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 # exact references for the trivial three-point family, used by criterion 10.
 
+def _digamma(x: float) -> float:
+    """psi(x) as the complex-step derivative of log_gamma: analytic at x > 0,
+    so Im log_gamma(x + ih) / h carries no cancellation."""
+    return log_gamma(complex(x, 1e-20)).imag / 1e-20
+
+
 def three_point_mean_energy(beta: float) -> float:
     """d/dbeta of -log Z_3 for the trivial divisor, via digamma."""
-    from scipy.special import digamma
-
     return float(
         -2.0 * math.log(2.0)
-        + 2.0 * digamma(2.0 * beta + 2.0)
-        - digamma(3.0 * beta + 2.0)
-        - digamma(beta + 1.0)
+        + 2.0 * _digamma(2.0 * beta + 2.0)
+        - _digamma(3.0 * beta + 2.0)
+        - _digamma(beta + 1.0)
     )
 
 
@@ -378,24 +382,16 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     target = density_from_function(np.exp, m=800)
-    phi3 = phi_n_approximant(target, 3)
-    phi8 = phi_n_approximant(target, 8)
-    # phi_n_approximant never reads n_points, so this sup is 0.0 by
-    # construction and cannot fail; it stays so the report keeps its bytes
-    n_indep = float(np.max(np.abs(phi3.values - phi8.values)))
+    phi = phi_n_approximant(target)
 
     # solve_poisson reads C_LAP at call time, so a tampered calibration
     # shows up here
     ps, _ = solve_poisson(target)
     wq = meanfield._trapezoid_weights(target.grid)
     shift = float(np.sum(wq * target.values * ps.values))
-    sup_dev = float(np.max(np.abs(phi3.values - (ps.values - shift))))
+    sup_dev = float(np.max(np.abs(phi.values - (ps.values - shift))))
     return CriterionResult(
-        11,
-        _NAMES[11],
-        f"N-dependence sup {n_indep!r}; vs screened Poisson solve sup {sup_dev!r}",
-        "1e-10; 1e-3",
-        n_indep <= 1e-10 and sup_dev < 1e-3,
+        11, _NAMES[11], f"vs screened Poisson solve sup {sup_dev!r}", "1e-3", sup_dev < 1e-3
     )
 
 

@@ -27,53 +27,94 @@ def run_cli(argv, capsys):
 # ----------------------------------------------------------------------
 # coverage: every public operation is reachable from some subcommand
 
-EXPECTED_OPERATIONS = [
-    "gammaprod.log_gamma",
-    "gammaprod.eval_gamma_product",
-    "gammaprod.restrict_to_line",
-    "gammaprod.zeros_and_poles_in_strip",
-    "sphere.stereo_to_sphere",
-    "sphere.sphere_to_stereo",
-    "sphere.config_energy",
-    "sphere.sample_uniform_array",
-    "closedforms.selberg_gamma_product",
-    "closedforms.pn_minimal_Z",
-    "closedforms.p1_three_point_Z",
-    "closedforms.circular_Z",
-    "closedforms.gaussian_det_Z",
-    "closedforms.zero_free_in_tube",
-    "stability.weight_condition",
-    "stability.gamma_threshold",
-    "stability.classify",
-    "stability.lct_point_divisor",
-    "montecarlo.mc_selberg",
-    "montecarlo.mc_sphere_partition",
-    "montecarlo.mc_circular",
-    "montecarlo.mc_gaussian_det",
-    "montecarlo.free_energy_curve",
-    "sampler.log_target",
-    "sampler.run_chain",
-    "sampler.mean_energy_estimate",
-    "sampler.marginal_histogram",
-    "sampler.ks_against",
-    "meanfield.reduced_laplacian",
-    "meanfield.solve_mean_field",
-    "meanfield.free_energy_functional",
-    "meanfield.solve_poisson",
-    "meanfield.phi_n_approximant",
-]
+# One argv per public operation; {score} is a three-point configuration CSV.
+_SELBERG = ["zeta", "--family", "selberg", "--n", "3"]
+_SAMPLE = ["sample", "--w", "1/2", "--beta", "1", "--N", "3", "--sweeps", "20", "--thinning", "5"]
+_SCORE = ["sample", "--score", "{score}", "--w", "1/2", "--beta", "1"]
+_MEANFIELD = ["oracle", "meanfield", "--w", "1/2", "--beta", "1", "--m", "200"]
+OPERATION_ROUTES = {
+    "gammaprod.log_gamma": ["zeta", "--log-gamma", "1.5"],
+    "gammaprod.eval_gamma_product": [*_SELBERG, "--w", "1/2,1/2,1/2"],
+    "gammaprod.restrict_to_line": [*_SELBERG, "--w", "t,1/2,1/2"],
+    "gammaprod.zeros_and_poles_in_strip": ["zeta", "--family", "p1three", "--poles-in=-1:0"],
+    "gammaprod.gp_to_json": ["zeta", "--family", "p1three"],
+    "sphere.stereo_to_sphere": _SAMPLE,
+    "sphere.sphere_to_stereo": _SCORE,
+    "sphere.config_energy": _SCORE,
+    "sphere.sample_uniform_array": _SAMPLE,
+    "closedforms.selberg_gamma_product": _SELBERG,
+    "closedforms.pn_minimal_Z": ["zeta", "--family", "pnmin", "--n", "2"],
+    "closedforms.p1_three_point_Z": ["zeta", "--family", "p1three"],
+    "closedforms.circular_Z": ["zeta", "--family", "circular", "--n", "3"],
+    "closedforms.gaussian_det_Z": ["zeta", "--family", "gaussdet", "--n", "2"],
+    "closedforms.bernstein_product": ["zeta", "--family", "gaussdet", "--n", "2", "--s", "1/2"],
+    "closedforms.zero_free_in_tube": [*_SELBERG, "--tube", "canonical"],
+    "closedforms.selberg_integral_finite": ["stability", "--w", "1/2,1/2,1/2", "--n", "3"],
+    "stability.weight_condition": ["stability", "--w", "1/2,1/2,1/2"],
+    "stability.gamma_threshold": ["stability", "--w", "1/2,1/2,1/2", "--n", "3"],
+    "stability.classify": ["stability", "--w", "1/2,1/2,1/2"],
+    "stability.lct_point_divisor": ["stability", "--lct", "1,1"],
+    "montecarlo.mc_selberg": ["mc", "--target", "selberg", "--w", "1/2,1/2,1/2", "--n", "3", "--samples", "2000"],
+    "montecarlo.mc_sphere_partition": ["mc", "--target", "sphere", "--beta", "1", "--n", "3", "--samples", "2000"],
+    "montecarlo.mc_circular": ["mc", "--target", "circular", "--beta", "1", "--n", "3", "--samples", "2000"],
+    "montecarlo.mc_gaussian_det": ["mc", "--target", "gaussdet", "--n", "2", "--s", "0", "--samples", "2000"],
+    "montecarlo.mc_gaussian_det_ratio": ["mc", "--target", "gaussdet-ratio", "--n", "2", "--s", "0",
+                                         "--samples", "2000"],
+    "montecarlo.free_energy_curve": ["mc", "--target", "free-energy", "--n", "3", "--grid", "1/2:1:1/2",
+                                     "--budget", "2000"],
+    "sampler.log_target": _SCORE,
+    "sampler.run_chain": _SAMPLE,
+    "sampler.mean_energy_estimate": _SAMPLE,
+    "sampler.marginal_histogram": _SAMPLE,
+    "sampler.ks_against": [*_SAMPLE, "--ks-uniform"],
+    "meanfield.reduced_laplacian": _MEANFIELD,
+    "meanfield.solve_mean_field": _MEANFIELD,
+    "meanfield.free_energy_functional": _MEANFIELD,
+    "meanfield.solve_poisson": ["oracle", "poisson", "--target", "exp:1"],
+    "meanfield.phi_n_approximant": ["oracle", "phin", "--target", "exp:1", "--N", "3"],
+    "verify.run_verify": ["verify", "--level", "quick"],
+}
 
 
-def test_every_operation_has_a_cli_route():
+def test_every_operation_has_a_cli_route(tmp_path, capsys, monkeypatch):
+    # each operation is wrapped wherever a kezeta module binds it, and its
+    # argv must reach the wrapper through cli.main
+    import functools
     import importlib
+    import sys
 
-    missing = [op for op in EXPECTED_OPERATIONS if op not in cli.OPERATION_COVERAGE]
-    assert not missing, f"operations without a CLI route: {missing}"
-    for op, (command, _how) in cli.OPERATION_COVERAGE.items():
+    score = tmp_path / "score.csv"
+    score.write_text("x,y,z\n0.6,0,0.8\n0,0.6,-0.8\n-0.8,0,0.6\n")
+    called = set()
+
+    def recording(op, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            called.add(op)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("kezeta.")]
+    for op in OPERATION_ROUTES:
         mod_name, func_name = op.split(".")
-        mod = importlib.import_module(f"kezeta.{mod_name}")
-        assert callable(getattr(mod, func_name)), op
-        assert command in cli._DISPATCH, (op, command)
+        fn = getattr(importlib.import_module(f"kezeta.{mod_name}"), func_name)
+        assert callable(fn), op
+        wrapper = recording(op, fn)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setitem(vars(module), key, wrapper)
+
+    by_argv = {}
+    for op, argv in OPERATION_ROUTES.items():
+        by_argv.setdefault(tuple(argv), []).append(op)
+    for k, (argv, ops) in enumerate(by_argv.items()):
+        called.clear()
+        argv = [a.replace("{score}", str(score)) for a in argv]
+        code, _, err = run_cli([*argv, "--out", str(tmp_path / f"run{k}")], capsys)
+        assert code == 0, (argv, err)
+        missing = [op for op in ops if op not in called]
+        assert not missing, (f"ke-zeta {shlex.join(argv)} never calls", missing)
 
 
 # ----------------------------------------------------------------------
@@ -379,8 +420,9 @@ def test_parse_fraction_keeps_the_exact_rational():
     (["oracle", "phin", "--N", "3", "--m", "-2"], "at least 1 cell"),
     (["oracle", "meanfield", "--w", "1/2", "--beta", "1", "--m", "1000000000"], "at most 65536 cells"),
     (["oracle", "poisson", "--target", "exp:1", "--degree", "100000000"], "degree"),
+    (["oracle", "phin", "--N", "1"], "--N >= 2"),
 ], ids=["poisson-degree-negative", "poisson-degree-zero", "poisson-m", "phin-m",
-        "meanfield-m-cap", "poisson-degree-cap"])
+        "meanfield-m-cap", "poisson-degree-cap", "phin-N"])
 def test_oracle_grid_and_degree_bounds_are_validation_exit(tmp_path, capsys, monkeypatch, argv, message):
     # an over-cap size must be refused before its arrays are allocated: the
     # grid and quadrature builders fail the test if asked for more than a cap
@@ -720,6 +762,18 @@ def test_verify_quick_report_matches_the_pinned_bytes():
     # move it updates tests/data/verify_quick.txt and says so in CHANGES.md
     pinned = (Path(__file__).resolve().parent / "data" / "verify_quick.txt").read_text()
     assert kezeta.verify.run_verify("quick").text() == pinned
+
+
+def test_sample_output_matches_the_pinned_bytes(tmp_path, capsys):
+    # the sampler's CSV and run report are pinned across commits, like the
+    # quick report: 3 chains of 10 kept configurations, two adaptation steps
+    argv = ["sample", "--w", "1/2,1/3", "--beta=-1/4", "--N", "4", "--chains", "3", "--thinning", "4",
+            "--sweeps", "41", "--seed", "3", "--ks-uniform", "--out", str(tmp_path)]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    pinned = Path(__file__).resolve().parent / "data" / "sample_pinned"
+    for name in ("samples.csv", "sample_run.json"):
+        assert (tmp_path / name).read_bytes() == (pinned / name).read_bytes(), name
 
 
 def test_verify_failure_exits_5(tmp_path, capsys, monkeypatch):

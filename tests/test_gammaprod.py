@@ -70,6 +70,19 @@ def test_log_gamma_real_negative_matches_mpmath_branch():
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref)), (x, y, got, ref)
 
 
+def test_complex_step_digamma_matches_mpmath():
+    # criterion 10's digamma, psi(x) = Im log_gamma(x + 1e-20 i) / 1e-20, at
+    # every argument three_point_mean_energy forms for beta in [-0.6, 3.4)
+    from kezeta.verify import _digamma
+
+    with mp.workdps(40):
+        for k in range(400):
+            beta = -0.6 + 0.01 * k
+            for x in (2.0 * beta + 2.0, 3.0 * beta + 2.0, beta + 1.0):
+                ref = float(mp.digamma(mp.mpf(x)))
+                assert abs(_digamma(x) - ref) <= 1e-14, (x, _digamma(x), ref)
+
+
 @pytest.mark.parametrize("x", [-64.5, -65.75, -1000.3, -1e6 + 0.25, -1e15 + 0.5, -1e15, -1e20])
 def test_log_gamma_reflects_far_left_against_mpmath(x):
     # below Re z = -64 the reflection formula replaces the shift, which would

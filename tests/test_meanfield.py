@@ -473,20 +473,13 @@ def test_free_energy_derivative_is_mean_energy():
 def test_phi_n_uniform_target_is_zero():
     # Green mean-value property: the potential of the uniform measure is
     # constant, and the gauge removes the constant
-    p = phi_n_approximant(uniform_density(800), 4)
+    p = phi_n_approximant(uniform_density(800))
     assert np.max(np.abs(p.values)) < 5e-4
-
-
-def test_phi_n_quadrature_is_n_independent():
-    f = density_from_function(np.exp, 800)
-    p3 = phi_n_approximant(f, 3)
-    p8 = phi_n_approximant(f, 8)
-    assert np.max(np.abs(p3.values - p8.values)) < 1e-10
 
 
 def test_phi_n_matches_poisson():
     f = density_from_function(np.exp, 800)
-    p = phi_n_approximant(f, 3)
+    p = phi_n_approximant(f)
     phi, _ = solve_poisson(f)
     # align gauges: poisson is sigma-mean-zero, phi_N is dV-mean-zero
     h = f.spacing
@@ -497,12 +490,9 @@ def test_phi_n_matches_poisson():
 
 
 def test_phi_n_validation():
-    f = density_from_function(np.exp, 400)
-    with pytest.raises(ValidationError):
-        phi_n_approximant(f, 1)
     g = uniform_grid(400)
     with pytest.raises(ValidationError):
-        phi_n_approximant(AxialField(g, np.zeros(g.size), "Potential"), 4)
+        phi_n_approximant(AxialField(g, np.zeros(g.size), "Potential"))
 
 
 # ---------------------------------------------------------------------------

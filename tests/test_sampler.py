@@ -139,7 +139,7 @@ def test_pair_distance_moment_matches_exact_law():
     # N = 2, trivial, beta: pair density prop to c^(4 beta) on the chordal
     # distance, so E[c^2] = 4(4b+2)/(4b+4); at beta = 1 that's 3.
     stream = run_chain(TRIVIAL, 1.0, 2, sweeps=4000, seed=5, thinning=2, chains=8)
-    c2 = np.sum((stream.configs[:, 0, :] - stream.configs[:, 1, :]) ** 2, axis=-1)
+    c2 = np.sum((stream.configs[..., 0, :] - stream.configs[..., 1, :]) ** 2, axis=-1).ravel()
     batches = np.array([b.mean() for b in np.array_split(c2, 32)])
     se = batches.std(ddof=1) / math.sqrt(batches.size)
     assert abs(c2.mean() - 3.0) < 4.0 * se
@@ -149,8 +149,9 @@ def test_stream_reproducible_and_merged_deterministically():
     a = run_chain(TRIVIAL, 0.5, 4, sweeps=200, seed=9, chains=3)
     b = run_chain(TRIVIAL, 0.5, 4, sweeps=200, seed=9, chains=3)
     assert np.array_equal(a.configs, b.configs)
-    assert np.array_equal(a.chain_index, b.chain_index)
-    assert a.chain_index[0] == 0 and a.chain_index[-1] == 2    # chain-major merge
+    assert np.array_equal(a.energies, b.energies)
+    # one row per chain, one column per kept sweep (200 // 10)
+    assert a.configs.shape == (3, 20, 4, 3) and a.energies.shape == (3, 20)
 
 
 def test_rotation_leaves_energies_invariant():
@@ -160,8 +161,8 @@ def test_rotation_leaves_energies_invariant():
         [[math.cos(th), -math.sin(th), 0.0], [math.sin(th), math.cos(th), 0.0], [0.0, 0.0, 1.0]]
     )
     rotated = stream.configs @ R.T
-    d_orig = np.linalg.norm(stream.configs[:, :, None] - stream.configs[:, None], axis=-1)
-    d_rot = np.linalg.norm(rotated[:, :, None] - rotated[:, None], axis=-1)
+    d_orig = np.linalg.norm(stream.configs[..., :, None, :] - stream.configs[..., None, :, :], axis=-1)
+    d_rot = np.linalg.norm(rotated[..., :, None, :] - rotated[..., None, :, :], axis=-1)
     assert np.allclose(d_orig, d_rot, atol=1e-12)
 
 
@@ -169,11 +170,11 @@ def test_exchangeability_of_recorded_energies():
     from kezeta.sphere import config_energy
 
     stream = run_chain(HALF3, -1.0, 4, sweeps=60, seed=6)
-    for k in range(0, stream.configs.shape[0], 3):
-        cfg = PointConfiguration.from_array(stream.configs[k])
-        perm = PointConfiguration.from_array(stream.configs[k][::-1])
-        assert config_energy(cfg, HALF3) == pytest.approx(stream.energies[k], abs=1e-10)
-        assert config_energy(perm, HALF3) == pytest.approx(stream.energies[k], abs=1e-10)
+    for k in range(0, stream.energies.shape[1], 3):
+        cfg = PointConfiguration.from_array(stream.configs[0, k])
+        perm = PointConfiguration.from_array(stream.configs[0, k][::-1])
+        assert config_energy(cfg, HALF3) == pytest.approx(stream.energies[0, k], abs=1e-10)
+        assert config_energy(perm, HALF3) == pytest.approx(stream.energies[0, k], abs=1e-10)
 
 
 def test_attractive_weighted_triangle_stays_ergodic():
@@ -253,8 +254,8 @@ def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains
         if sweep >= burn_in and (sweep - burn_in + 1) % thinning == 0:
             kept_X.append(X.copy())
             kept_E.append(-2.0 * pref * np.sum(pairwise_log_chordal(X), axis=-1))
-    configs = np.stack(kept_X, axis=1).reshape(-1, N, 3)
-    return configs, np.stack(kept_E, axis=1).ravel(), acc / np.maximum(prop, 1), scales
+    # (chains, kept, N, 3) and (chains, kept)
+    return np.stack(kept_X, axis=1), np.stack(kept_E, axis=1), acc / np.maximum(prop, 1), scales
 
 
 @pytest.mark.parametrize(
@@ -355,9 +356,8 @@ def test_mean_energy_run_lanes_are_node_major_run_chain_lanes():
     c, per_chain = sampler._LADDER_CHAINS, 60
     stream = run_chain(TRIVIAL, 0.5, 3, sweeps=per_chain, burn_in=200, seed=13, thinning=1, chains=2 * c)
     ests = mean_energy_run(TRIVIAL, [0.5, 0.5], 3, sweeps=c * per_chain, seed=13)
-    rows = c * per_chain
     for k, est in enumerate(ests):
-        block = slice(k * rows, (k + 1) * rows)
+        block = slice(k * c, (k + 1) * c)
         part = replace(stream, configs=stream.configs[block], energies=stream.energies[block], chains=c)
         assert est.to_json() == mean_energy_estimate(part).to_json()
 
@@ -383,7 +383,7 @@ def test_mean_energy_run_gates_before_sampling(monkeypatch):
 def test_marginal_histogram_uniform_passes_ks():
     stream = run_chain(TRIVIAL, 1.0, 8, sweeps=2000, seed=1, thinning=4, chains=4)
     hist = marginal_histogram(stream, bins=40)
-    assert hist.counts.sum() == stream.configs.shape[0] * 8
+    assert hist.counts.sum() == stream.energies.size * 8
     assert hist.effective_sample_size > 100
     ks = ks_against(hist, lambda t: (t + 1.0) / 2.0)
     assert ks < ks_threshold(hist.effective_sample_size)
@@ -412,6 +412,6 @@ def test_marginal_histogram_validation():
 
 def test_mean_energy_estimate_empty_stream():
     stream = run_chain(TRIVIAL, 1.0, 4, sweeps=3, burn_in=0, thinning=10, seed=1)
-    assert stream.configs.shape[0] == 0
+    assert stream.configs.shape == (1, 0, 4, 3) and stream.energies.shape == (1, 0)
     with pytest.raises(ValidationError):
         mean_energy_estimate(stream)
