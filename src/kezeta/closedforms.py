@@ -28,7 +28,8 @@ rows: each rational row a.x < b is scaled to integers, rows are combined with
 positive integer multipliers and divided by their gcd (Schrijver, Theory of
 Linear and Integer Programming, 1986, sec. 12.2), so every step is plain int
 arithmetic and a Fraction is formed only for a final bound or a witness
-coordinate.
+coordinate.  One range solve (a functional's exact open range over the
+tube) serves the hyperplane scan, the emptiness check and the witness point.
 
 A caution that shapes two public helpers: the Gamma-product formula is the
 meromorphic continuation of the defining integral.  At weight points where
@@ -280,31 +281,20 @@ def _int_rows(rows) -> list[Row]:
     return list(dict.fromkeys(_int_row(a, b) for a, b in rows))
 
 
-def _fm_split(rows: list[Row], idx: int):
-    """Rows bounding x_idx from below (a[idx] < 0), from above, and the rest."""
-    lowers, uppers, keep = [], [], []
+def _fm_eliminate(rows: list[Row], idx: int) -> list[Row]:
+    """The rows without x_idx, and every lower bound on x_idx (a[idx] < 0)
+    against every upper one: (-c_l)*upper + c_u*lower cancels x_idx with
+    positive multipliers, then the gcd goes.  Duplicate rows are dropped."""
+    lowers, uppers, out = [], [], []
     for row in rows:
         c = row[0][idx]
-        (keep if c == 0 else uppers if c > 0 else lowers).append(row)
-    return lowers, uppers, keep
-
-
-def _fm_combine(lowers: list[Row], uppers: list[Row], idx: int) -> list[Row]:
-    """Every lower bound on x_idx against every upper one: (-c_l)*upper +
-    c_u*lower cancels x_idx with positive multipliers, then the gcd goes."""
-    out = []
+        (out if c == 0 else uppers if c > 0 else lowers).append(row)
     for la, lb in lowers:
         cl = -la[idx]
         for ua, ub in uppers:
             cu = ua[idx]
             out.append(_primitive([cl * u + cu * l for u, l in zip(ua, la)], cl * ub + cu * lb))
-    return out
-
-
-def _fm_eliminate(rows: list[Row], idx: int):
-    """(lowers, uppers, the rows without x_idx), duplicate rows dropped."""
-    lowers, uppers, keep = _fm_split(rows, idx)
-    return lowers, uppers, list(dict.fromkeys(keep + _fm_combine(lowers, uppers, idx)))
+    return list(dict.fromkeys(out))
 
 
 def _fm_contradiction(rows: list[Row]) -> bool:
@@ -336,7 +326,7 @@ def _functional_range(rows: list[Row], ell: Sequence[int]):
     cur = _substitute(wide, j, tuple(ell) + (-1,), 0)
     for idx in range(n):
         if idx != j:
-            cur = _fm_eliminate(cur, idx)[2]
+            cur = _fm_eliminate(cur, idx)
     if _fm_contradiction(cur):
         return "empty"
     lo, hi = None, None
@@ -354,26 +344,19 @@ def _functional_range(rows: list[Row], ell: Sequence[int]):
     return lo, hi
 
 
-def _fm_point(rows: list[Row], n: int, skip=(), pick=Fraction(1, 2)):
-    """Interior rational point of the open polytope, or None.  Variables in
-    `skip` are ignored (treated as already substituted away)."""
-    levels = []
-    cur = rows
-    for idx in range(n):
-        if idx not in skip:
-            lowers, uppers, cur = _fm_eliminate(cur, idx)
-            levels.append((idx, lowers, uppers))
-    if _fm_contradiction(cur):
-        return None
+def _range_point(rows: list[Row], n: int, skip=(), pick=Fraction(1, 2)):
+    """Interior rational point of the open polytope, or None.  The variables
+    not in `skip` (those stay None) are fixed last to first inside their open
+    ranges; the last check catches a polytope with no variable left free."""
     x: list[Optional[Fraction]] = [None] * n
-    for idx, lowers, uppers in reversed(levels):
-        lo, hi = None, None
-        for a, b in lowers:
-            v = (b - sum(a[i] * x[i] for i in range(n) if i != idx and a[i] != 0)) / Fraction(a[idx])
-            lo = v if lo is None else max(lo, v)
-        for a, b in uppers:
-            v = (b - sum(a[i] * x[i] for i in range(n) if i != idx and a[i] != 0)) / Fraction(a[idx])
-            hi = v if hi is None else min(hi, v)
+    for idx in reversed(range(n)):
+        if idx in skip:
+            continue
+        unit = tuple(int(i == idx) for i in range(n))
+        rng = _functional_range(rows, unit)
+        if rng == "empty":
+            return None
+        lo, hi = rng
         if lo is None and hi is None:
             x[idx] = Fraction(0)
         elif lo is None:
@@ -381,10 +364,9 @@ def _fm_point(rows: list[Row], n: int, skip=(), pick=Fraction(1, 2)):
         elif hi is None:
             x[idx] = lo + 1
         else:
-            if lo >= hi:
-                return None
             x[idx] = lo + (hi - lo) * pick
-    return x
+        rows = _substitute(rows, idx, *_int_row(unit, x[idx]))
+    return None if _fm_contradiction(rows) else x
 
 
 def _singular_hyperplanes(gp: GammaProduct, params: Sequence[str], rows: list[Row]):
@@ -476,9 +458,7 @@ def zero_free_in_tube(gp: GammaProduct, dom: TubeDomain) -> ZeroFreeReport:
         raise ValidationError(f"tube constrains unknown parameters {sorted(extra)}")
     n = len(params)
     rows = _int_rows(dom.rows(params))
-    if _fm_point(rows, n) is None:
-        raise ValidationError("tube domain is empty")
-
+    # an empty tube raises on the first range solve
     net, rep = _singular_hyperplanes(gp, params, rows)
     zero_keys = sorted(k for k, e in net.items() if e < 0)
     if not zero_keys:
@@ -489,7 +469,7 @@ def zero_free_in_tube(gp: GammaProduct, dom: TubeDomain) -> ZeroFreeReport:
     desc = " + ".join(f"{vec[i]}*{params[i]}" for i in range(n) if vec[i] != 0)
     constrained = _substitute(rows, j, *_int_row(vec, value))
     for pick in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5), Fraction(3, 5)):
-        x = _fm_point(constrained, n, skip={j}, pick=pick)
+        x = _range_point(constrained, n, skip={j}, pick=pick)
         if x is None:
             continue
         x[j] = (value - sum(vec[i] * x[i] for i in range(n) if i != j)) / vec[j]

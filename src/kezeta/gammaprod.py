@@ -15,9 +15,11 @@ takes more than about 85 steps, however negative Re z is.
 
 Exact classification: a factor is singular at a parameter point when its
 affine argument is a nonpositive integer.  With rational parameters this is
-decided in exact arithmetic.  Removable points (net order zero) are resolved
-by pairing residues via  Gamma(z) ~ (-1)^n / (n! (z+n))  near z = -n, which
-keeps the value finite without ever evaluating close to a pole.
+decided in exact arithmetic.  One exact residue product, from
+Gamma(z) ~ (-1)^n / (n! (z+n)) near z = -n, serves both the limit at a zero
+and the value at a removable point (net order zero); its log is taken from
+its integer numerator and denominator, so it never underflows, and nothing
+is ever evaluated close to a pole.
 """
 
 from __future__ import annotations
@@ -320,6 +322,16 @@ def _primitive_direction(grad: dict[str, Fraction]) -> tuple[tuple[tuple[str, Fr
     return direction, lead
 
 
+def _residue_log(members: list[tuple[Fraction, int, int]]) -> tuple[float, bool]:
+    """log|c| and whether c < 0, for c = prod [(-1)^n / (n! lam)]^e over the
+    (lam, n, e): c is exact and its log comes from its integer numerator and
+    denominator, so no factorial underflows or overflows a float."""
+    c = Fraction(1)
+    for lam, n, e in members:
+        c *= (Fraction((-1) ** n, math.factorial(n)) / lam) ** e
+    return math.log(abs(c.numerator)) - math.log(c.denominator), c < 0
+
+
 def eval_gamma_product(gp: GammaProduct, params: Mapping[str, complex]) -> MeroValue:
     """Classify and evaluate gp at a parameter point.
 
@@ -341,10 +353,8 @@ def eval_gamma_product(gp: GammaProduct, params: Mapping[str, complex]) -> MeroV
         val = f.arg.evaluate(params)
         if isinstance(val, Fraction):
             hit = val <= 0 and val.denominator == 1
-            numeric = complex(val)
         else:
             hit = _is_nonpositive_integer(val)
-            numeric = complex(val)
             if not hit:
                 nearest = round(val.real)
                 if nearest <= 0 and abs(val - nearest) <= _NEAR_SINGULAR_TOL:
@@ -357,13 +367,19 @@ def eval_gamma_product(gp: GammaProduct, params: Mapping[str, complex]) -> MeroV
                 raise ValidationError(
                     f"factor Gamma({f.arg})^{f.exponent} is identically singular (constant argument)"
                 )
-            singular.append((grad, int(-val.real if not isinstance(val, Fraction) else -val), f.exponent))
+            singular.append((grad, int(-val.real), f.exponent))
         else:
-            regular.append((numeric, f.exponent))
+            regular.append((complex(val), f.exponent))
 
     net = sum(e for _, _, e in singular)
     if net > 0:
         return MeroValue.pole(net, warnings)
+
+    # Gamma(lam*u - n)^e ~ [(-1)^n/(n! lam)]^e u^{-e} as u -> 0 along its direction
+    groups: dict[tuple, list[tuple[Fraction, int, int]]] = {}
+    for grad, n, e in singular:
+        direction, lam = _primitive_direction(grad)
+        groups.setdefault(direction, []).append((lam, n, e))
 
     # log of the product over the nonsingular factors
     log_reg = complex(gp.log_prefactor)
@@ -372,46 +388,24 @@ def eval_gamma_product(gp: GammaProduct, params: Mapping[str, complex]) -> MeroV
 
     if net < 0:
         limit = None
-        if len(gp.params) == 1:
-            # lim f(t)/(t-t0)^{|net|}: each singular factor contributes
-            # Gamma(s*(t-t0) - n)^e ~ [(-1)^n/(n! * s)]^e * (t-t0)^{-e}
-            log_c, sign = 0.0, 1.0
-            ok = True
-            for grad, n, e in singular:
-                s = list(grad.values())[0]
-                coef = Fraction((-1) ** n, math.factorial(n)) / s
-                if coef == 0:
-                    ok = False
-                    break
-                log_c += e * math.log(abs(coef))
-                sign *= (1.0 if coef > 0 else -1.0) ** e
-            if ok:
-                try:
-                    limit = cmath.exp(log_reg + log_c) * sign
-                except OverflowError:
-                    limit = None
+        if len(gp.params) == 1:  # lim f(t)/(t-t0)^{|net|}, from the one group
+            log_c, negative = _residue_log(*groups.values())
+            try:
+                limit = cmath.exp(log_reg + log_c) * (-1.0 if negative else 1.0)
+            except OverflowError:
+                pass
         return MeroValue.zero(-net, limit, warnings)
 
-    if singular:
-        # removable: group by direction; each class must cancel on its own,
-        # otherwise the limit depends on the approach direction.
-        classes: dict[tuple, list[tuple[Fraction, int, int]]] = {}
-        for grad, n, e in singular:
-            direction, lam = _primitive_direction(grad)
-            classes.setdefault(direction, []).append((lam, n, e))
-        for direction, members in classes.items():
-            if sum(e for _, _, e in members) != 0:
-                raise ValidationError(
-                    "removable point has direction-dependent limit "
-                    f"(unbalanced cancellation along {dict(direction)})"
-                )
-            # prod over class of [(-1)^n / (n! lambda)]^e  -- exact rational
-            c = Fraction(1)
-            for lam, n, e in members:
-                c *= (Fraction((-1) ** n, math.factorial(n)) / lam) ** e
-            if c == 0:
-                raise ValidationError("degenerate cancellation class")
-            log_reg += math.log(abs(c)) + (cmath.pi * 1j if c < 0 else 0.0)
+    # removable: each group must cancel on its own, otherwise the limit
+    # depends on the approach direction
+    for direction, members in groups.items():
+        if sum(e for _, _, e in members) != 0:
+            raise ValidationError(
+                "removable point has direction-dependent limit "
+                f"(unbalanced cancellation along {dict(direction)})"
+            )
+        log_c, negative = _residue_log(members)
+        log_reg += log_c + (cmath.pi * 1j if negative else 0.0)
 
     return MeroValue.regular_from_log(log_reg, warnings)
 

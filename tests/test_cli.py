@@ -470,6 +470,18 @@ def test_zeta_circular_three_points_beta_one_is_48_pi_squared(tmp_path, capsys):
     assert math.isclose(value, 48 * math.pi**2, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "p1three", "--beta=-201/2"],
+    ["--family", "circular", "--n", "3", "--beta=-400"],
+], ids=["p1three", "circular"])
+def test_zeta_zero_far_left_reports_a_finite_limit(tmp_path, capsys, flags):
+    code, out, _ = run_cli(["zeta", *flags, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert value["kind"] == "zero"
+    assert math.isfinite(value["limit_of_scaled_re"]) and value["limit_of_scaled_re"] != 0
+
+
 def test_stability_example_reports_gibbs_stable(tmp_path, capsys):
     code, out, _ = run_cli(
         ["stability", "--w", "0.5,0.5,0.5", "--out", str(tmp_path)], capsys)

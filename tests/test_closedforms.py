@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kezeta import closedforms as cf
@@ -150,6 +150,31 @@ def test_circular_pins():
     for n in (3, 5):
         first = -Fraction(n - 1, n)
         assert zeros_and_poles_in_strip(circular_Z(n), first, 3) == [(first, 1)]
+
+
+def mp_p1_three(b):
+    return mp.pi**3 * mp.gamma(2 * b + 2) ** -3 * mp.gamma(3 * b + 2) * mp.gamma(b + 1) ** 3
+
+
+def mp_circular3(b):
+    return (2 * mp.pi) ** 3 * mp.gamma(1 + b / 2) ** -3 * mp.gamma(1 + 3 * b / 2)
+
+
+@pytest.mark.parametrize("gp, f, beta, order", [
+    (p1_three_point_Z(), mp_p1_three, Fraction(-179, 2), 3),
+    (p1_three_point_Z(), mp_p1_three, Fraction(-201, 2), 3),
+    (circular_Z(3), mp_circular3, Fraction(-400), 2),
+], ids=["p1three--179/2", "p1three--201/2", "circular3--400"])
+def test_far_zero_limit_matches_mpmath(gp, f, beta, order):
+    # the residue constants here hold 1/177! and smaller, below the smallest
+    # normal float; the limit f(b)/(b - beta)^order is taken in mpmath at
+    # b = beta + 1e-30 with 80 digits
+    v = eval_gamma_product(gp, {"beta": beta})
+    assert v.kind == "zero" and v.order == order
+    with mp.workdps(80):
+        eps = mp.mpf(10) ** -30
+        ref = float(f(mp.mpf(beta.numerator) / beta.denominator + eps) / eps**order)
+    assert v.limit_of_scaled.real == pytest.approx(ref, rel=1e-12)
 
 
 def test_gaussian_det_pins():
@@ -427,18 +452,20 @@ def test_functional_range_matches_fraction_reference(poly, direction):
 @given(polytopes(), st.sampled_from((HALF, Fraction(1, 3), Fraction(3, 5))))
 def test_fm_point_matches_fraction_reference(poly, pick):
     n, rows = poly
-    assert cf._fm_point(cf._int_rows(rows), n, pick=pick) == ref_fm_point(rows, n, pick=pick)
+    assert cf._range_point(cf._int_rows(rows), n, pick=pick) == ref_fm_point(rows, n, pick=pick)
 
 
 @settings(max_examples=150, deadline=None)
 @given(polytopes(), nonzero_direction, small_fraction)
+# x < 0 sliced at x = 0: no variable is left free, and the slice is empty
+@example(poly=(1, [((Fraction(1),), Fraction(0))]), direction=[1, 0, 0], value=Fraction(0))
 def test_fm_point_on_a_hyperplane_matches_fraction_reference(poly, direction, value):
     # the witness path: impose ell.x = value, then find a point of the rest
     n, rows = poly
     ell = tuple(Fraction(v) for v in direction[:n])
     assume(any(ell))
     j = next(i for i in range(n) if ell[i] != 0)
-    got = cf._fm_point(cf._substitute(cf._int_rows(rows), j, *cf._int_row(ell, value)), n, skip={j})
+    got = cf._range_point(cf._substitute(cf._int_rows(rows), j, *cf._int_row(ell, value)), n, skip={j})
     assert got == ref_fm_point(ref_substitute(rows, j, ell, value), n, skip={j})
 
 

@@ -120,6 +120,19 @@ def test_eval_removable_at_negative_two():
     assert abs(offset - v.value) < 1e-5
 
 
+def test_eval_far_removable_matches_mpmath():
+    # Gamma(2x)/Gamma(x) through x = -200: the residue constant 200!/(2 * 400!)
+    # is far below the smallest float, its log is not; a log within 1e-12 is
+    # a value within 1e-12 relative
+    gp = gamma_pow({"x": 2}, 0).times(gamma_pow({"x": 1}, 0, exponent=-1))
+    v = eval_gamma_product(gp, {"x": -200})
+    assert v.is_regular
+    with mp.workdps(60):
+        eps = mp.mpf(10) ** -30
+        ref = complex(mp.log(mp.gamma(2 * (eps - 200)) / mp.gamma(eps - 200)))
+    assert abs(v.log_value - ref) <= 1e-12
+
+
 def test_eval_zero_with_scaled_limit():
     # 1/Gamma(t) has a simple zero at t = -3 with limit (t+3) -> residue pairing
     gp = gamma_pow({"t": 1}, 0, exponent=-1)
