@@ -19,7 +19,11 @@ decided in exact arithmetic.  One exact residue product, from
 Gamma(z) ~ (-1)^n / (n! (z+n)) near z = -n, serves both the limit at a zero
 and the value at a removable point (net order zero); its log is taken from
 its integer numerator and denominator, so it never underflows, and nothing
-is ever evaluated close to a pole.
+is ever evaluated close to a pole.  A residue that needs n! for n above
+_MAX_RESIDUE_N is refused before any factorial is taken.  At a zero of a
+one-parameter product the parameter is real, so every regular factor's phase
+is a multiple of pi and the limit's sign is their parity: a real product's
+limit has an imaginary part of exactly 0.
 """
 
 from __future__ import annotations
@@ -69,6 +73,9 @@ _STIRLING_RADIUS = 20.0
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _NEAR_SINGULAR_TOL = 1e-9
 _REFLECT_BELOW = -64.0  # Re z below which log_gamma reflects instead of shifting
+# Largest n whose n! enters a residue product.  The exact product's cost grows
+# faster than n: circular N = 3 takes 0.2 s at n = 45,000 and 2.3 s at 150,000.
+_MAX_RESIDUE_N = 50_000
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -325,7 +332,13 @@ def _primitive_direction(grad: dict[str, Fraction]) -> tuple[tuple[tuple[str, Fr
 def _residue_log(members: list[tuple[Fraction, int, int]]) -> tuple[float, bool]:
     """log|c| and whether c < 0, for c = prod [(-1)^n / (n! lam)]^e over the
     (lam, n, e): c is exact and its log comes from its integer numerator and
-    denominator, so no factorial underflows or overflows a float."""
+    denominator, so no factorial underflows or overflows a float.  Refuses,
+    before any factorial, an n above _MAX_RESIDUE_N."""
+    if max(n for _, n, _ in members) > _MAX_RESIDUE_N:
+        raise ValidationError(
+            f"the residue at this point needs n! for some n > {_MAX_RESIDUE_N}, "
+            "beyond what the exact residue product takes"
+        )
     c = Fraction(1)
     for lam, n, e in members:
         c *= (Fraction((-1) ** n, math.factorial(n)) / lam) ** e
@@ -383,15 +396,21 @@ def eval_gamma_product(gp: GammaProduct, params: Mapping[str, complex]) -> MeroV
 
     # log of the product over the nonsingular factors
     log_reg = complex(gp.log_prefactor)
-    for argval, e in regular:
-        log_reg += e * log_gamma(argval)
+    logs = [(e, log_gamma(argval)) for argval, e in regular]
+    for e, lg in logs:
+        log_reg += e * lg
 
     if net < 0:
         limit = None
         if len(gp.params) == 1:  # lim f(t)/(t-t0)^{|net|}, from the one group
             log_c, negative = _residue_log(*groups.values())
+            # the one parameter is real at a zero, so each regular factor's
+            # phase is k pi: the sign is the parity of the k (a float sum of
+            # the phases would leave a spurious imaginary part)
+            turns = sum(e * round(lg.imag / math.pi) for e, lg in logs)
+            sign = -1.0 if negative != (turns % 2 == 1) else 1.0
             try:
-                limit = cmath.exp(log_reg + log_c) * (-1.0 if negative else 1.0)
+                limit = sign * cmath.exp(complex(log_reg.real + log_c, gp.log_prefactor.imag))
             except OverflowError:
                 pass
         return MeroValue.zero(-net, limit, warnings)

@@ -35,6 +35,14 @@ column sums against the trapezoid weights.  L is one tridiagonal matrix,
 _laplacian_bands: reduced_laplacian applies it, and Newton's method on the
 bordered system (phi, log Z) applies and inverts it.
 
+One numpy solver, _solve_tridiagonal (cyclic reduction over strided slices,
+O(m) with no Python loop over grid nodes), inverts every tridiagonal system
+here: the Newton step's, both right-hand sides at once, and the spline's
+that resamples a field onto Gauss-Legendre nodes in legendre_coeffs.  That
+spline is the not-a-knot cubic: its third derivative is continuous across
+the second and the last-but-one nodes, and these two end conditions are
+eliminated into their neighbouring rows, so its system is tridiagonal too.
+
 Free energy of a density mu at inverse temperature beta:
 
     F[mu] = beta * E[mu] + Ent(mu | ref),
@@ -207,21 +215,112 @@ class HarmonicCoeffs:
         return float(np.max(np.abs(self.coeffs[-_TAIL_K:])))
 
 
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve the tridiagonal system lower[i] x[i-1] + diag[i] x[i] +
+    upper[i] x[i+1] = rhs[i] (lower[0] and upper[-1] are not read) by cyclic
+    reduction (Hockney, J. ACM 12 (1965) 95-113).
+
+    The system is padded with identity rows to 2^p - 1 equations.  Each level
+    eliminates the even-indexed unknowns from the odd-indexed equations with
+    strided slices, halving the system; back substitution then recovers the
+    even-indexed unknowns level by level.  O(n) work in about 2 log2(n)
+    vectorised steps, and no pivoting, so it is meant for the diagonally
+    dominant or near-dominant systems of this module.  rhs may be (n,) or
+    (n, k): the k columns are solved at once.  Returns None, before dividing,
+    when a pivot is exactly zero.
+    """
+    n = diag.size
+    size = (1 << n.bit_length()) - 1  # smallest 2^p - 1 >= n
+    # coefficients as (size, 1) columns, so that they broadcast over rhs columns
+    a = np.zeros((size, 1))
+    b = np.ones((size, 1))
+    c = np.zeros((size, 1))
+    a[1:n, 0] = lower[1:n]
+    b[:n, 0] = diag
+    c[: n - 1, 0] = upper[: n - 1]
+    d = np.zeros((size,) + rhs.shape[1:])
+    d[:n] = rhs
+    if d.ndim == 1:
+        d = d[:, None]
+    levels = []
+    while size > 1:
+        pivots = b[::2]
+        if not pivots.all():
+            return None
+        alpha = -a[1::2] / pivots[:-1]
+        gamma = -c[1::2] / pivots[1:]
+        levels.append((a, b, c, d))
+        a, b, c, d = (
+            alpha * a[:-1:2],
+            b[1::2] + alpha * c[:-1:2] + gamma * a[2::2],
+            gamma * c[2::2],
+            d[1::2] + alpha * d[:-1:2] + gamma * d[2::2],
+        )
+        size //= 2
+    if b[0, 0] == 0.0:
+        return None
+    x = d / b
+    for a, b, c, d in reversed(levels):
+        full = np.empty_like(d)
+        full[1::2] = x
+        even = d[::2].copy()
+        even[1:] -= a[2::2] * x
+        even[:-1] -= c[:-1:2] * x
+        full[::2] = even / b[::2]
+        x = full
+    return x[:n].reshape(rhs.shape)
+
+
+def _not_a_knot_spline(grid: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through (grid, values), a uniform grid of
+    nodes 0..m, evaluated at x.
+
+    The unknowns are the second derivatives M_i at the nodes.  Continuity of
+    the first derivative gives M_{i-1} + 4 M_i + M_{i+1} = 6 (y_{i-1} - 2 y_i
+    + y_{i+1}) / h^2 at the interior nodes, and not-a-knot, a third
+    derivative that is continuous across nodes 1 and m - 1, gives
+    M_0 = 2 M_1 - M_2 and M_m = 2 M_{m-1} - M_{m-2}.  Putting those two end
+    rows into their neighbours leaves 6 M_1 and 6 M_{m-1} on the diagonal,
+    so the interior M solve as one tridiagonal system.  With fewer than 4
+    nodes the spline is the interpolating polynomial.
+    """
+    n = grid.size
+    if n < 4:
+        return np.polyval(np.polyfit(grid, values, n - 1), x)
+    h = (grid[-1] - grid[0]) / (n - 1)
+    rhs = 6.0 * (values[:-2] - 2.0 * values[1:-1] + values[2:]) / (h * h)
+    lower, upper = np.ones(n - 2), np.ones(n - 2)
+    lower[-1] = upper[0] = 0.0
+    diag = np.full(n - 2, 4.0)
+    diag[0] = diag[-1] = 6.0
+    inner = _solve_tridiagonal(lower, diag, upper, rhs)
+    moments = np.concatenate(
+        ([2.0 * inner[0] - inner[1]], inner, [2.0 * inner[-1] - inner[-2]])
+    )
+    k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, n - 2)
+    right = x - grid[k]
+    left = grid[k + 1] - x
+    m0, m1 = moments[k], moments[k + 1]
+    return (
+        (m0 * left**3 + m1 * right**3) / (6.0 * h)
+        + (values[k] / h - m0 * h / 6.0) * left
+        + (values[k + 1] / h - m1 * h / 6.0) * right
+    )
+
+
 def legendre_coeffs(field: AxialField, degree: int = 120) -> HarmonicCoeffs:
     """Project an axial field onto P_0..P_degree.
 
     Gauss-Legendre quadrature of the projection integrals; the field is
-    resampled onto the quadrature nodes with a cubic spline (the grids we
-    use are fine enough that the spline error is below the spectral tail).
-    Needs 1 <= degree <= _MAX_DEGREE: below 1 there is no mode a Poisson
-    solve can use.
+    resampled onto the quadrature nodes with a not-a-knot cubic spline (the
+    grids we use are fine enough that the spline error is below the spectral
+    tail).  Needs 1 <= degree <= _MAX_DEGREE: below 1 there is no mode a
+    Poisson solve can use.
     """
-    from scipy.interpolate import CubicSpline
-
     if not 1 <= degree <= _MAX_DEGREE:
         raise ValidationError(f"Legendre degree must be in 1..{_MAX_DEGREE}; got {degree}")
     nodes, wts = np.polynomial.legendre.leggauss(max(2 * degree + 2, 64))
-    f = CubicSpline(field.grid, field.values)(nodes)
+    f = _not_a_knot_spline(field.grid, field.values, nodes)
     coeffs = np.empty(degree + 1)
     # recurrence for P_l at the nodes, accumulate sum w f P_l * (2l+1)/2
     p_prev = np.ones_like(nodes)
@@ -441,8 +540,6 @@ def solve_mean_field(
     Poisson solver).  Raises ConvergenceError if the sup-norm residual is
     still above _NEWTON_TOL after _MAX_NEWTON steps.
     """
-    from scipy.linalg import solve_banded
-
     if beta <= -1.0 + 1e-3:
         raise ValidationError(
             f"beta = {beta} outside the mean-field uniqueness regime (> -0.999)"
@@ -461,8 +558,6 @@ def solve_mean_field(
     wq = _trapezoid_weights(grid)
     lap = _laplacian_bands(grid, coupling)
     lower, diag, upper = lap
-    # (super, main, sub) diagonals in solve_banded's layout; row 1 is set per step
-    bands = np.stack([np.roll(upper, 1), diag, np.roll(lower, -1)])
 
     phi = np.zeros(grid.size)
     loz = math.log(float(np.sum(wq * np.exp(log_ref))))  # log Z at phi = 0
@@ -477,14 +572,16 @@ def solve_mean_field(
         # bordered Newton system in (phi, log Z):
         #   [T  rho] [dphi] = [-G]        T = Lap - beta diag(rho)
         #   [wq   0] [dloz]   [-gauge]
-        bands[1] = diag - beta * rho
+        t_diag = diag - beta * rho
         rhs = np.stack([-g_res, -rho], axis=-1)
-        try:
-            a_vec, b_vec = solve_banded((1, 1), bands, rhs, check_finite=False).T
-        except np.linalg.LinAlgError:
-            # nudge the diagonal and retry once; only relevant deep in beta<0
-            bands[1] -= 1e-9
-            a_vec, b_vec = solve_banded((1, 1), bands, rhs, check_finite=False).T
+        sol = _solve_tridiagonal(lower, t_diag, upper, rhs)
+        if sol is None:
+            # a zero pivot: nudge the diagonal and retry once; only relevant
+            # deep in beta < 0
+            sol = _solve_tridiagonal(lower, t_diag - 1e-9, upper, rhs)
+        if sol is None:
+            raise ConvergenceError("Newton matrix has a zero pivot")
+        a_vec, b_vec = sol.T
         denom = float(np.sum(wq * b_vec))
         if abs(denom) < 1e-300 or not np.isfinite(denom):
             raise ConvergenceError("bordered Newton system is singular")

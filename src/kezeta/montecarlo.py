@@ -69,6 +69,10 @@ __all__ = [
 
 _CHUNK = 20_000
 _BLOCK = 4096  # configurations per block of a draw's work after its RNG calls
+# Bytes of the per-sample log-weight array, refused above this before any
+# array is allocated; the estimate's own passes over it (exp, the Hill
+# index's partition) take about twice as much again.
+_MAX_LOG_WEIGHT_BYTES = 512 * 2**20
 _RHO = 0.9  # a marked component's radial exponent: 2 w _RHO (cluster_safe: at least that)
 _ONE = np.array([1.0, 0.0, 0.0])
 _NORTH = np.array([0.0, 0.0, 1.0])
@@ -115,11 +119,18 @@ def _draw_log_weights(
     on lane k mod lanes.  A worker's draws and rows depend on k alone, so the
     result is bit for bit the serial loop's, whatever the core count.  The
     first exception in any lane stops every lane at its next chunk and is
-    raised here, after all lanes have ended."""
+    raised here, after all lanes have ended.  More than _MAX_LOG_WEIGHT_BYTES
+    of output is refused before anything is allocated."""
     if n_samples < 2:
         raise ValidationError("need at least 2 samples")
     if workers < 1:
         raise ValidationError("need at least 1 worker")
+    nbytes = 8 * n_samples * math.prod(row_shape)
+    if nbytes > _MAX_LOG_WEIGHT_BYTES:
+        raise ValidationError(
+            f"{n_samples} samples need {nbytes / 2**20:.0f} MiB of log-weights, "
+            f"more than {_MAX_LOG_WEIGHT_BYTES // 2**20} MiB"
+        )
     streams = np.random.SeedSequence(seed).spawn(workers)
     base, extra = divmod(n_samples, workers)
     starts = [k * base + min(k, extra) for k in range(workers + 1)]

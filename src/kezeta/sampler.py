@@ -89,6 +89,10 @@ _STEP_SCALE = 0.5  # every lane's proposal scale before adaptation
 _LADDER_CHAINS = 16  # lanes per beta node in mean_energy_run
 KS_99 = 1.628  # asymptotic K-S quantile sqrt(-log(0.005)/2)
 MIN_BINS = 10  # fewest axial histogram bins marginal_histogram accepts
+# Bytes of a run's (lanes, N, N) log-distance caches plus its kept energies
+# and (lanes, kept, N, 3) configurations, refused above this before any array
+# is allocated; `sample` writes the configurations again as CSV text.
+_MAX_STATE_BYTES = 256 * 2**20
 
 
 def log_target(config: PointConfiguration, curve: LogFanoCurve, beta: float) -> float:
@@ -163,13 +167,24 @@ def _run_lanes(
     betas[l] and draws lane l of every draw from the master stream of `seed`.
     Returns (energies, configs or None, step scales, acceptance rates, trace):
     every `thinning`-th measurement sweep fills column j of the preallocated
-    (lanes, kept) arrays, and trace holds (sweep, rates, scales) per adaptation."""
+    (lanes, kept) arrays, and trace holds (sweep, rates, scales) per adaptation.
+    A run whose caches and kept arrays would take more than _MAX_STATE_BYTES
+    is refused before any of them is allocated."""
     if N < 2:
         raise ValidationError("need at least 2 points")
     if sweeps < 1 or betas.size < 1 or thinning < 1:
         raise ValidationError("sweeps, chains and thinning must be positive")
     if burn_in < 0:
         raise ValidationError(f"burn-in must be non-negative, got {burn_in}")
+    lanes = betas.size
+    kept = sweeps // thinning
+    per_kept = 1 + 3 * N if keep_configs else 1  # an energy, and the configuration if kept
+    nbytes = 8 * lanes * (N * N + kept * per_kept)
+    if nbytes > _MAX_STATE_BYTES:
+        raise ValidationError(
+            f"{lanes} lanes of {N} points keeping {kept} sweeps need {nbytes / 2**20:.0f} MiB, "
+            f"more than {_MAX_STATE_BYTES // 2**20} MiB"
+        )
     verdict = classify(curve)
     if verdict.kind == "NotLogFano":
         raise StabilityError(f"refusing to sample: verdict {verdict.kind}")
@@ -180,7 +195,6 @@ def _run_lanes(
             f"beta = {beta} at or below -gamma_N = {-gamma}: Z_N diverges, no Gibbs measure"
         )
 
-    lanes = betas.size
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     marked, wts = _marked_arrays(curve)
     pref = curve.d_L / (N * (N - 1))
@@ -207,7 +221,6 @@ def _run_lanes(
     prop = 0  # proposals per lane since the last reset: N per sweep
     trace = []
 
-    kept = sweeps // thinning
     energies = np.empty((lanes, kept))
     configs = np.empty((lanes, kept, N, 3)) if keep_configs else None
     for sweep in range(burn_in + sweeps):
@@ -282,7 +295,8 @@ def run_chain(
     if burn_in is None:
         burn_in = max(100, sweeps // 10)
     energies, configs, scales, rate, trace = _run_lanes(
-        curve, np.full(max(chains, 0), beta, dtype=float), N, sweeps, burn_in,
+        # a read-only view: nothing of size `chains` exists before the size check
+        curve, np.broadcast_to(float(beta), max(chains, 0)), N, sweeps, burn_in,
         seed, thinning, keep_configs=True,
     )
     return SampleStream(

@@ -6,7 +6,10 @@ console script, but fast enough to run the whole battery in seconds.
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +18,11 @@ import pytest
 
 from kezeta import cli
 import kezeta.meanfield
+import kezeta.montecarlo
+import kezeta.sampler
 import kezeta.verify
+from kezeta.errors import ValidationError
+from kezeta.stability import LogFanoCurve
 
 
 def run_cli(argv, capsys):
@@ -480,6 +487,16 @@ def test_zeta_zero_far_left_reports_a_finite_limit(tmp_path, capsys, flags):
     value = json.loads(out)["value"]
     assert value["kind"] == "zero"
     assert math.isfinite(value["limit_of_scaled_re"]) and value["limit_of_scaled_re"] != 0
+    assert value["limit_of_scaled_im"] == 0.0  # both products are real
+
+
+def test_zeta_zero_too_far_left_for_the_residue_is_validation_exit(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(["zeta", "--family", "circular", "--n", "3", "--beta=-1e300",
+                              "--out", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and "residue" in err
+    assert not any(out_dir.iterdir())
 
 
 def test_stability_example_reports_gibbs_stable(tmp_path, capsys):
@@ -708,6 +725,83 @@ def test_sample_score_of_a_coincident_pair_raises(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("validation error: ") and "chordal distance 1.693e-15" in err
     assert not any(out_dir.iterdir())
+
+
+def _refuse_allocation(monkeypatch):
+    """Make every numpy allocator the samplers use fail, so that a run can
+    only pass by refusing before it allocates."""
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("an array was allocated before the size check")
+
+    for name in ("empty", "zeros", "full", "ones"):
+        monkeypatch.setattr(np, name, allocated)
+    monkeypatch.setattr(kezeta.sampler, "sample_uniform_array", allocated)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mc", "--target", "circular", "--n", "3", "--beta", "1", "--samples", "1000000000000"],
+     "log-weights"),
+    # two log-weights per sample: one sample past the cap
+    (["mc", "--target", "sphere", "--n", "3", "--beta", "1", "--samples",
+      str(kezeta.montecarlo._MAX_LOG_WEIGHT_BYTES // 16 + 1)], "log-weights"),
+    (["sample", "--beta", "1", "--N", "100000", "--sweeps", "10", "--thinning", "5"], "MiB"),
+    (["sample", "--beta", "1", "--N", "3", "--sweeps", "10", "--chains", "1000000000000"], "MiB"),
+], ids=["mc-circular", "mc-sphere-one-past", "sample-N", "sample-chains"])
+def test_over_size_run_is_refused_before_any_allocation(tmp_path, capsys, monkeypatch, argv, message):
+    # never run for real: these ask for up to terabytes
+    _refuse_allocation(monkeypatch)
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli([*argv, "--out", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and message in err
+    assert not any(out_dir.iterdir())
+
+
+def test_run_at_the_sample_state_cap_is_not_refused(monkeypatch):
+    def run():
+        return kezeta.sampler.run_chain(LogFanoCurve.standard(()), 1.0, 4, sweeps=2, burn_in=0,
+                                        thinning=1, chains=8)
+
+    # 8 lanes of N = 4 keeping 2 sweeps: 8 * 8 * (16 + 2 * 13) = 2688 bytes
+    monkeypatch.setattr(kezeta.sampler, "_MAX_STATE_BYTES", 2688)
+    assert run().configs.shape == (8, 2, 4, 3)
+    monkeypatch.setattr(kezeta.sampler, "_MAX_STATE_BYTES", 2687)
+    with pytest.raises(ValidationError):
+        run()
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+from kezeta import cli
+
+out = sys.argv[1]
+jobs = [
+    ["zeta", "--family", "circular", "--n", "3", "--beta", "1"],
+    ["stability", "--w", "1/2,1/2,1/2", "--n", "3"],
+    ["mc", "--target", "circular", "--n", "3", "--beta", "1", "--samples", "2000"],
+    ["sample", "--w", "1/2", "--beta", "1", "--N", "3", "--sweeps", "20", "--thinning", "5"],
+    ["oracle", "meanfield", "--w", "1/2", "--beta", "1"],
+    ["oracle", "poisson", "--target", "exp:1"],
+    ["oracle", "phin", "--target", "exp:1", "--N", "3"],
+    ["verify", "--level", "quick"],
+]
+for argv in jobs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--out", out])
+    assert code == 0, (argv, code)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    # a fresh interpreter, so that no other test's import of scipy is seen
+    src = str(Path(kezeta.meanfield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_oracle_meanfield_payloads(tmp_path, capsys):

@@ -175,6 +175,7 @@ def test_far_zero_limit_matches_mpmath(gp, f, beta, order):
         eps = mp.mpf(10) ** -30
         ref = float(f(mp.mpf(beta.numerator) / beta.denominator + eps) / eps**order)
     assert v.limit_of_scaled.real == pytest.approx(ref, rel=1e-12)
+    assert v.limit_of_scaled.imag == 0.0  # a real product's limit is real
 
 
 def test_gaussian_det_pins():

@@ -143,6 +143,49 @@ def test_eval_zero_with_scaled_limit():
     assert abs(v.limit_of_scaled - (-6.0)) < 1e-12
 
 
+def test_real_zero_limit_takes_its_sign_from_the_phase_parity():
+    # Gamma(t+1/2)^3 / (Gamma(2t+1/2) Gamma(t)) at t = -40: the regular
+    # factors' phases are -120 pi and -80 pi, and their float sum carries a
+    # rounding error that must not become an imaginary part of the limit
+    gp = GammaProduct(0.0, (
+        GammaFactor(AffineArg.make({"t": 1}, Fraction(1, 2)), 3),
+        GammaFactor(AffineArg.make({"t": 2}, Fraction(1, 2)), -1),
+        GammaFactor(AffineArg.make({"t": 1}, 0), -1),
+    ))
+    for t0 in (-40, -41):
+        v = eval_gamma_product(gp, {"t": t0})
+        assert v.kind == "zero" and v.order == 1
+        with mp.workdps(60):
+            eps = mp.mpf(10) ** -30
+            t = mp.mpf(t0) + eps
+            ref = float(mp.gamma(t + 0.5) ** 3 / (mp.gamma(2 * t + 0.5) * mp.gamma(t)) / eps)
+        assert v.limit_of_scaled.imag == 0.0
+        assert v.limit_of_scaled.real == pytest.approx(ref, rel=1e-12)
+
+
+def test_residue_above_the_cap_is_refused_before_any_factorial(monkeypatch):
+    from kezeta import gammaprod
+
+    cap = gammaprod._MAX_RESIDUE_N
+    assert eval_gamma_product(gamma_pow({"t": 1}, 0, exponent=-1), {"t": -cap}).kind == "zero"
+
+    def no_factorial(n):
+        raise AssertionError(f"computed {n}!")
+
+    monkeypatch.setattr(gammaprod.math, "factorial", no_factorial)
+    for exponent in (-1, 1, -3):  # a zero, a pole and a zero of order 3
+        gp = gamma_pow({"t": 1}, 0, exponent=exponent)
+        if exponent > 0:
+            assert eval_gamma_product(gp, {"t": -(cap + 1)}).kind == "pole"  # no residue needed
+            continue
+        with pytest.raises(ValidationError, match="residue"):
+            eval_gamma_product(gp, {"t": -(cap + 1)})
+    # a removable point needs the residue product too
+    gp = gamma_pow({"x": 1}, 0).times(gamma_pow({"x": 1}, 1, exponent=-1))
+    with pytest.raises(ValidationError, match="residue"):
+        eval_gamma_product(gp, {"x": -(cap + 1)})
+
+
 def test_eval_cancellation_everywhere():
     a = AffineArg.make({"x": 1}, 0)
     b = AffineArg.make({"x": 1}, 0)

@@ -24,6 +24,9 @@ from kezeta.errors import (
 from kezeta.meanfield import (
     C_LAP,
     _kernel_sums,
+    _laplacian_bands,
+    _not_a_knot_spline,
+    _solve_tridiagonal,
     _trapezoid_weights,
     AxialField,
     HarmonicCoeffs,
@@ -288,6 +291,129 @@ def test_poisson_rejects_potential_input():
     g = uniform_grid(400)
     with pytest.raises(ValidationError):
         solve_poisson(AxialField(g, np.zeros(g.size), "Potential"))
+
+
+# ---------------------------------------------------------------------------
+# the tridiagonal solver and the not-a-knot spline it serves
+# ---------------------------------------------------------------------------
+
+
+def _tridiagonal_product(lower, diag, upper, x):
+    out = diag[:, None] * x
+    out[1:] += lower[1:, None] * x[:-1]
+    out[:-1] += upper[:-1, None] * x[1:]
+    return out
+
+
+@pytest.mark.parametrize("m", [800, 6400])
+@pytest.mark.parametrize("beta", [-0.5, 1.0, 4.0])
+def test_tridiagonal_solver_matches_solve_banded_on_newton_matrices(m, beta):
+    # the Newton matrix T = Lap - beta diag(rho) at the solved density, with
+    # the Newton step's two right-hand sides solved at once
+    solve_banded = pytest.importorskip("scipy.linalg").solve_banded
+    sol = solve_mean_field(W_HALF_NORTH, beta, m=m)
+    rho = sol.density.values
+    lower, diag, upper = _laplacian_bands(sol.density.grid, 1.0 / (2.0 * W_HALF_NORTH.d_L))
+    t_diag = diag - beta * rho
+    rhs = np.stack([0.5 - rho, -rho], axis=-1)
+    got = _solve_tridiagonal(lower, t_diag, upper, rhs)
+    ref = solve_banded((1, 1), np.stack([np.roll(upper, 1), t_diag, np.roll(lower, -1)]), rhs)
+    assert got.shape == rhs.shape
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+    # as small a backward error as the banded LU's, up to a small factor
+    res_got = np.max(np.abs(_tridiagonal_product(lower, t_diag, upper, got) - rhs))
+    res_ref = np.max(np.abs(_tridiagonal_product(lower, t_diag, upper, ref) - rhs))
+    assert res_got <= 10.0 * res_ref + 1e-14 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 100])
+def test_tridiagonal_solver_matches_dense_solve_at_every_padding(n):
+    # sizes at, below and above 2^p - 1 exercise the identity-row padding
+    rng = np.random.default_rng(n)
+    lower, upper = rng.normal(size=n), rng.normal(size=n)
+    diag = 4.0 + rng.random(n)
+    dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    rhs = rng.normal(size=(n, 3))
+    ref = np.linalg.solve(dense, rhs)
+    assert np.allclose(_solve_tridiagonal(lower, diag, upper, rhs), ref, rtol=0, atol=1e-13)
+    one = _solve_tridiagonal(lower, diag, upper, rhs[:, 0])
+    assert one.shape == (n,)
+    assert np.allclose(one, ref[:, 0], rtol=0, atol=1e-13)
+
+
+def test_tridiagonal_solver_reports_a_zero_pivot():
+    ones = np.ones(3)
+    # a zero on the first level's pivots
+    assert _solve_tridiagonal(ones, np.array([0.0, 2.0, 1.0]), ones, ones) is None
+    # [[1,1,0],[1,2,1],[0,1,1]] is singular: the reduced 1x1 system is 0 x = 1
+    assert _solve_tridiagonal(ones, np.array([1.0, 2.0, 1.0]), ones, ones) is None
+
+
+def test_newton_step_nudges_the_diagonal_once_on_a_zero_pivot(monkeypatch):
+    real = meanfield._solve_tridiagonal
+    diags = []
+
+    def first_call_hits_a_zero_pivot(lower, diag, upper, rhs):
+        diags.append(diag.copy())
+        return None if len(diags) == 1 else real(lower, diag, upper, rhs)
+
+    monkeypatch.setattr(meanfield, "_solve_tridiagonal", first_call_hits_a_zero_pivot)
+    sol = solve_mean_field(W_HALF_NORTH, 1.0)
+    assert np.array_equal(diags[1], diags[0] - 1e-9)
+    monkeypatch.undo()
+    ref = solve_mean_field(W_HALF_NORTH, 1.0)
+    assert np.max(np.abs(sol.density.values - ref.density.values)) < 1e-8
+
+    monkeypatch.setattr(meanfield, "_solve_tridiagonal", lambda *args: None)
+    with pytest.raises(ConvergenceError, match="zero pivot"):
+        solve_mean_field(W_HALF_NORTH, 1.0)
+
+
+def _bump(t):
+    return np.exp(-0.5 * ((t - 0.3) / 0.03) ** 2)
+
+
+@pytest.mark.parametrize("m, degree, fn", [
+    (1, 120, np.exp), (2, 120, np.exp), (3, 120, np.exp), (4, 120, np.exp),
+    (400, 120, np.exp), (800, 120, np.exp), (1600, 260, _bump), (2000, 120, _bump),
+    (8000, 120, np.exp),
+], ids=["m1", "m2", "m3", "m4", "m400", "m800", "m1600-bump", "m2000-bump", "m8000"])
+def test_spline_matches_cubic_spline_on_legendre_grids(m, degree, fn):
+    # the grids and Gauss-Legendre nodes legendre_coeffs sees, plus the grid
+    # nodes and points in the two end cells, where not-a-knot decides the shape
+    CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+    field = density_from_function(fn, m)
+    g, y = field.grid, field.values
+    nodes, _ = np.polynomial.legendre.leggauss(max(2 * degree + 2, 64))
+    h = g[1] - g[0]
+    x = np.concatenate([nodes, g, g[0] + h * np.linspace(0, 1, 7), g[-1] - h * np.linspace(0, 1, 7)])
+    ref = CubicSpline(g, y)(x)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(_not_a_knot_spline(g, y, x) - ref)) <= 1e-11 * scale
+    # and the projection built on it
+    coeffs = legendre_coeffs(field, degree).coeffs
+    ell = np.arange(degree + 1)
+    f = CubicSpline(g, y)(nodes)
+    _, wts = np.polynomial.legendre.leggauss(nodes.size)
+    vander = np.polynomial.legendre.legvander(nodes, degree)
+    ref_coeffs = (ell + 0.5) * (vander.T @ (wts * f))
+    assert np.max(np.abs(coeffs - ref_coeffs)) <= 1e-11 * scale
+
+
+def test_spline_third_derivative_is_continuous_at_the_second_and_last_but_one_nodes():
+    g = uniform_grid(10)
+    y = np.cos(5.0 * g)
+    h = g[1] - g[0]
+    # the third derivative of a cubic piece is its third difference over h^3
+    # at any four equispaced points inside it
+    def third(lo):
+        pts = lo + h * np.array([0.1, 0.3, 0.5, 0.7])
+        vals = _not_a_knot_spline(g, y, pts)
+        return np.diff(vals, 3)[0] / (0.2 * h) ** 3
+
+    assert third(g[0]) == pytest.approx(third(g[1]), rel=1e-6)
+    assert third(g[-2]) == pytest.approx(third(g[-3]), rel=1e-6)
+    assert not third(g[1]) == pytest.approx(third(g[2]), rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
