@@ -232,9 +232,8 @@ def _mero_to_json(mv) -> dict:
     return out
 
 
-def _standard_curve(args: argparse.Namespace, default_trivial: bool = False) -> LogFanoCurve:
+def _standard_curve(args: argparse.Namespace) -> LogFanoCurve:
     if args.w is None:
-        _require(default_trivial, f"{args.command} needs --w")
         return LogFanoCurve.standard(())
     return LogFanoCurve.standard(tuple(_parse_weights(args.w)))
 
@@ -353,7 +352,7 @@ def _run_mc(args: argparse.Namespace, out_dir: Path):
     if args.target == "free-energy":
         _require(args.grid is not None, "free-energy needs --grid")
         _require(args.n is not None and args.n >= 2, "free-energy needs --n >= 2")
-        curve = _standard_curve(args, default_trivial=True)
+        curve = _standard_curve(args)
         rows = free_energy_curve(curve, args.n, _parse_grid(args.grid), args.budget, seed=args.seed)
         report = {
             "target": args.target,
@@ -372,7 +371,7 @@ def _run_mc(args: argparse.Namespace, out_dir: Path):
     elif args.target == "sphere":
         _require(args.beta is not None, "mc sphere needs --beta")
         _require(args.n is not None and args.n >= 2, "mc sphere needs --n >= 2")
-        curve = _standard_curve(args, default_trivial=True)
+        curve = _standard_curve(args)
         est = mc_sphere_partition(
             curve, float(_parse_fraction(args.beta, "beta")), args.n, args.samples,
             seed=args.seed, workers=args.workers,
@@ -412,7 +411,7 @@ def _run_sample(args: argparse.Namespace, out_dir: Path):
     if args.score is not None:
         _require(Path(args.score).is_file(), f"--score {args.score} is not a file")
         _require(args.beta is not None, "sample --score needs --beta")
-        curve = _standard_curve(args, default_trivial=True)
+        curve = _standard_curve(args)
         try:
             text = Path(args.score).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
@@ -443,7 +442,7 @@ def _run_sample(args: argparse.Namespace, out_dir: Path):
     _require(args.sweeps is not None and args.sweeps >= 1, "sample needs --sweeps >= 1")
     _require(args.sweeps >= args.thinning, "sample keeps nothing unless --sweeps >= --thinning")
     _require(args.bins >= MIN_BINS, f"sample needs --bins >= {MIN_BINS}")
-    curve = _standard_curve(args, default_trivial=True)
+    curve = _standard_curve(args)
     beta = float(_parse_fraction(args.beta, "beta"))
     stream = run_chain(
         curve, beta, args.N, sweeps=args.sweeps, burn_in=args.burn_in,
@@ -519,7 +518,7 @@ def _run_oracle(args: argparse.Namespace, out_dir: Path):
 
     if solver == "meanfield":
         _require(args.beta is not None, "oracle meanfield needs --beta")
-        curve = _standard_curve(args, default_trivial=True)
+        curve = _standard_curve(args)
         beta = float(_parse_fraction(args.beta, "beta"))
         sol = solve_mean_field(curve, beta, m=args.m)
         # self-check: mu reconstructed from the potential via the reduced

@@ -174,9 +174,6 @@ class AffineArg:
     def params(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.coeffs)
 
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
     def gradient(self) -> dict[str, Fraction]:
         return dict(self.coeffs)
 
@@ -284,10 +281,6 @@ class MeroValue:
     @classmethod
     def zero(cls, order: int, limit_of_scaled=None, warnings=()) -> "MeroValue":
         return cls("zero", int(order), None, limit_of_scaled, tuple(warnings))
-
-    @property
-    def is_regular(self) -> bool:
-        return self.kind == "regular"
 
     @property
     def log_modulus(self) -> float:

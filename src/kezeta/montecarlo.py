@@ -29,10 +29,10 @@ min(workers, usable cores) lanes, the calling thread and plain threads, and
 each worker writes its rows of one preallocated output (numpy's RNG fills and
 ufunc loops release the GIL).  A worker's draws and rows depend only on its
 index, so every result is bit for bit the serial loop's and does not depend
-on the core count.  A draw makes its RNG calls per chunk of _CHUNK
-configurations, then does the rest of its work a block of _BLOCK
+on the core count.  Every target's draw makes its RNG calls per chunk of
+_CHUNK configurations, then does the rest of its work a block of _BLOCK
 configurations at a time, so two lanes never hold two chunks' worth of
-temporaries.
+temporaries.  The estimators exponentiate the log-weights in place.
 
 Tail safety: every estimate is the plain (or self-normalised) mean and its
 SE, with a Hill estimate on the top 1% of the weights; an index <= 2 flags
@@ -106,13 +106,14 @@ def _usable_cores() -> int:
 
 
 def _draw_log_weights(
-    seed: int, workers: int, n_samples: int, draw: Callable, chunk: int = _CHUNK, row_shape: tuple = ()
+    seed: int, workers: int, n_samples: int, draw: Callable, row_shape: tuple = ()
 ) -> np.ndarray:
     """Per-sample log-weights, shape (n_samples,) + row_shape, from `workers`
     independent streams spawned from `seed`.  Worker k draws its share of
     n_samples (the first n_samples % workers take one more) in consecutive
-    calls draw(rng, rows), where rows is the next block of at most `chunk`
-    rows of the output, in (worker, chunk) order, and draw fills it.
+    calls draw(rng, rows), where rows is the next chunk of at most _CHUNK
+    rows of the output, in (worker, chunk) order, and draw fills it: no draw
+    holds more than one chunk's arrays, whatever a worker's share.
 
     The workers run on min(workers, usable cores) lanes: the calling thread
     is lane 0, each other lane a thread of its own, and worker k always runs
@@ -142,10 +143,10 @@ def _draw_log_weights(
         try:
             for k in range(lane, workers, lanes):
                 rng = np.random.Generator(np.random.PCG64(streams[k]))
-                for lo in range(starts[k], starts[k + 1], chunk):
+                for lo in range(starts[k], starts[k + 1], _CHUNK):
                     if errors:
                         return
-                    draw(rng, out[lo:min(lo + chunk, starts[k + 1])])
+                    draw(rng, out[lo:min(lo + _CHUNK, starts[k + 1])])
         except BaseException as exc:  # re-raised by the caller's thread below
             errors.append(exc)
 
@@ -228,15 +229,22 @@ def _diagnostics(weights: np.ndarray, s: float, den: Optional[np.ndarray] = None
     }
 
 
-def _aggregate(logw: np.ndarray, log_const: float, seed: int, workers: int) -> McEstimate:
-    """The plain mean of the importance weights e^(logw + log_const), and its SE."""
+def _shifted_exp(logw: np.ndarray) -> float:
+    """Overwrite logw with e^(logw - max logw) and return that maximum."""
     shift = float(np.max(logw))
-    weights = np.exp(logw - shift)
-    s = math.exp(log_const + shift)
-    n = weights.size
-    mean = float(np.mean(weights))
-    se = float(np.std(weights, ddof=1) / math.sqrt(n))
-    return McEstimate(mean * s, se * s, n, seed, workers, _diagnostics(weights, s))
+    logw -= shift
+    np.exp(logw, out=logw)
+    return shift
+
+
+def _aggregate(w: np.ndarray, log_const: float, seed: int, workers: int) -> McEstimate:
+    """The plain mean of the importance weights e^(w + log_const), for
+    log-weights w, and its SE.  w is overwritten with e^(w - max w)."""
+    s = math.exp(log_const + _shifted_exp(w))
+    n = w.size
+    mean = float(np.mean(w))
+    se = float(np.std(w, ddof=1) / math.sqrt(n))
+    return McEstimate(mean * s, se * s, n, seed, workers, _diagnostics(w, s))
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +434,12 @@ def mc_selberg(
 
 
 def _ratio_estimate(
-    num: np.ndarray, den: np.ndarray, scale_log: float, seed: int, workers: int, extra_diag: dict
+    num: np.ndarray, den: np.ndarray, seed: int, workers: int, extra_diag: dict
 ) -> McEstimate:
-    """Self-normalized ratio of shared-sample weights, times e^scale_log, and
-    its delta-method SE."""
+    """Self-normalized ratio sum e^num / sum e^den of shared-sample
+    log-weights, and its delta-method SE.  num and den are overwritten with
+    their weights, each shifted by its own maximum."""
+    scale_log = _shifted_exp(num) - _shifted_exp(den)
     n = num.size
     nbar, dbar = float(np.mean(num)), float(np.mean(den))
     ratio = nbar / dbar
@@ -477,18 +487,8 @@ def mc_sphere_partition(
             np.subtract(log_ref, log_q, out=logw[:, 1])
 
     w = _draw_log_weights(seed, workers, n_samples, draw, row_shape=(2,))
-    shift_n, shift_d = float(np.max(w[:, 0])), float(np.max(w[:, 1]))
-    w[:, 0] -= shift_n
-    w[:, 1] -= shift_d
-    np.exp(w, out=w)
-    return _ratio_estimate(
-        w[:, 0],
-        w[:, 1],
-        shift_n - shift_d,
-        seed,
-        workers,
-        {"log_plane_conversion": N * math.log(math.pi) - beta * N * curve.d_L * math.log(2.0)},
-    )
+    conversion = N * math.log(math.pi) - beta * N * curve.d_L * math.log(2.0)
+    return _ratio_estimate(w[:, 0], w[:, 1], seed, workers, {"log_plane_conversion": conversion})
 
 
 def mc_circular(
@@ -550,10 +550,9 @@ def _log_abs_det_sq(a: np.ndarray) -> np.ndarray:
 
 def _det_log_weights(n: int, rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill out with log |det|^2 of len(out) standard complex Gaussian
-    (n+1)x(n+1) matrices.  All real parts are drawn before all imaginary
-    parts, so splitting a worker's share into chunks would change the stream:
-    callers draw each share in one call.  The complex matrices are then built
-    and reduced by _log_abs_det_sq a _blocks block at a time."""
+    (n+1)x(n+1) matrices: the real parts of the whole chunk are drawn, then
+    its imaginary parts, and the complex matrices are built and reduced by
+    _log_abs_det_sq a _blocks block at a time."""
     k = n + 1
     re = rng.normal(0.0, math.sqrt(0.5), size=(len(out), k, k))
     im = rng.normal(0.0, math.sqrt(0.5), size=(len(out), k, k))
@@ -563,31 +562,35 @@ def _det_log_weights(n: int, rng: np.random.Generator, out: np.ndarray) -> None:
         out[lo:hi] = _log_abs_det_sq(a)
 
 
+def _det_log_moduli(n: int, s: float, n_samples: int, seed: int, workers: int) -> np.ndarray:
+    """log |det A|^2 per sample.  More than _MAX_LOG_WEIGHT_BYTES of normals
+    in one chunk, 16 min(_CHUNK, n_samples) (n+1)^2 bytes, is refused first."""
+    if s <= -1:
+        raise ThresholdError("moment diverges for s <= -1")
+    nbytes = 16 * min(_CHUNK, n_samples) * (n + 1) ** 2
+    if nbytes > _MAX_LOG_WEIGHT_BYTES:
+        raise ValidationError(f"n = {n} needs {nbytes / 2**20:.0f} MiB of Gaussian entries per chunk, "
+                              f"more than {_MAX_LOG_WEIGHT_BYTES // 2**20} MiB")
+    return _draw_log_weights(seed, workers, n_samples, partial(_det_log_weights, n))
+
+
 def mc_gaussian_det(
     n: int, s: float, n_samples: int, seed: int = 0, workers: int = 1
 ) -> McEstimate:
     """pi^(n+1)^2 E |det A|^(2s) for A an (n+1)x(n+1) standard complex Gaussian."""
-    if s <= -1:
-        raise ThresholdError("moment diverges for s <= -1")
-    k = n + 1
-    draw = partial(_det_log_weights, n)
-    logw = _draw_log_weights(seed, workers, n_samples, draw, chunk=n_samples)
+    logw = _det_log_moduli(n, s, n_samples, seed, workers)
     logw *= s
-    return _aggregate(logw, k * k * math.log(math.pi), seed, workers)
+    return _aggregate(logw, (n + 1) ** 2 * math.log(math.pi), seed, workers)
 
 
 def mc_gaussian_det_ratio(
     n: int, s: float, n_samples: int, seed: int = 0, workers: int = 1
 ) -> McEstimate:
     """Z(s+1)/Z(s) on shared samples; the Bernstein polynomial's MC side."""
-    if s <= -1:
-        raise ThresholdError("moment diverges for s <= -1")
-    draw = partial(_det_log_weights, n)
-    logd = _draw_log_weights(seed, workers, n_samples, draw, chunk=n_samples)
-    shift = float(np.max(logd)) if s >= 0 else 0.0
-    num = np.exp((s + 1.0) * logd - (s + 1.0) * shift)
-    den = np.exp(s * logd - s * shift)
-    return _ratio_estimate(num, den, shift, seed, workers, {})
+    num = _det_log_moduli(n, s, n_samples, seed, workers)
+    den = num * s
+    num *= s + 1.0
+    return _ratio_estimate(num, den, seed, workers, {})
 
 
 def free_energy_curve(

@@ -156,10 +156,6 @@ class PointConfiguration:
     def array(self) -> np.ndarray:
         return np.array([[p.x, p.y, p.z] for p in self.points])
 
-    @classmethod
-    def from_array(cls, arr) -> "PointConfiguration":
-        return cls(tuple(SpherePoint.from_vec(row) for row in np.asarray(arr)))
-
 
 def sq_chord(a, b) -> np.ndarray:
     """||a - b||^2 for component-major arrays a and b of shape (3, ...),
@@ -257,7 +253,7 @@ def config_from_csv(text: str) -> PointConfiguration:
         if not row:
             continue
         try:
-            pts.append(SpherePoint(float(row[0]), float(row[1]), float(row[2])))
+            pts.append(SpherePoint.from_vec(row))
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"bad CSV row {row}: {exc}") from exc
     return PointConfiguration(tuple(pts))

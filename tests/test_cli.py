@@ -747,7 +747,10 @@ def _refuse_allocation(monkeypatch):
       str(kezeta.montecarlo._MAX_LOG_WEIGHT_BYTES // 16 + 1)], "log-weights"),
     (["sample", "--beta", "1", "--N", "100000", "--sweeps", "10", "--thinning", "5"], "MiB"),
     (["sample", "--beta", "1", "--N", "3", "--sweeps", "10", "--chains", "1000000000000"], "MiB"),
-], ids=["mc-circular", "mc-sphere-one-past", "sample-N", "sample-chains"])
+    # one chunk of 20 000 complex 101 x 101 matrices: 3.3 GB of normals
+    (["mc", "--target", "gaussdet", "--n", "100", "--s", "1", "--samples", "100000"],
+     "Gaussian entries"),
+], ids=["mc-circular", "mc-sphere-one-past", "sample-N", "sample-chains", "mc-gaussdet-n"])
 def test_over_size_run_is_refused_before_any_allocation(tmp_path, capsys, monkeypatch, argv, message):
     # never run for real: these ask for up to terabytes
     _refuse_allocation(monkeypatch)

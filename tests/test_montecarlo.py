@@ -331,7 +331,7 @@ def _reference_gaussdet_ratio(n, s, n_samples, seed, workers):
         im = rng.normal(0.0, math.sqrt(0.5), size=(m, n + 1, n + 1))
         return 2.0 * np.linalg.slogdet(re + 1j * im)[1]
 
-    logd = _reference_streams(seed, workers, n_samples, draw, chunk=n_samples)
+    logd = _reference_streams(seed, workers, n_samples, draw)
     shift = float(np.max(logd)) if s >= 0 else 0.0
     num = np.exp((s + 1.0) * logd - (s + 1.0) * shift)
     den = np.exp(s * logd - s * shift)
@@ -412,7 +412,10 @@ def test_importance_draws_reproduce_row_major_reference_bitwise(monkeypatch):
         assert json.dumps(est.to_json()) == json.dumps(ref.to_json())
 
 
-@pytest.mark.parametrize("n,s,n_samples,workers", [(1, 0.5, 20_001, 3), (2, 0.0, 9_000, 5), (3, 1.0, 3, 4)])
+@pytest.mark.parametrize("n,s,n_samples,workers", [
+    (1, 0.5, 20_001, 3), (2, 0.0, 9_000, 5), (3, 1.0, 3, 4),
+    (1, -0.5, 45_001, 1),  # one share of three chunks
+])
 def test_gaussian_det_ratio_matches_serial_slogdet_reference(monkeypatch, n, s, n_samples, workers):
     # the batched elimination replaces slogdet, so the bits may move by an ulp
     drawn = _spy_on_log_weights(monkeypatch)
@@ -425,7 +428,9 @@ def test_gaussian_det_ratio_matches_serial_slogdet_reference(monkeypatch, n, s, 
     assert est.diagnostics["tail_index_estimate"] == pytest.approx(ref.diagnostics["tail_index_estimate"], rel=1e-9)
 
 
-def test_stream_driver_raises_a_lane_error_and_leaves_no_thread():
+def test_stream_driver_raises_a_lane_error_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1_000)  # each worker runs many chunks
+
     def draw(rng, rows):
         if rng.bit_generator.seed_seq.spawn_key == (1,):
             raise ValidationError("worker 1 refuses")
@@ -433,7 +438,7 @@ def test_stream_driver_raises_a_lane_error_and_leaves_no_thread():
 
     before = threading.active_count()
     with pytest.raises(ValidationError, match="worker 1 refuses"):
-        _draw_log_weights(3, 4, 50_000, draw, chunk=1_000)
+        _draw_log_weights(3, 4, 50_000, draw)
     assert threading.active_count() == before
     assert np.all(_draw_log_weights(3, 4, 50_000, lambda rng, rows: rows.fill(1.0)) == 1.0)
     assert threading.active_count() == before
@@ -488,6 +493,21 @@ def test_estimator_peak_allocation_is_a_few_weight_vectors(estimate):
     tracemalloc.start()
     try:
         estimate(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * n * 8, peak / (n * 8)
+
+
+def test_gaussian_det_peak_allocation_is_bounded_by_the_chunk(monkeypatch):
+    # each lane draws one chunk's normals at a time, not its worker's share:
+    # two lanes, so that the bound does not depend on the core count
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+    n = 500_000
+    mc_gaussian_det(3, 0.5, 5_000, seed=3, workers=4)
+    tracemalloc.start()
+    try:
+        mc_gaussian_det(3, 0.5, n, seed=3, workers=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -575,6 +595,16 @@ def test_gaussian_det_threshold():
         mc_gaussian_det(1, -1.0, 1000)
     with pytest.raises(ThresholdError):
         mc_gaussian_det_ratio(2, -1.5, 1000)
+
+
+@pytest.mark.parametrize("estimate", [mc_gaussian_det, mc_gaussian_det_ratio])
+def test_gaussian_det_chunk_at_the_cap_is_not_refused(monkeypatch, estimate):
+    # one chunk of 1 000 complex 2 x 2 matrices: 16 * 1000 * 4 bytes of normals
+    monkeypatch.setattr(montecarlo, "_MAX_LOG_WEIGHT_BYTES", 64_000)
+    assert estimate(1, 0.5, 1_000).n_samples == 1_000
+    monkeypatch.setattr(montecarlo, "_MAX_LOG_WEIGHT_BYTES", 63_999)
+    with pytest.raises(ValidationError, match="Gaussian entries"):
+        estimate(1, 0.5, 1_000)
 
 
 def test_sample_count_validation():

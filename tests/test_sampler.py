@@ -21,17 +21,19 @@ from kezeta.sampler import (
     mean_energy_run,
     run_chain,
 )
-from kezeta.sphere import PointConfiguration, sample_uniform_array
+from kezeta.sphere import PointConfiguration, SpherePoint, sample_uniform_array
 from kezeta.stability import LogFanoCurve
 
 TRIVIAL = LogFanoCurve.standard(())
 HALF3 = LogFanoCurve.standard((0.5, 0.5, 0.5))
 
 
+def _config(arr):
+    return PointConfiguration(tuple(SpherePoint.from_vec(r) for r in arr))
+
+
 def _random_config(n, seed):
-    return PointConfiguration.from_array(
-        sample_uniform_array(np.random.Generator(np.random.PCG64(seed)), n)
-    )
+    return _config(sample_uniform_array(np.random.Generator(np.random.PCG64(seed)), n))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +75,7 @@ def test_log_target_coincidence_with_marked_point():
     # a sample sitting exactly on a positively weighted marked point
     pts = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     with pytest.raises(CoincidenceError):
-        log_target(PointConfiguration.from_array(pts), HALF3, 0.5)
+        log_target(_config(pts), HALF3, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +99,7 @@ def test_detailed_balance_two_point_transition_matrix():
     index = {s: k for k, s in enumerate(states)}
     logpi = np.array(
         [
-            log_target(PointConfiguration.from_array(sites[[a, b]]), HALF3, -1.0)
+            log_target(_config(sites[[a, b]]), HALF3, -1.0)
             for a, b in states
         ]
     )
@@ -171,8 +173,8 @@ def test_exchangeability_of_recorded_energies():
 
     stream = run_chain(HALF3, -1.0, 4, sweeps=60, seed=6)
     for k in range(0, stream.energies.shape[1], 3):
-        cfg = PointConfiguration.from_array(stream.configs[0, k])
-        perm = PointConfiguration.from_array(stream.configs[0, k][::-1])
+        cfg = _config(stream.configs[0, k])
+        perm = _config(stream.configs[0, k][::-1])
         assert config_energy(cfg, HALF3) == pytest.approx(stream.energies[0, k], abs=1e-10)
         assert config_energy(perm, HALF3) == pytest.approx(stream.energies[0, k], abs=1e-10)
 

@@ -126,11 +126,15 @@ def test_config_energy_rejects_pair_whose_distance_underflows():
         config_energy(c, _Curve())
 
 
+def _config(arr):
+    return PointConfiguration(tuple(SpherePoint.from_vec(r) for r in arr))
+
+
 def test_config_energy_rotation_invariant():
     rng = np.random.default_rng(11)
     arr = sample_uniform_array(rng, 6)
-    c0 = PointConfiguration.from_array(arr)
-    c1 = PointConfiguration.from_array(arr @ random_rotation(rng).T)
+    c0 = _config(arr)
+    c1 = _config(arr @ random_rotation(rng).T)
     assert config_energy(c1, _Curve()) == pytest.approx(config_energy(c0, _Curve()), abs=1e-11)
 
 
@@ -224,7 +228,7 @@ def test_configuration_rejects_duplicates_and_singletons():
 
 def test_csv_round_trip():
     rng = np.random.default_rng(5)
-    c = PointConfiguration.from_array(sample_uniform_array(rng, 4))
+    c = _config(sample_uniform_array(rng, 4))
     back = config_from_csv(config_to_csv(c))
     assert np.allclose(back.array, c.array, atol=0)  # repr() round-trips floats exactly
 
