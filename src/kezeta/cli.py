@@ -45,6 +45,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -185,6 +186,9 @@ def _parse_strip(text: str) -> tuple[Fraction, Fraction]:
 
 
 _MAX_GRID_NODES = 1000  # of a START:STOP:STEP grid; the ladder and criterion 10 use 13
+# --n of stability and zeta --family selberg, whose work grows with N (about
+# 1 s at this cap)
+_MAX_SELBERG_N = 1000
 
 
 def _parse_grid(text) -> list[float]:
@@ -266,7 +270,8 @@ def _run_zeta(args: argparse.Namespace, out_dir: Path):
         _require(args.w is None, "--w needs --family selberg")
 
     if args.family == "selberg":
-        _require(args.n is not None and args.n >= 2, "selberg needs --n >= 2")
+        _require(args.n is not None and 2 <= args.n <= _MAX_SELBERG_N,
+                 f"selberg needs 2 <= --n <= {_MAX_SELBERG_N}")
         gp = full = selberg_gamma_product(args.n)
         if args.beta is not None:
             _require(
@@ -328,6 +333,7 @@ def _run_zeta(args: argparse.Namespace, out_dir: Path):
 
 
 def _run_stability(args: argparse.Namespace, out_dir: Path):
+    _require(args.n is None or args.n <= _MAX_SELBERG_N, f"stability needs --n <= {_MAX_SELBERG_N}")
     report: dict = {}
     if args.lct is not None:
         coeffs = [float(x) for x in _parse_weights(args.lct)]
@@ -393,10 +399,8 @@ def _run_mc(args: argparse.Namespace, out_dir: Path):
     report = {"target": args.target, "estimate": est.to_json()}
     files = []
     if batch_csv is not None:
-        lines = ["batch_index,batch_mean"]
-        lines += [f"{i},{float(b)!r}" for i, b in enumerate(est.diagnostics["batch_means"])]
-        batch_csv.write_text("\n".join(lines) + "\n")
-        files.append(str(batch_csv))
+        rows = enumerate(est.diagnostics["batch_means"])  # a list of floats
+        files.append(_write_csv(batch_csv, ("batch_index", "batch_mean"), rows))
     outcome = {
         "target": args.target,
         "mean": est.mean,
@@ -449,19 +453,16 @@ def _run_sample(args: argparse.Namespace, out_dir: Path):
         seed=args.seed, thinning=args.thinning, chains=args.chains,
     )
 
-    csv_path = out_dir / "samples.csv"
-    header = ["chain", "step", "energy"]
-    for k in range(args.N):
-        header += [f"x{k}", f"y{k}", f"z{k}"]
-    lines = [",".join(header)]
-    # one row's tolist() at a time: the whole table as Python floats would
-    # add its own size to the peak memory
+    # the CSV is opened only after run_chain returns: a refused run writes nothing
+    header = ("chain", "step", "energy", *(f"{a}{k}" for k in range(args.N) for a in "xyz"))
     kept = stream.sweeps // stream.thinning
-    coords = stream.configs.reshape(stream.energies.size, -1)
-    for r, (e, row) in enumerate(zip(stream.energies.ravel().tolist(), coords)):
-        c, j = divmod(r, kept)  # chain c's j-th kept sweep
-        lines.append(f"{c},{(j + 1) * stream.thinning - 1},{e!r}," + ",".join(map(repr, row.tolist())))
-    csv_path.write_text("\n".join(lines) + "\n")
+    steps = range(stream.thinning - 1, kept * stream.thinning, stream.thinning)
+    rows = (
+        (c, step, e, *xyz.tolist())
+        for c, (energies, configs) in enumerate(zip(stream.energies.tolist(), stream.configs))
+        for step, e, xyz in zip(steps, energies, configs.reshape(kept, -1))
+    )
+    csv_path = _write_csv(out_dir / "samples.csv", header, rows)
 
     run_report = stream.to_report()
     hist = marginal_histogram(stream, bins=args.bins)
@@ -487,8 +488,8 @@ def _run_sample(args: argparse.Namespace, out_dir: Path):
         "mean_energy": est.mean,
         "mean_energy_se": est.std_error,
     }
-    report = {"csv": str(csv_path), "run": run_report}
-    return report, outcome, [str(csv_path), str(json_path)]
+    report = {"csv": csv_path, "run": run_report}
+    return report, outcome, [csv_path, str(json_path)]
 
 
 def _oracle_target(args: argparse.Namespace):
@@ -504,11 +505,22 @@ def _oracle_target(args: argparse.Namespace):
     raise ValidationError(f"oracle target must be 'uniform' or 'exp:<a>', got {spec_!r}")
 
 
-def _field_csv(path: Path, field) -> str:
-    lines = ["t,value"]
-    lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(field.grid, field.values)]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> str:
+    """Write a CSV table to path and return the path: the header line, then
+    one line per row, a tuple of Python ints and floats as wide as the
+    header, each value as its repr.  A row is written as soon as it is
+    formatted, so the table's text never exists whole; every line, the last
+    included, ends in a newline."""
+    line = ",".join(["%r"] * len(header)) + "\n"
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line % row)
     return str(path)
+
+
+def _field_csv(path: Path, field) -> str:
+    return _write_csv(path, ("t", "value"), zip(map(float, field.grid), map(float, field.values)))
 
 
 def _run_oracle(args: argparse.Namespace, out_dir: Path):

@@ -70,9 +70,12 @@ __all__ = [
 _CHUNK = 20_000
 _BLOCK = 4096  # configurations per block of a draw's work after its RNG calls
 # Bytes of the per-sample log-weight array, refused above this before any
-# array is allocated; the estimate's own passes over it (exp, the Hill
-# index's partition) take about twice as much again.
+# array is allocated.  The estimate's own passes over it work in place (the
+# Hill index partitions it); mc_gaussian_det_ratio also holds its denominator
+# and delta-method residual, so its traced peak is 3.13x these bytes (2 lanes,
+# 500,000 samples), the other estimators' at most about 2x plus their chunks.
 _MAX_LOG_WEIGHT_BYTES = 512 * 2**20
+_MAX_WORKERS = 10_000  # RNG streams of one estimate, refused above this before any is spawned
 _RHO = 0.9  # a marked component's radial exponent: 2 w _RHO (cluster_safe: at least that)
 _ONE = np.array([1.0, 0.0, 0.0])
 _NORTH = np.array([0.0, 0.0, 1.0])
@@ -121,11 +124,14 @@ def _draw_log_weights(
     result is bit for bit the serial loop's, whatever the core count.  The
     first exception in any lane stops every lane at its next chunk and is
     raised here, after all lanes have ended.  More than _MAX_LOG_WEIGHT_BYTES
-    of output is refused before anything is allocated."""
+    of output, or more than _MAX_WORKERS workers, is refused before anything
+    is allocated or spawned."""
     if n_samples < 2:
         raise ValidationError("need at least 2 samples")
     if workers < 1:
         raise ValidationError("need at least 1 worker")
+    if workers > _MAX_WORKERS:
+        raise ValidationError(f"{workers} workers are more than {_MAX_WORKERS}")
     nbytes = 8 * n_samples * math.prod(row_shape)
     if nbytes > _MAX_LOG_WEIGHT_BYTES:
         raise ValidationError(
@@ -161,6 +167,15 @@ def _draw_log_weights(
     return out
 
 
+def _check_pair_block(N: int, n_samples: int) -> None:
+    """Refuse a block's pair buffer, 8 N(N-1)/2 min(_BLOCK, n_samples) bytes,
+    above _MAX_LOG_WEIGHT_BYTES: no block of _blocks holds more rows."""
+    nbytes = 8 * (N * (N - 1) // 2) * min(_BLOCK, n_samples)
+    if nbytes > _MAX_LOG_WEIGHT_BYTES:
+        raise ValidationError(f"N = {N} needs {nbytes / 2**20:.0f} MiB of pair terms per block, "
+                              f"more than {_MAX_LOG_WEIGHT_BYTES // 2**20} MiB")
+
+
 def _blocks(m: int) -> list:
     """Bounds of ceil(m / _BLOCK) near-equal blocks of range(m).  No block
     holds a single configuration unless m == 1: a one-row pair sum reduces
@@ -188,13 +203,17 @@ def _logsumexp(terms: Sequence, shape: tuple) -> np.ndarray:
 
 
 def _hill_tail_index(weights: np.ndarray) -> float:
-    """Hill estimate on the top 1% of positive weights (merged, sorted)."""
-    w = weights[weights > 0]
-    if w.size < 200:
+    """Hill estimate on the top 1% of positive weights (merged, sorted).
+    weights is partitioned in place, not copied: _diagnostics calls this
+    last, and both estimators (_aggregate, _ratio_estimate) are done with the
+    array by then.  The top k of all weights are the top k of the positive
+    ones, since k is below their count."""
+    positive = np.count_nonzero(weights > 0)
+    if positive < 200:
         return float("inf")
-    k = max(2, w.size // 100)
-    w.partition(w.size - k)
-    top = np.sort(w[-k:])
+    k = max(2, positive // 100)
+    weights.partition(weights.size - k)
+    top = np.sort(weights[-k:])
     logs = np.log(top[1:] / top[0])
     denom = float(np.mean(logs))
     return float("inf") if denom <= 0 else 1.0 / denom
@@ -205,7 +224,7 @@ def _diagnostics(weights: np.ndarray, s: float, den: Optional[np.ndarray] = None
     s * sum(weights) / sum(den): the same estimate on each of
     min(100, max(2, n // 50)) consecutive batches and their variance, both in
     the estimate's units, and the Hill index of the weights' top 1%, with a
-    warning when it is <= 2."""
+    warning when it is <= 2.  weights is left in another order."""
     nbatch = min(100, max(2, weights.size // 50))
     parts = np.array_split(weights, nbatch)
     batch_means = np.array([b.sum() for b in parts])
@@ -239,7 +258,8 @@ def _shifted_exp(logw: np.ndarray) -> float:
 
 def _aggregate(w: np.ndarray, log_const: float, seed: int, workers: int) -> McEstimate:
     """The plain mean of the importance weights e^(w + log_const), for
-    log-weights w, and its SE.  w is overwritten with e^(w - max w)."""
+    log-weights w, and its SE.  w is overwritten with e^(w - max w), then
+    reordered."""
     s = math.exp(log_const + _shifted_exp(w))
     n = w.size
     mean = float(np.mean(w))
@@ -414,6 +434,7 @@ def mc_selberg(
             f"weights {shown} pass the weight condition but N d' = {float(n_dprime)} >= 2: "
             f"free collisions make the N={N} integral diverge"
         )
+    _check_pair_block(N, n_samples)
     d = 2.0 - (w1 + w2 + w3)
     if proposal is None:
         proposal = ProposalMixture.cluster_safe((w1, w2, w3))
@@ -438,7 +459,8 @@ def _ratio_estimate(
 ) -> McEstimate:
     """Self-normalized ratio sum e^num / sum e^den of shared-sample
     log-weights, and its delta-method SE.  num and den are overwritten with
-    their weights, each shifted by its own maximum."""
+    their weights, each shifted by its own maximum, and num is then
+    reordered."""
     scale_log = _shifted_exp(num) - _shifted_exp(den)
     n = num.size
     nbar, dbar = float(np.mean(num)), float(np.mean(den))
@@ -469,6 +491,7 @@ def mc_sphere_partition(
     gamma = gamma_threshold(curve.weights, N)
     if beta <= -gamma:
         raise ThresholdError(f"beta = {beta} is at or below -gamma_N = {-gamma}")
+    _check_pair_block(N, n_samples)
     proposal = ProposalMixture.default_for_curve(curve)
     marked = tuple(zip(curve.marked_sphere_points(), curve.weights))
     energy_pref = curve.d_L / (N * (N - 1))
@@ -499,6 +522,7 @@ def mc_circular(
         raise ValidationError("mc_circular needs N >= 2")
     if beta <= -(N - 1) / N:
         raise ThresholdError(f"beta = {beta} at or below -(N-1)/N")
+    _check_pair_block(N, n_samples)
     expo = 2.0 * beta / (N - 1)
     iu = np.triu_indices(N, k=1)
 

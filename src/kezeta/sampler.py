@@ -91,7 +91,7 @@ KS_99 = 1.628  # asymptotic K-S quantile sqrt(-log(0.005)/2)
 MIN_BINS = 10  # fewest axial histogram bins marginal_histogram accepts
 # Bytes of a run's (lanes, N, N) log-distance caches plus its kept energies
 # and (lanes, kept, N, 3) configurations, refused above this before any array
-# is allocated; `sample` writes the configurations again as CSV text.
+# is allocated; `sample` writes its CSV one row of text at a time.
 _MAX_STATE_BYTES = 256 * 2**20
 
 

@@ -10,6 +10,8 @@ import os
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -647,9 +649,14 @@ def test_mc_batch_csv_has_header(tmp_path, capsys):
          "--samples", "4000", "--batch-csv", "batches.csv", "--out", str(tmp_path)],
         capsys)
     assert code == 0
-    lines = (tmp_path / "batches.csv").read_text().splitlines()
-    assert lines[0] == "batch_index,batch_mean"
-    assert len(lines) > 2
+    text = (tmp_path / "batches.csv").read_text()
+    assert text.startswith("batch_index,batch_mean\n")
+    # the rows of the manifest's batch means, joined, with a trailing newline
+    (rec,) = [json.loads(l) for l in (tmp_path / "manifest.jsonl").read_text().splitlines()]
+    batch_means = rec["outcome"]["diagnostics"]["batch_means"]
+    assert len(batch_means) > 1
+    lines = ["batch_index,batch_mean"] + [f"{i},{b!r}" for i, b in enumerate(batch_means)]
+    assert text == "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -667,6 +674,28 @@ def test_sample_writes_csv_and_run_report(tmp_path, capsys):
     assert report["kept"] == len(rows) - 1
     assert report["ks_uniform"]["ks"] <= 1.0
     assert "mean_energy" in report and "axial_histogram" in report
+
+
+def test_sample_streams_its_csv_without_a_whole_text_copy(tmp_path, capsys):
+    # the benchmark's wide run: 64 chains keep 50 configurations of 16 points.
+    # The CSV is written a row at a time, so the traced peak stays within a
+    # few copies of the configurations array; a table held as text (a list
+    # of rows, their join, the encoded file) takes about 9 copies.  A small
+    # warm-up run keeps one-time allocations out.
+    argv = ["sample", "--w", "1/2", "--beta", "1", "--N", "16", "--chains", "64",
+            "--thinning", "10", "--sweeps", "500", "--seed", "7", "--out", str(tmp_path)]
+    assert run_cli([*argv[:-2], "--chains", "2", "--sweeps", "20", "--out", str(tmp_path)], capsys)[0] == 0
+    config_bytes = 64 * 50 * 16 * 3 * 8
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert len((tmp_path / "samples.csv").read_text().splitlines()) == 1 + 64 * 50
+    assert peak <= 3 * config_bytes, peak / config_bytes
 
 
 def test_sample_score_mode_writes_no_payload(tmp_path, capsys):
@@ -750,12 +779,26 @@ def _refuse_allocation(monkeypatch):
     # one chunk of 20 000 complex 101 x 101 matrices: 3.3 GB of normals
     (["mc", "--target", "gaussdet", "--n", "100", "--s", "1", "--samples", "100000"],
      "Gaussian entries"),
-], ids=["mc-circular", "mc-sphere-one-past", "sample-N", "sample-chains", "mc-gaussdet-n"])
+    # a block of 4096 configurations of N = 182 points: 16,471 pairs of 8 bytes
+    # each, one pair buffer past 512 MiB (N = 181 stays under it)
+    (["mc", "--target", "circular", "--n", "182", "--beta", "1", "--samples", "4096"], "pair terms"),
+    (["mc", "--target", "selberg", "--w", "1/2,1/2,1/2", "--n", "182", "--samples", "4096"],
+     "pair terms"),
+    (["mc", "--target", "sphere", "--n", "182", "--beta", "1", "--samples", "4096"], "pair terms"),
+    (["mc", "--target", "gaussdet", "--n", "1", "--s", "1/2", "--samples", "1000",
+      "--workers", str(kezeta.montecarlo._MAX_WORKERS + 1)], "workers"),
+    (["stability", "--w", "1/2,1/2,1/2", "--n", str(cli._MAX_SELBERG_N + 1)], "--n"),
+    (["zeta", "--family", "selberg", "--n", str(cli._MAX_SELBERG_N + 1)], "--n"),
+], ids=["mc-circular", "mc-sphere-one-past", "sample-N", "sample-chains", "mc-gaussdet-n",
+        "mc-circular-pairs", "mc-selberg-pairs", "mc-sphere-pairs", "mc-workers",
+        "stability-n", "zeta-selberg-n"])
 def test_over_size_run_is_refused_before_any_allocation(tmp_path, capsys, monkeypatch, argv, message):
     # never run for real: these ask for up to terabytes
     _refuse_allocation(monkeypatch)
     out_dir = tmp_path / "run"
+    start = time.perf_counter()
     code, out, err = run_cli([*argv, "--out", str(out_dir)], capsys)
+    assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("validation error: ") and message in err
     assert not any(out_dir.iterdir())
@@ -819,6 +862,26 @@ def test_oracle_meanfield_payloads(tmp_path, capsys):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "t,value"
         assert len(lines) == 402  # m+1 grid nodes
+
+
+def test_oracle_field_csvs_are_the_joined_rows_of_their_fields(tmp_path, capsys):
+    from kezeta.meanfield import phi_n_approximant, solve_mean_field, solve_poisson
+
+    target = kezeta.meanfield.density_from_function(lambda t: np.exp(t), m=300)
+    sol = solve_mean_field(LogFanoCurve.standard((0.5,)), 1.0, m=300)
+    expected = {
+        "meanfield_density.csv": sol.density,
+        "meanfield_potential.csv": sol.potential,
+        "poisson_potential.csv": solve_poisson(target, degree=80)[0],
+        "phi_n.csv": phi_n_approximant(target),
+    }
+    for argv in (["oracle", "meanfield", "--w", "1/2", "--beta", "1", "--m", "300"],
+                 ["oracle", "poisson", "--target", "exp:1", "--m", "300", "--degree", "80"],
+                 ["oracle", "phin", "--target", "exp:1", "--m", "300", "--N", "3"]):
+        assert run_cli([*argv, "--out", str(tmp_path)], capsys)[0] == 0
+    for name, field in expected.items():
+        lines = ["t,value"] + [f"{float(t)!r},{float(v)!r}" for t, v in zip(field.grid, field.values)]
+        assert (tmp_path / name).read_text() == "\n".join(lines) + "\n", name
 
 
 def test_oracle_poisson_and_phin(tmp_path, capsys):

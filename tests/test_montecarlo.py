@@ -25,6 +25,7 @@ from kezeta.montecarlo import (
     ProposalComponent,
     ProposalMixture,
     _draw_log_weights,
+    _hill_tail_index,
     _log_abs_det_sq,
     free_energy_curve,
     mc_circular,
@@ -456,6 +457,15 @@ def test_stream_driver_runs_at_most_one_thread_per_usable_core():
     assert 1 <= len(idents) <= len(os.sched_getaffinity(0))
 
 
+def test_stream_driver_refuses_more_workers_than_the_cap_before_spawning(monkeypatch):
+    def never(*a, **k):
+        raise AssertionError("streams spawned before the worker count was checked")
+
+    monkeypatch.setattr(np.random, "SeedSequence", never)
+    with pytest.raises(ValidationError, match="workers"):
+        _draw_log_weights(0, montecarlo._MAX_WORKERS + 1, 20_000, lambda rng, rows: None)
+
+
 def test_log_abs_det_sq_matches_slogdet():
     rng = np.random.default_rng(41)
     for k in range(1, 7):
@@ -512,6 +522,41 @@ def test_gaussian_det_peak_allocation_is_bounded_by_the_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 6.5 * n * 8, peak / (n * 8)
+
+
+def test_gaussian_det_ratio_peak_allocation_is_three_weight_vectors(monkeypatch):
+    # the numerator's weights, the denominator and the delta-method residual;
+    # the Hill index partitions the numerator in place, with no copy
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+    n = 500_000
+    mc_gaussian_det_ratio(1, 0.5, 5_000, seed=3, workers=4)
+    tracemalloc.start()
+    try:
+        mc_gaussian_det_ratio(1, 0.5, n, seed=3, workers=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * n * 8, peak / (n * 8)
+
+
+def test_hill_tail_index_partitions_the_weights_in_place():
+    # zeros (underflowed weights) and ties in the top 1%: the same index as a
+    # sort of the positive weights' copy, the same values left in the array,
+    # and no copy of it allocated beside the positivity mask
+    rng = np.random.default_rng(9)
+    weights = rng.pareto(1.5, 1_000_000)
+    weights[rng.random(weights.size) < 0.1] = 0.0
+    weights[np.argsort(weights)[-3_000:-2_000]] = weights.max()
+    want, values = _reference_hill(weights), np.sort(weights)
+    tracemalloc.start()
+    try:
+        got = _hill_tail_index(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert np.array_equal(np.sort(weights), values)
+    assert peak <= 0.25 * weights.nbytes, peak / weights.nbytes
 
 
 def test_log_density_matches_stacked_reference_bitwise():
@@ -605,6 +650,20 @@ def test_gaussian_det_chunk_at_the_cap_is_not_refused(monkeypatch, estimate):
     monkeypatch.setattr(montecarlo, "_MAX_LOG_WEIGHT_BYTES", 63_999)
     with pytest.raises(ValidationError, match="Gaussian entries"):
         estimate(1, 0.5, 1_000)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda n: mc_selberg((0.5, 0.5, 0.5), 3, n),
+    lambda n: mc_sphere_partition(TRIVIAL, 1.0, 3, n),
+    lambda n: mc_circular(3, 1.0, n),
+], ids=["selberg", "sphere", "circular"])
+def test_pair_block_at_the_cap_is_not_refused(monkeypatch, estimate):
+    # one block of 1 000 configurations of 3 points: 8 * 3 * 1000 bytes of pair terms
+    monkeypatch.setattr(montecarlo, "_MAX_LOG_WEIGHT_BYTES", 24_000)
+    assert estimate(1_000).n_samples == 1_000
+    monkeypatch.setattr(montecarlo, "_MAX_LOG_WEIGHT_BYTES", 23_999)
+    with pytest.raises(ValidationError, match="pair terms"):
+        estimate(1_000)
 
 
 def test_sample_count_validation():
