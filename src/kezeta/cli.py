@@ -163,14 +163,11 @@ def _parse_weights(text, allow_symbol: bool = False):
 
 
 def _parse_complex(text: str) -> complex:
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ValidationError(f"expected RE or RE,IM, got {text!r}")
-    try:
-        re = float(Fraction(parts[0]))
-        im = float(Fraction(parts[1])) if len(parts) == 2 else 0.0
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"cannot parse complex number {text!r}") from exc
+    re = float(_parse_fraction(parts[0], "real part"))
+    im = float(_parse_fraction(parts[1], "imaginary part")) if len(parts) == 2 else 0.0
     return complex(re, im)
 
 
@@ -356,6 +353,7 @@ def _run_mc(args: argparse.Namespace, out_dir: Path):
              f"--batch-csv {args.batch_csv} is not a file path in an existing directory under --out")
 
     if args.target == "free-energy":
+        _require(batch_csv is None, "free-energy has no batch means to write to --batch-csv")
         _require(args.grid is not None, "free-energy needs --grid")
         _require(args.n is not None and args.n >= 2, "free-energy needs --n >= 2")
         curve = _standard_curve(args)
@@ -497,10 +495,7 @@ def _oracle_target(args: argparse.Namespace):
     if spec_ == "uniform":
         return uniform_density(args.m), spec_
     if spec_.startswith("exp:"):
-        try:
-            a = float(Fraction(spec_[4:]))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValidationError(f"bad exponent in target {spec_!r}") from exc
+        a = float(_parse_fraction(spec_[4:], "target exponent"))
         return density_from_function(lambda t: np.exp(a * t), m=args.m), spec_
     raise ValidationError(f"oracle target must be 'uniform' or 'exp:<a>', got {spec_!r}")
 

@@ -19,24 +19,27 @@ Families implemented here (each returns a symbolic GammaProduct):
   * gaussian_det_Z(n): moments of |det|^2 of an (n+1)x(n+1) standard complex
     Gaussian matrix, Z(s) = c prod_{j=1}^{n+1} G(s+j), c = pi^(n+1)^2/prod G(j).
 
-Tube analysis: zeros of any Gamma product lie on affine hyperplane families
-{arg = -m} coming from negative-exponent factors, so zero-freeness over an
-open convex tube reduces to exact linear feasibility checks, with net-order
-cancellation against positive-exponent factors that land on the same
-hyperplane.  The checks are Fourier-Motzkin elimination over coprime integer
-rows: each rational row a.x < b is scaled to integers, rows are combined with
-positive integer multipliers and divided by their gcd (Schrijver, Theory of
-Linear and Integer Programming, 1986, sec. 12.2), so every step is plain int
-arithmetic and a Fraction is formed only for a final bound or a witness
-coordinate.  One range solve (a functional's exact open range over the
-tube) serves the hyperplane scan, the emptiness check and the witness point.
+Tube analysis: a tube is a TubeDomain, an open polytope given as affine
+half-spaces form < 0 on the real parts.  Zeros of any Gamma product lie on
+affine hyperplane families {arg = -m} coming from negative-exponent factors,
+so zero-freeness over the tube reduces to exact linear feasibility checks,
+with net-order cancellation against positive-exponent factors that land on
+the same hyperplane.  The checks are Fourier-Motzkin elimination over
+coprime integer rows: each rational row a.x < b is scaled to integers, rows
+are combined with positive integer multipliers and divided by their gcd
+(Schrijver, Theory of Linear and Integer Programming, 1986, sec. 12.2), so
+every step is plain int arithmetic and a Fraction is formed only for a final
+bound or a witness coordinate.  One range solve (a functional's exact open
+range over the tube) serves the hyperplane scan, the emptiness check and the
+witness point.
 
 A caution that shapes two public helpers: the Gamma-product formula is the
 meromorphic continuation of the defining integral.  At weight points where
 the integral diverges the formula is usually still finite, so "is Z finite"
 questions about the *integral* are answered by locating which side of the
-pole walls the point sits on (selberg_integral_finite), never by evaluating
-the continuation.
+pole walls the point sits on, never by evaluating the continuation: the
+convergence cell of selberg_integral_finite is a TubeDomain of form < 0
+half-spaces too, one per wall.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ __all__ = [
     "circular_Z",
     "gaussian_det_Z",
     "bernstein_product",
-    "TubeConstraint",
     "TubeDomain",
     "ZeroFreeReport",
     "zero_free_in_tube",
@@ -170,67 +172,45 @@ def bernstein_product(n: int, s) -> Fraction | float:
 # Tube domains and exact linear feasibility (Fourier-Motzkin over integer rows).
 
 @dataclass(frozen=True)
-class TubeConstraint:
-    """Strict affine constraint on real parts: sum coeffs*Re(param) REL bound."""
-
-    coeffs: tuple[tuple[str, Fraction], ...]
-    rel: str  # "<" or ">"
-    bound: Fraction
-
-    @classmethod
-    def make(cls, coeffs: Mapping[str, object], rel: str, bound) -> "TubeConstraint":
-        if rel not in ("<", ">"):
-            raise ValidationError("constraint relation must be '<' or '>'")
-        arg = AffineArg.make(coeffs, 0)
-        if not arg.coeffs:
-            raise ValidationError("constraint needs at least one nonzero coefficient")
-        return cls(arg.coeffs, rel, Fraction(bound))
-
-
-@dataclass(frozen=True)
 class TubeDomain:
-    constraints: tuple[TubeConstraint, ...]
+    """Open polytope on real parts: every constraint is an affine form read
+    as form < 0."""
 
-    @property
-    def params(self) -> tuple[str, ...]:
-        names = set()
-        for c in self.constraints:
-            names.update(name for name, _ in c.coeffs)
-        return tuple(sorted(names))
+    constraints: tuple[AffineArg, ...]
+
+    def __post_init__(self):
+        if any(not form.coeffs for form in self.constraints):
+            raise ValidationError("constraint needs at least one nonzero coefficient")
 
     @classmethod
     def from_bounds(cls, bounds: Mapping[str, tuple]) -> "TubeDomain":
+        """lo < x is the form lo - x, and x < hi the form x - hi."""
         cons = []
         for name, (lo, hi) in bounds.items():
             if lo is not None:
-                cons.append(TubeConstraint.make({name: 1}, ">", lo))
+                cons.append(AffineArg.make({name: -1}, Fraction(lo)))
             if hi is not None:
-                cons.append(TubeConstraint.make({name: 1}, "<", hi))
+                cons.append(AffineArg.make({name: 1}, -Fraction(hi)))
         return cls(tuple(cons))
 
     def contains(self, point: Mapping[str, object]) -> bool:
-        for c in self.constraints:
-            val = sum(Fraction(point[name]) * co for name, co in c.coeffs)
-            if c.rel == "<" and not val < c.bound:
-                return False
-            if c.rel == ">" and not val > c.bound:
-                return False
-        return True
+        x = {name: Fraction(v) for name, v in point.items()}
+        return all(
+            sum((c * x[name] for name, c in form.coeffs), form.constant) < 0
+            for form in self.constraints
+        )
 
     def rows(self, params: Sequence[str]) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        """Normalized strict rows a.x < b over the given parameter order."""
+        """The strict rows a.x < b over the given parameter order."""
         index = {p: i for i, p in enumerate(params)}
         out = []
-        for c in self.constraints:
+        for form in self.constraints:
             vec = [Fraction(0)] * len(params)
-            for name, co in c.coeffs:
+            for name, co in form.coeffs:
                 if name not in index:
                     raise ValidationError(f"constraint mentions unknown parameter {name}")
                 vec[index[name]] = co
-            if c.rel == "<":
-                out.append((tuple(vec), c.bound))
-            else:
-                out.append((tuple(-v for v in vec), -c.bound))
+            out.append((tuple(vec), -form.constant))
         return out
 
 
@@ -248,8 +228,8 @@ def selberg_tube(kind: str = "canonical") -> TubeDomain:
     if kind == "canonical":
         return TubeDomain.from_bounds({w: (0, 1) for w in ("w1", "w2", "w3")})
     if kind == "display":
-        cons = [TubeConstraint.make({w: 1}, "<", 1) for w in ("w1", "w2", "w3")]
-        cons.append(TubeConstraint.make({"w1": 1, "w2": 1, "w3": 1}, ">", 0))
+        cons = [AffineArg.make({w: 1}, -1) for w in ("w1", "w2", "w3")]
+        cons.append(AffineArg.make({"w1": -1, "w2": -1, "w3": -1}, 0))
         return TubeDomain(tuple(cons))
     if kind == "widened":
         return TubeDomain.from_bounds(
@@ -453,11 +433,8 @@ def zero_free_in_tube(gp: GammaProduct, dom: TubeDomain) -> ZeroFreeReport:
     params = list(gp.params)
     if not params:
         return ZeroFreeReport(zero_free=True)
-    extra = set(dom.params) - set(params)
-    if extra:
-        raise ValidationError(f"tube constrains unknown parameters {sorted(extra)}")
     n = len(params)
-    rows = _int_rows(dom.rows(params))
+    rows = _int_rows(dom.rows(params))  # raises on a parameter the product lacks
     # an empty tube raises on the first range solve
     net, rep = _singular_hyperplanes(gp, params, rows)
     zero_keys = sorted(k for k, e in net.items() if e < 0)
@@ -500,8 +477,9 @@ def selberg_integral_finite(w: Sequence, N: int) -> bool:
     decided geometrically: the convergence cell is the connected component of
     the complement of the formula's pole hyperplanes that contains a deeply
     stable reference point, and components of hyperplane-arrangement
-    complements are convex, so membership is a per-wall side check.  Valid
-    for 0 < w_i < 1 with positive degree (the range the integral is set in).
+    complements are convex, so the cell is a TubeDomain like any tube, one
+    form < 0 half-space per wall.  Valid for 0 < w_i < 1 with positive degree
+    (the range the integral is set in).
     """
     ws = [Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**9) for x in w]
     if len(ws) != 3:
@@ -510,27 +488,18 @@ def selberg_integral_finite(w: Sequence, N: int) -> bool:
         raise ValidationError("weights must lie strictly between 0 and 1")
     if sum(ws) >= 2:
         raise ValidationError("degree must be positive (sum of weights < 2)")
-
-    for vec, value, ref_above in _selberg_walls(N):
-        side = sum(v * x for v, x in zip(vec, ws)) - value
-        if side == 0 or (side > 0) != ref_above:
-            return False
-    return True
+    return _convergence_cell(N).contains(dict(zip(("w1", "w2", "w3"), ws)))
 
 
 @functools.cache
-def _selberg_walls(N: int) -> tuple[tuple[tuple[Fraction, ...], Fraction, bool], ...]:
-    """Divergence walls {vec . w = value} of the N-point integral in the
-    physical box 0 < w_i < 1, sum < 2, each with whether a symmetric reference
-    point deep in the convergence cell lies above it (vec . ref > value)."""
+def _convergence_cell(N: int) -> TubeDomain:
+    """The divergence walls {vec . w = value} of the N-point integral in the
+    physical box 0 < w_i < 1, sum < 2, each as the half-space holding a
+    symmetric reference point deep in the convergence cell."""
     gp = selberg_gamma_product(N)
     params = list(gp.params)
     box = TubeDomain(
-        tuple(
-            [TubeConstraint.make({p: 1}, ">", 0) for p in params]
-            + [TubeConstraint.make({p: 1}, "<", 1) for p in params]
-            + [TubeConstraint.make({p: 1 for p in params}, "<", 2)]
-        )
+        selberg_tube("canonical").constraints + (AffineArg.make({p: 1 for p in params}, -2),)
     )
     net, rep = _singular_hyperplanes(gp, params, _int_rows(box.rows(params)))
     a_ref = (Fraction(2, N + 2) + Fraction(2, 3)) / 2
@@ -539,5 +508,6 @@ def _selberg_walls(N: int) -> tuple[tuple[tuple[Fraction, ...], Fraction, bool],
         if e <= 0:
             continue  # zeros and removable hyperplanes are not divergence walls
         vec, value = rep[key]
-        walls.append((vec, value, sum(v * a_ref for v in vec) > value))
-    return tuple(walls)
+        sign = -1 if sum(v * a_ref for v in vec) > value else 1
+        walls.append(AffineArg.make({p: sign * v for p, v in zip(params, vec)}, -sign * value))
+    return TubeDomain(tuple(walls))

@@ -337,6 +337,23 @@ def test_mc_batch_csv_in_a_missing_directory_exits_2_before_estimating(tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+def test_mc_free_energy_refuses_batch_csv_before_sampling(tmp_path, capsys, monkeypatch):
+    # the thermodynamic-integration ladder has no batch means to write
+    def never(*a, **k):
+        raise AssertionError("ladder started although --batch-csv cannot be honoured")
+
+    monkeypatch.setattr(cli, "free_energy_curve", never)
+    out_dir = tmp_path / "fe"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["mc", "--target", "free-energy", "--n", "3", "--grid", "1/2:1:1/2", "--budget", "2000",
+         "--batch-csv", "b.csv", "--out", str(out_dir)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and "--batch-csv" in err
+    assert not any(out_dir.iterdir())
+
+
 def test_zero_workers_is_validation_exit(tmp_path, capsys):
     code, out, err = run_cli(
         ["mc", "--target", "circular", "--n", "3", "--beta", "1", "--workers", "0",
@@ -789,9 +806,12 @@ def _refuse_allocation(monkeypatch):
       "--workers", str(kezeta.montecarlo._MAX_WORKERS + 1)], "workers"),
     (["stability", "--w", "1/2,1/2,1/2", "--n", str(cli._MAX_SELBERG_N + 1)], "--n"),
     (["zeta", "--family", "selberg", "--n", str(cli._MAX_SELBERG_N + 1)], "--n"),
+    # 4.5 million (factor, m) pairs on this line; 450,000 took 2.5 s to enumerate
+    (["zeta", "--family", "selberg", "--n", "3", "--w", "1/2,1/2,t", "--poles-in=-1000000:0"],
+     "strip"),
 ], ids=["mc-circular", "mc-sphere-one-past", "sample-N", "sample-chains", "mc-gaussdet-n",
         "mc-circular-pairs", "mc-selberg-pairs", "mc-sphere-pairs", "mc-workers",
-        "stability-n", "zeta-selberg-n"])
+        "stability-n", "zeta-selberg-n", "zeta-strip"])
 def test_over_size_run_is_refused_before_any_allocation(tmp_path, capsys, monkeypatch, argv, message):
     # never run for real: these ask for up to terabytes
     _refuse_allocation(monkeypatch)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kezeta import closedforms as cf
 from kezeta.closedforms import (
-    TubeConstraint,
     TubeDomain,
     bernstein_product,
     circular_Z,
@@ -283,6 +282,32 @@ def test_deformation_segment_zero_free():
     assert zero_free_in_tube(restricted, dom).zero_free
 
 
+# Each tube constraint is a form < 0; its row a.x < b is (gradient, -constant),
+# in the order the bounds are given.
+TUBE_ROWS = {
+    "canonical": [((-1, 0, 0), 0), ((1, 0, 0), 1), ((0, -1, 0), 0), ((0, 1, 0), 1),
+                  ((0, 0, -1), 0), ((0, 0, 1), 1)],
+    "widened": [((-1, 0, 0), 0), ((1, 0, 0), 2), ((0, -1, 0), 0), ((0, 1, 0), 1),
+                ((0, 0, -1), 0), ((0, 0, 1), 1)],
+    "display": [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 0)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TUBE_ROWS))
+def test_tube_rows_are_pinned(kind):
+    assert selberg_tube(kind).rows(("w1", "w2", "w3")) == [
+        (tuple(Fraction(v) for v in a), Fraction(b)) for a, b in TUBE_ROWS[kind]
+    ]
+
+
+def test_tube_is_open_and_refuses_a_constant_constraint():
+    dom = selberg_tube("canonical")
+    assert dom.contains({"w1": Fraction(99, 100), "w2": HALF, "w3": HALF})
+    assert not dom.contains({"w1": 1, "w2": HALF, "w3": HALF})  # on the face w1 = 1
+    with pytest.raises(ValidationError):
+        TubeDomain((AffineArg.make({}, -1),))
+
+
 # Pinned reports: the hyperplane and witness strings the FM elimination
 # picks on the widened and display tubes.
 
@@ -520,3 +545,18 @@ def test_wall_reading_matches_convergence_conditions(w1, w2, w3, n):
     wc = all(2 * w < w1 + w2 + w3 for w in ws)
     collision_ok = n * (2 - (w1 + w2 + w3)) < 2 * (n - 1)
     assert finite == (wc and collision_ok)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+def test_convergence_cell_matches_power_counting_on_a_grid(n):
+    # every k/10 triple with positive degree, out to N = 64: the hypothesis
+    # test above stops at N = 6, and each wall is oriented by the side its
+    # symmetric reference point lies on, which moves with N
+    for k1 in range(1, 10):
+        for k2 in range(1, 10):
+            for k3 in range(1, min(10, 20 - k1 - k2)):
+                ws = (Fraction(k1, 10), Fraction(k2, 10), Fraction(k3, 10))
+                total = sum(ws)
+                wc = all(2 * w < total for w in ws)
+                collision_ok = n * (2 - total) < 2 * (n - 1)
+                assert selberg_integral_finite(ws, n) == (wc and collision_ok), (ws, n)

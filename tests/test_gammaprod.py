@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kezeta import gammaprod
 from kezeta.errors import PoleError, ValidationError
 from kezeta.gammaprod import (
     AffineArg,
@@ -357,3 +358,14 @@ def test_json_schema_shape():
 def test_eval_missing_parameter():
     with pytest.raises(ValidationError):
         eval_gamma_product(gamma_pow({"x": 1}, 0), {})
+
+
+def test_strip_cap_counts_factor_singularities(monkeypatch):
+    # Gamma(t) Gamma(t + 1/2): the poles -m and -1/2 - m, m = 0..4, are the
+    # ten in [-9/2, 0]; [-5, 0] adds t = -5
+    gp = GammaProduct(0.0, (GammaFactor(AffineArg.make({"t": 1}, 0), 1),
+                            GammaFactor(AffineArg.make({"t": 1}, Fraction(1, 2)), 1)))
+    monkeypatch.setattr(gammaprod, "_MAX_STRIP_POINTS", 10)
+    assert len(zeros_and_poles_in_strip(gp, Fraction(-9, 2), 0)) == 10
+    with pytest.raises(ValidationError, match="11 factor singularities, more than 10"):
+        zeros_and_poles_in_strip(gp, -5, 0)
