@@ -183,8 +183,7 @@ def _parse_strip(text: str) -> tuple[Fraction, Fraction]:
 
 
 _MAX_GRID_NODES = 1000  # of a START:STOP:STEP grid; the ladder and criterion 10 use 13
-# --n of stability and zeta --family selberg, whose work grows with N (about
-# 1 s at this cap)
+# --n of zeta --family selberg, which builds O(N) Gamma factors
 _MAX_SELBERG_N = 1000
 
 
@@ -330,7 +329,6 @@ def _run_zeta(args: argparse.Namespace, out_dir: Path):
 
 
 def _run_stability(args: argparse.Namespace, out_dir: Path):
-    _require(args.n is None or args.n <= _MAX_SELBERG_N, f"stability needs --n <= {_MAX_SELBERG_N}")
     report: dict = {}
     if args.lct is not None:
         coeffs = [float(x) for x in _parse_weights(args.lct)]

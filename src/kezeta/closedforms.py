@@ -37,14 +37,13 @@ A caution that shapes two public helpers: the Gamma-product formula is the
 meromorphic continuation of the defining integral.  At weight points where
 the integral diverges the formula is usually still finite, so "is Z finite"
 questions about the *integral* are answered by locating which side of the
-pole walls the point sits on, never by evaluating the continuation: the
-convergence cell of selberg_integral_finite is a TubeDomain of form < 0
-half-spaces too, one per wall.
+pole walls the point sits on, never by evaluating the continuation:
+selberg_integral_finite reads the two walls that bound the convergence cell,
+proven in its docstring.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -473,41 +472,31 @@ def zero_free_in_tube(gp: GammaProduct, dom: TubeDomain) -> ZeroFreeReport:
 def selberg_integral_finite(w: Sequence, N: int) -> bool:
     """Whether the defining N-point integral converges at real weights w.
 
-    The Gamma-product formula continues past the divergence walls, so this is
-    decided geometrically: the convergence cell is the connected component of
-    the complement of the formula's pole hyperplanes that contains a deeply
-    stable reference point, and components of hyperplane-arrangement
-    complements are convex, so the cell is a TubeDomain like any tube, one
-    form < 0 half-space per wall.  Valid for 0 < w_i < 1 with positive degree
-    (the range the integral is set in).
+    Valid for 0 < w_i < 1 with positive degree (the range the integral is set
+    in).  The Gamma-product formula continues past the divergence walls, so
+    this is decided from the walls, in exact Fractions: finite iff
+
+        2 w_i < w_1 + w_2 + w_3 for each i,  and  N (2 - sum w) < 2 (N - 1),
+
+    Selberg's classical conditions (Forrester & Warnaar, Bull. AMS 45 (2008)
+    489-534).  Proof from the formula's poles: the convergence cell is the
+    component of the complement of the pole hyperplanes that holds a deeply
+    stable point.  With d' = (2 - sum w)/(N - 1) > 0 in the box, the only
+    pole walls that meet the box 0 < w_i < 1, sum w < 2 are
+    w_i + j d'/2 = 1 for j = 1..N-1 (j + 1 points piling up at the marked
+    point p_i; 3(N - 1) walls) and N d' = 2 (all N points colliding); every
+    family with shift m >= 1 misses the box.  Since d' > 0, the j = N-1 wall,
+    w_i + d'(N-1)/2 < 1, i.e. 2 w_i < sum w, implies every smaller j, which
+    leaves the two conditions above.
     """
     ws = [Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**9) for x in w]
     if len(ws) != 3:
         raise ValidationError("selberg_integral_finite needs three weights")
     if any(not (0 < x < 1) for x in ws):
         raise ValidationError("weights must lie strictly between 0 and 1")
-    if sum(ws) >= 2:
+    total = sum(ws)
+    if total >= 2:
         raise ValidationError("degree must be positive (sum of weights < 2)")
-    return _convergence_cell(N).contains(dict(zip(("w1", "w2", "w3"), ws)))
-
-
-@functools.cache
-def _convergence_cell(N: int) -> TubeDomain:
-    """The divergence walls {vec . w = value} of the N-point integral in the
-    physical box 0 < w_i < 1, sum < 2, each as the half-space holding a
-    symmetric reference point deep in the convergence cell."""
-    gp = selberg_gamma_product(N)
-    params = list(gp.params)
-    box = TubeDomain(
-        selberg_tube("canonical").constraints + (AffineArg.make({p: 1 for p in params}, -2),)
-    )
-    net, rep = _singular_hyperplanes(gp, params, _int_rows(box.rows(params)))
-    a_ref = (Fraction(2, N + 2) + Fraction(2, 3)) / 2
-    walls = []
-    for key, e in net.items():
-        if e <= 0:
-            continue  # zeros and removable hyperplanes are not divergence walls
-        vec, value = rep[key]
-        sign = -1 if sum(v * a_ref for v in vec) > value else 1
-        walls.append(AffineArg.make({p: sign * v for p, v in zip(params, vec)}, -sign * value))
-    return TubeDomain(tuple(walls))
+    if not isinstance(N, int) or N < 2:
+        raise ValidationError("selberg_integral_finite needs integer N >= 2")
+    return all(2 * x < total for x in ws) and N * (2 - total) < 2 * (N - 1)

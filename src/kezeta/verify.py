@@ -2,10 +2,11 @@
 
 Each criterion reruns one of the package's dual-route comparisons -- closed
 Gamma-product forms against Monte Carlo, exact stability verdicts against
-pole enumeration, the mean-field oracle against the sphere sampler -- with
-seeds and budgets frozen, and reports a measured value, a tolerance and a
-pass flag.  Failures are report entries, never exceptions: a broken check
-should show up in the report, not crash the runner.
+integral finiteness read from the proven pole walls, the mean-field oracle
+against the sphere sampler -- with seeds and budgets frozen, and reports a
+measured value, a tolerance and a pass flag.  Failures are report entries,
+never exceptions: a broken check should show up in the report, not crash the
+runner.
 
 Levels:
   quick -- deterministic checks only (strip enumeration, tube scans,
@@ -182,8 +183,9 @@ _UNSTABLE_TRIPLES = (
 
 def criterion_2() -> CriterionResult:
     # the Gamma product is the continuation of the defining integral, so
-    # "finite" means the integral converges (a pole-wall side check), not
-    # that the formula evaluates without hitting a Gamma pole
+    # "finite" means the integral converges (read from the two proven pole
+    # walls of selberg_integral_finite), not that the formula evaluates
+    # without hitting a Gamma pole; the evaluation is checked separately
     checks = agree = 0
     products = {n: selberg_gamma_product(n) for n in range(3, 7)}
     for triples, want_stable in ((_STABLE_TRIPLES, True), (_UNSTABLE_TRIPLES, False)):

@@ -1,8 +1,10 @@
 """Closed-form partition functions: pins, oracle comparisons, tube analyses."""
 
+import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -524,39 +526,80 @@ def test_selberg_integral_finite_examples():
     # and slightly inside it
     assert selberg_integral_finite((Fraction(2, 5), Fraction(2, 5), Fraction(1, 4)), 2) is True
     assert selberg_integral_finite((Fraction(9, 10), Fraction(1, 10), Fraction(1, 10)), 5) is False
+    # the collision wall at N = 10^9 is N sum w = 2; just inside it, the
+    # margin 2 (N - 1) - N (2 - sum w) = 3/N is below a float's resolution
+    big = 10**9
+    on_wall = Fraction(2, 3 * big)
+    assert selberg_integral_finite((on_wall,) * 3, big) is False
+    assert selberg_integral_finite((on_wall + Fraction(1, big * big),) * 3, big) is True
     with pytest.raises(ValidationError):
         selberg_integral_finite((Fraction(3, 2), HALF, HALF), 3)
     with pytest.raises(ValidationError):
         selberg_integral_finite((Fraction(9, 10), Fraction(9, 10), Fraction(9, 10)), 3)
+    for n in (1, Fraction(3, 2)):
+        with pytest.raises(ValidationError):
+            selberg_integral_finite((HALF, HALF, HALF), n)
+
+
+WEIGHTS = ("w1", "w2", "w3")
+
+
+@functools.cache
+def _convergence_cell(N: int) -> TubeDomain:
+    """Reference for selberg_integral_finite, built from the formula's poles:
+    the divergence walls {vec . w = value} of the N-point integral in the
+    physical box 0 < w_i < 1, sum < 2, each as the half-space holding a
+    symmetric reference point deep in the convergence cell."""
+    gp = selberg_gamma_product(N)
+    params = list(gp.params)
+    box = TubeDomain(
+        selberg_tube("canonical").constraints + (AffineArg.make({p: 1 for p in params}, -2),)
+    )
+    net, rep = cf._singular_hyperplanes(gp, params, cf._int_rows(box.rows(params)))
+    a_ref = (Fraction(2, N + 2) + Fraction(2, 3)) / 2
+    walls = []
+    for key, e in net.items():
+        if e <= 0:
+            continue  # zeros and removable hyperplanes are not divergence walls
+        vec, value = rep[key]
+        sign = -1 if sum(v * a_ref for v in vec) > value else 1
+        walls.append(AffineArg.make({p: sign * v for p, v in zip(params, vec)}, -sign * value))
+    return TubeDomain(tuple(walls))
 
 
 rational_weight = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=40)
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_weight, rational_weight, rational_weight, st.integers(min_value=2, max_value=6))
+@given(rational_weight, rational_weight, rational_weight, st.integers(min_value=2, max_value=12))
 def test_wall_reading_matches_convergence_conditions(w1, w2, w3, n):
-    # the pole-wall cell must reproduce the power-counting conditions: the
-    # strict weight condition (marked-point pileups) plus N d' < 2 (free
-    # collisions); note gamma_threshold > 1 is strictly stronger than this
+    # the two walls read by selberg_integral_finite against the reference
+    # cell of every pole wall; note gamma_threshold > 1 is strictly stronger
+    # than finiteness
     assume(w1 + w2 + w3 < 2)
-    finite = selberg_integral_finite((w1, w2, w3), n)
     ws = (w1, w2, w3)
-    wc = all(2 * w < w1 + w2 + w3 for w in ws)
-    collision_ok = n * (2 - (w1 + w2 + w3)) < 2 * (n - 1)
-    assert finite == (wc and collision_ok)
+    assert selberg_integral_finite(ws, n) == _convergence_cell(n).contains(dict(zip(WEIGHTS, ws)))
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+_K = np.stack(np.meshgrid(*[np.arange(1, 40)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+GRID_K = _K[_K.sum(axis=1) < 80]  # every k/40 triple with positive degree: 49,439
+TENTHS = (GRID_K % 4 == 0).all(axis=1)  # the k/10 triples among them
+
+
+@pytest.mark.parametrize("n", range(2, 65))
 def test_convergence_cell_matches_power_counting_on_a_grid(n):
-    # every k/10 triple with positive degree, out to N = 64: the hypothesis
-    # test above stops at N = 6, and each wall is oriented by the side its
-    # symmetric reference point lies on, which moves with N
-    for k1 in range(1, 10):
-        for k2 in range(1, 10):
-            for k3 in range(1, min(10, 20 - k1 - k2)):
-                ws = (Fraction(k1, 10), Fraction(k2, 10), Fraction(k3, 10))
-                total = sum(ws)
-                wc = all(2 * w < total for w in ws)
-                collision_ok = n * (2 - total) < 2 * (n - 1)
-                assert selberg_integral_finite(ws, n) == (wc and collision_ok), (ws, n)
+    # the reference cell against 2 w_i < sum w and N (2 - sum w) < 2 (N - 1)
+    # at every k/40 triple; each wall a.w < b is the exact integer row
+    # a.k < 40 b.  The cell's walls are oriented by the side its symmetric
+    # reference point lies on, which moves with N
+    rows = cf._int_rows(_convergence_cell(n).rows(WEIGHTS))
+    a = np.array([r[0] for r in rows], dtype=np.int64)
+    b = np.array([r[1] for r in rows], dtype=np.int64)
+    in_cell = (GRID_K @ a.T < 40 * b).all(axis=1)
+    total = GRID_K.sum(axis=1)
+    power_counting = (2 * GRID_K < total[:, None]).all(axis=1) & (n * (80 - total) < 80 * (n - 1))
+    bad = GRID_K[in_cell != power_counting]
+    assert len(bad) == 0, (len(bad), bad[:5].tolist())
+    # and selberg_integral_finite itself on the k/10 sub-grid
+    for k, want in zip(GRID_K[TENTHS].tolist(), in_cell[TENTHS].tolist()):
+        assert selberg_integral_finite([Fraction(x, 40) for x in k], n) is want, (k, n)
