@@ -12,7 +12,10 @@ flags (and the command name), nothing else.
 
 Each subcommand takes only the flags it reads: --seed exists on mc and
 sample, the two that draw random numbers, and --workers on mc only.
-Every subcommand takes --config and --out.
+Every subcommand takes --config and --out.  A value flag that the chosen
+mode (zeta family, mc target, oracle solver, sample --score) does not read
+is a validation error too; flags with a default cannot be told from it and
+are not checked.
 
 Config precedence: built-in defaults < --config JSON file < explicit flags.
 The config file is a flat JSON object whose keys are the subcommand's flag
@@ -215,6 +218,16 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _refuse_unread(args: argparse.Namespace, dests: Sequence[str], mode: str) -> None:
+    """Validation error if any flag among dests, which `mode` does not read,
+    was given (a switch counts when it is on)."""
+    given = [
+        f"--{d.replace('_', '-')}" for d in dests
+        if (v := getattr(args, d)) is not None and v is not False
+    ]
+    _require(not given, f"{mode} does not read {' '.join(given)}")
+
+
 def _mero_to_json(mv) -> dict:
     if mv.kind == "regular":
         val = mv.value
@@ -247,8 +260,7 @@ _ZETA_FAMILY_FLAGS = ("family", "n", "w", "beta", "s", "poles_in", "tube")
 
 def _run_zeta(args: argparse.Namespace, out_dir: Path):
     if args.log_gamma is not None:
-        given = [f"--{f.replace('_', '-')}" for f in _ZETA_FAMILY_FLAGS if getattr(args, f) is not None]
-        _require(not given, f"--log-gamma takes no other zeta flag, got {' '.join(given)}")
+        _refuse_unread(args, _ZETA_FAMILY_FLAGS, "--log-gamma")
         z = _parse_complex(args.log_gamma)
         val = log_gamma(z)
         report = {
@@ -264,6 +276,7 @@ def _run_zeta(args: argparse.Namespace, out_dir: Path):
     if args.family != "selberg":
         _require(args.tube is None, "--tube needs --family selberg")
         _require(args.w is None, "--w needs --family selberg")
+    _refuse_unread(args, ("beta",) if args.family == "gaussdet" else ("s",), f"--family {args.family}")
 
     if args.family == "selberg":
         _require(args.n is not None and 2 <= args.n <= _MAX_SELBERG_N,
@@ -343,9 +356,20 @@ def _run_stability(args: argparse.Namespace, out_dir: Path):
     return report, dict(report), []
 
 
+# of the value flags --w, --beta, --s and --grid, the ones each mc target leaves unread
+_MC_UNREAD = {
+    "selberg": ("beta", "s", "grid"),
+    "sphere": ("s", "grid"),
+    "circular": ("w", "s", "grid"),
+    "gaussdet": ("w", "beta", "grid"),
+    "gaussdet-ratio": ("w", "beta", "grid"),
+    "free-energy": ("beta", "s"),
+}
+
+
 def _run_mc(args: argparse.Namespace, out_dir: Path):
-    targets = ("selberg", "sphere", "circular", "gaussdet", "gaussdet-ratio", "free-energy")
-    _require(args.target in targets, f"--target must be one of {'|'.join(targets)}")
+    _require(args.target in _MC_UNREAD, f"--target must be one of {'|'.join(_MC_UNREAD)}")
+    _refuse_unread(args, _MC_UNREAD[args.target], f"mc --target {args.target}")
     batch_csv = None if args.batch_csv is None else out_dir / args.batch_csv
     _require(batch_csv is None or (batch_csv.parent.is_dir() and not batch_csv.is_dir()),
              f"--batch-csv {args.batch_csv} is not a file path in an existing directory under --out")
@@ -409,6 +433,7 @@ def _run_mc(args: argparse.Namespace, out_dir: Path):
 
 def _run_sample(args: argparse.Namespace, out_dir: Path):
     if args.score is not None:
+        _refuse_unread(args, ("N", "sweeps", "burn_in", "ks_uniform"), "sample --score")
         _require(Path(args.score).is_file(), f"--score {args.score} is not a file")
         _require(args.beta is not None, "sample --score needs --beta")
         curve = _standard_curve(args)
@@ -516,10 +541,14 @@ def _field_csv(path: Path, field) -> str:
     return _write_csv(path, ("t", "value"), zip(map(float, field.grid), map(float, field.values)))
 
 
+# of the flags --w, --beta, --target and --N, the ones each oracle solver leaves unread
+_ORACLE_UNREAD = {"meanfield": ("target", "N"), "poisson": ("w", "beta", "N"), "phin": ("w", "beta")}
+
+
 def _run_oracle(args: argparse.Namespace, out_dir: Path):
-    solvers = ("meanfield", "poisson", "phin")
     solver = getattr(args, "solver", None)  # absent when neither argv nor --config names it
-    _require(solver in solvers, f"oracle solver must be one of {'|'.join(solvers)}")
+    _require(solver in _ORACLE_UNREAD, f"oracle solver must be one of {'|'.join(_ORACLE_UNREAD)}")
+    _refuse_unread(args, _ORACLE_UNREAD[solver], f"oracle {solver}")
 
     if solver == "meanfield":
         _require(args.beta is not None, "oracle meanfield needs --beta")

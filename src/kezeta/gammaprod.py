@@ -251,9 +251,6 @@ class GammaProduct:
             names.update(f.arg.params)
         return tuple(sorted(names))
 
-    def times(self, other: "GammaProduct") -> "GammaProduct":
-        return GammaProduct(self.log_prefactor + other.log_prefactor, self.factors + other.factors)
-
 
 @dataclass(frozen=True)
 class MeroValue:

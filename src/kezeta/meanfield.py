@@ -490,19 +490,6 @@ def _log_reference(curve: LogFanoCurve, grid: np.ndarray) -> np.ndarray:
     return log_rho - log_norm
 
 
-def _log_caller_reference(reference: AxialField, grid: np.ndarray) -> np.ndarray:
-    """log of a caller's `reference` Density; -inf where it vanishes.
-
-    Rejects negative values and a grid with another node count (two
-    AxialField grids with one node count agree to 1e-12)."""
-    if reference.kind != "Density" or reference.grid.size != grid.size:
-        raise ValidationError("reference must be a Density on the same grid")
-    if np.any(reference.values < 0.0):
-        raise ValidationError("reference density must be nonnegative")
-    with np.errstate(divide="ignore"):
-        return np.log(reference.values)
-
-
 # ---------------------------------------------------------------------------
 # mean-field Newton solver
 # ---------------------------------------------------------------------------
@@ -524,21 +511,14 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def solve_mean_field(
-    curve: LogFanoCurve,
-    beta: float,
-    m: int = 800,
-    reference: AxialField | None = None,
-) -> MeanFieldSolution:
+def solve_mean_field(curve: LogFanoCurve, beta: float, m: int = 800) -> MeanFieldSolution:
     """Newton solve of the axial mean-field equation
 
         1/2 + (1/(2 d_L)) L[phi] = exp(beta phi) rho_ref / Z,
 
     gauge Int phi dt = 0.  Valid for beta > -1 + 1e-3 (uniqueness regime)
-    and pole weights < 1.  `reference` overrides the curve's weighted
-    reference density (used for smooth-source cross-checks against the
-    Poisson solver).  Raises ConvergenceError if the sup-norm residual is
-    still above _NEWTON_TOL after _MAX_NEWTON steps.
+    and pole weights < 1.  Raises ConvergenceError if the sup-norm residual
+    is still above _NEWTON_TOL after _MAX_NEWTON steps.
     """
     if beta <= -1.0 + 1e-3:
         raise ValidationError(
@@ -547,25 +527,23 @@ def solve_mean_field(
     if m < _MIN_GRID_CELLS:
         raise GridTooCoarseError(f"m = {m} cells; need at least {_MIN_GRID_CELLS}")
     grid = uniform_grid(m)
-    if reference is not None:
-        log_ref = _log_caller_reference(reference, grid)
-        if np.any(np.isneginf(log_ref)):
-            raise ValidationError("reference density must be strictly positive")
-        axial_pole_weights(curve)  # still validates marked-point placement
-    else:
-        log_ref = _log_reference(curve, grid)
+    log_ref = _log_reference(curve, grid)
     coupling = 1.0 / (2.0 * curve.d_L)
     wq = _trapezoid_weights(grid)
     lap = _laplacian_bands(grid, coupling)
     lower, diag, upper = lap
 
+    def defect(phi, loz):
+        """The Gibbs density at (phi, log Z), the fixed-point defect and the
+        gauge defect."""
+        rho = np.exp(beta * phi + log_ref - loz)
+        return rho, 0.5 + _apply_bands(lap, phi) - rho, float(np.sum(wq * phi))
+
     phi = np.zeros(grid.size)
     loz = math.log(float(np.sum(wq * np.exp(log_ref))))  # log Z at phi = 0
     residual = np.inf
     for iteration in range(1, _MAX_NEWTON + 1):
-        rho = np.exp(beta * phi + log_ref - loz)
-        g_res = 0.5 + _apply_bands(lap, phi) - rho
-        gauge_res = float(np.sum(wq * phi))
+        rho, g_res, gauge_res = defect(phi, loz)
         residual = float(np.max(np.abs(g_res)))
         if residual < _NEWTON_TOL and abs(gauge_res) < _NEWTON_TOL:
             break
@@ -592,10 +570,8 @@ def solve_mean_field(
         base = residual + abs(gauge_res)
         for _ in range(25):
             cand_phi = phi + step * dphi
-            cand_loz = loz + step * dloz
-            cand_rho = np.exp(beta * cand_phi + log_ref - cand_loz)
-            cand_res = 0.5 + _apply_bands(lap, cand_phi) - cand_rho
-            cand = float(np.max(np.abs(cand_res))) + abs(float(np.sum(wq * cand_phi)))
+            _, cand_res, cand_gauge = defect(cand_phi, loz + step * dloz)
+            cand = float(np.max(np.abs(cand_res))) + abs(cand_gauge)
             if np.isfinite(cand) and cand < base:
                 break
             step *= 0.5
@@ -606,7 +582,7 @@ def solve_mean_field(
             f"mean-field Newton stalled at residual {residual:.3e} after "
             f"{_MAX_NEWTON} steps (beta = {beta})"
         )
-    rho = np.exp(beta * phi + log_ref - loz)
+    # rho is the density at the converged (phi, loz)
     rho = rho / float(np.trapezoid(rho, grid))  # exact renormalization (< 1e-12 shift)
     return MeanFieldSolution(
         potential=AxialField(grid, phi, "Potential"),
@@ -670,45 +646,26 @@ def interaction_energy(mu: AxialField, curve: LogFanoCurve) -> float:
     return curve.d_L * (double + float(corr) - UNIFORM_PAIR_ENERGY)
 
 
-def relative_entropy(
-    mu: AxialField, curve: LogFanoCurve, reference: AxialField | None = None
-) -> float:
-    """Ent(mu | reference), +inf if mu is negative anywhere.
-
-    Default reference is the curve's weighted measure.  Computed as
-    Int mu log(mu / rho_ref) dt with the same endpoint cell-averaged
-    rho_ref as the solver, so the singular parts cancel exactly for
-    densities with the reference's pole behavior.
+def relative_entropy(mu: AxialField, curve: LogFanoCurve) -> float:
+    """Ent(mu | rho_ref) against the curve's weighted measure, +inf if mu is
+    negative anywhere.  Computed as Int mu log(mu / rho_ref) dt with the
+    same endpoint cell-averaged rho_ref as the solver, so the singular parts
+    cancel exactly for densities with the reference's pole behavior.
     """
     if mu.kind != "Density":
         raise ValidationError("relative_entropy expects a Density field")
     vals = mu.values
     if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
         return math.inf
-    if reference is not None:
-        log_ref = _log_caller_reference(reference, mu.grid)
-    else:
-        log_ref = _log_reference(curve, mu.grid)
+    log_ref = _log_reference(curve, mu.grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(vals > 0.0, vals * (np.log(vals) - log_ref), 0.0)
-    if not np.all(np.isfinite(integrand)):
-        # mass where the reference vanishes: not absolutely continuous
-        return math.inf
     return float(np.trapezoid(integrand, mu.grid))
 
 
-def free_energy_functional(
-    mu: AxialField,
-    curve: LogFanoCurve,
-    beta: float,
-    reference: AxialField | None = None,
-) -> float:
-    """beta * E[mu] + Ent(mu | ref); the mean-field solution minimizes this.
-
-    `reference` overrides the curve's weighted reference measure in the
-    entropy term, matching the same override in solve_mean_field.
-    """
-    ent = relative_entropy(mu, curve, reference)
+def free_energy_functional(mu: AxialField, curve: LogFanoCurve, beta: float) -> float:
+    """beta * E[mu] + Ent(mu | rho_ref); the mean-field solution minimizes this."""
+    ent = relative_entropy(mu, curve)
     if math.isinf(ent):
         return math.inf
     return beta * interaction_energy(mu, curve) + ent

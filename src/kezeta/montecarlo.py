@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import StabilityError, ThresholdError, ValidationError
 from .sphere import _D2_FLOOR, SpherePoint, _uniform_rows, pairwise_log_chordal, sq_chord
-from .stability import LogFanoCurve, classify, gamma_threshold
+from .stability import LogFanoCurve, classify, require_gibbs_measure
 
 __all__ = [
     "McEstimate",
@@ -418,9 +418,9 @@ def mc_selberg(
     n_samples: int,
     seed: int = 0,
     workers: int = 1,
-    proposal: Optional[ProposalMixture] = None,
 ) -> McEstimate:
-    """Importance-sampling estimate of the three-point plane integral."""
+    """Importance-sampling estimate of the three-point plane integral, drawn
+    from the cluster-safe mixture of the weights."""
     w1, w2, w3 = (float(x) for x in w)
     shown = ", ".join(map(str, w))
     # both walls are decided on w as given: exactly when the weights are rationals
@@ -436,9 +436,7 @@ def mc_selberg(
         )
     _check_pair_block(N, n_samples)
     d = 2.0 - (w1 + w2 + w3)
-    if proposal is None:
-        proposal = ProposalMixture.cluster_safe((w1, w2, w3))
-
+    proposal = ProposalMixture.cluster_safe((w1, w2, w3))
     dprime = d / (N - 1)
     log_const = N * math.log(math.pi) + math.log(2.0) * (d * N + 2 * N * w1 + N * w2 + 2 * N * w3)
     marked = tuple(zip(curve.marked_sphere_points(), (w1, w2, w3)))  # 0, 1, INFINITY
@@ -488,9 +486,7 @@ def mc_sphere_partition(
     prod_j c(x, p_j)^(-2 w_j) are estimated against the same mixture samples,
     so the beta = 0 value is exactly 1 with zero variance.
     """
-    gamma = gamma_threshold(curve.weights, N)
-    if beta <= -gamma:
-        raise ThresholdError(f"beta = {beta} is at or below -gamma_N = {-gamma}")
+    require_gibbs_measure(curve, beta, N)
     _check_pair_block(N, n_samples)
     proposal = ProposalMixture.default_for_curve(curve)
     marked = tuple(zip(curve.marked_sphere_points(), curve.weights))
@@ -636,9 +632,7 @@ def free_energy_curve(
     grid = sorted(set(float(b) for b in beta_grid))
     if not grid:
         raise ValidationError("empty beta grid")
-    gamma = gamma_threshold(curve.weights, N)
-    if grid[0] <= -gamma:
-        raise ThresholdError(f"grid reaches beta = {grid[0]} <= -gamma_N = {-gamma}")
+    require_gibbs_measure(curve, grid[0], N)
 
     from .sampler import mean_energy_run
     nodes = sorted({0.0, *grid, *((a + b) / 2 for a, b in zip(grid, grid[1:]))})

@@ -58,7 +58,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import StabilityError, ThresholdError, ValidationError
+from .errors import ValidationError
 from .montecarlo import McEstimate
 from .sphere import (
     _D2_FLOOR,
@@ -68,7 +68,7 @@ from .sphere import (
     sample_uniform_array,
     sq_chord,
 )
-from .stability import LogFanoCurve, classify, gamma_threshold
+from .stability import LogFanoCurve, require_gibbs_measure
 
 __all__ = [
     "SampleStream",
@@ -185,15 +185,7 @@ def _run_lanes(
             f"{lanes} lanes of {N} points keeping {kept} sweeps need {nbytes / 2**20:.0f} MiB, "
             f"more than {_MAX_STATE_BYTES // 2**20} MiB"
         )
-    verdict = classify(curve)
-    if verdict.kind == "NotLogFano":
-        raise StabilityError(f"refusing to sample: verdict {verdict.kind}")
-    gamma = gamma_threshold(curve.weights, N)
-    beta = float(betas.min())
-    if beta <= -gamma:
-        raise ThresholdError(
-            f"beta = {beta} at or below -gamma_N = {-gamma}: Z_N diverges, no Gibbs measure"
-        )
+    require_gibbs_measure(curve, float(betas.min()), N)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     marked, wts = _marked_arrays(curve)

@@ -5,13 +5,15 @@ weights w_i.  The anticanonical degree of the pair is d_L = 2 - sum w_i.  The
 objects of interest:
 
   * weight condition:  w_i < sum_{j != i} w_j for every i (strict),
-  * integrability threshold:  gamma_N = ((N-1)/N) * 2 (1 - max_i w_i) / d_L,
-    with max over an empty weight list = 0,
+  * integrability threshold:  gamma_N = ((N-1)/N) * 2 (1 - max(w_max, 0)) / d_L,
+    with w_max the largest weight (0 over an empty weight list),
 
 and the dictionary: the canonical N-point normalization constant is finite at
-inverse temperature beta exactly when beta > -gamma_N, and it is finite at the
+inverse temperature beta if beta > -gamma_N, and it is finite at the
 canonical value beta = -1 exactly when the weight condition holds (for N large
 enough that the (N-1)/N prefactor has saturated past the borderline).
+require_gibbs_measure is the one gate that the Metropolis sampler, the sphere
+partition estimator and the free-energy ladder pass before they draw.
 
 Borderline equalities (w_i = sum of the others, or beta = -gamma_N) count as
 NOT stable / NOT finite: every statement above is strict.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ValidationError
+from .errors import StabilityError, ThresholdError, ValidationError
 from .sphere import INFINITY, SpherePoint, stereo_to_sphere
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "weight_condition",
     "gamma_threshold",
     "classify",
+    "require_gibbs_measure",
     "lct_point_divisor",
 ]
 
@@ -110,14 +113,18 @@ def weight_condition(w: Sequence[float]) -> bool:
 
 
 def gamma_threshold(w: Sequence[float], N: int) -> float:
-    """Finiteness threshold gamma_N; Z_N(beta) < infinity iff beta > -gamma_N."""
+    """Finiteness threshold gamma_N; Z_N(beta) < infinity if beta > -gamma_N.
+
+    A largest weight below 0 is read as 0: N points colliding away from the
+    marked points diverge unless |beta| < 2 (N-1) / (N d_L), whatever the
+    weights, so gamma_N never exceeds that bound."""
     if N < 2:
         raise ValidationError("gamma_threshold needs N >= 2")
     ws = list(w)
     d = 2 - sum(ws)
     if d <= 0:
         raise ValidationError("not log Fano: degree <= 0")
-    wmax = max(ws) if ws else 0
+    wmax = max(max(ws, default=0), 0)
     return float(Fraction(N - 1) / N * 2 * (1 - wmax) / d)
 
 
@@ -134,6 +141,20 @@ def classify(curve: LogFanoCurve, N: Optional[int] = None) -> StabilityVerdict:
         N=N,
         weight_condition_holds=cond,
     )
+
+
+def require_gibbs_measure(curve: LogFanoCurve, beta: float, N: int) -> None:
+    """Refuse an N-point Gibbs measure at beta that does not exist: a curve
+    that is not log Fano has no normalisable reference measure
+    (StabilityError), and Z_N diverges at beta <= -gamma_N (ThresholdError)."""
+    verdict = classify(curve)
+    if verdict.kind == "NotLogFano":
+        raise StabilityError(f"verdict {verdict.kind}: the reference measure cannot be normalised")
+    gamma = gamma_threshold(curve.weights, N)
+    if beta <= -gamma:
+        raise ThresholdError(
+            f"beta = {beta} at or below -gamma_N = {-gamma}: Z_N diverges, no Gibbs measure"
+        )
 
 
 def lct_point_divisor(coeffs: Sequence[float]) -> float:

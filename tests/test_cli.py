@@ -177,6 +177,44 @@ def test_beta_at_threshold_refuses_with_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_mc_sphere_refuses_a_curve_that_is_not_log_fano(tmp_path, capsys):
+    # its reference measure c^-2.1 cannot be normalised: exit 3, as for sample
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(
+        ["mc", "--target", "sphere", "--w", "1.05", "--beta", "1", "--n", "3",
+         "--samples", "1000", "--out", str(out)], capsys)
+    assert code == 3 and stdout == ""
+    assert "NotLogFano" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, config, unread", [
+    (["zeta", "--family", "gaussdet", "--n", "1", "--beta", "1"], {}, "--beta"),
+    (["zeta", "--family", "circular", "--n", "3", "--beta", "1", "--s", "5"], {}, "--s"),
+    (["mc", "--target", "circular", "--n", "3", "--beta", "1", "--w", "1/2", "--grid", "1"], {},
+     "--w --grid"),
+    (["mc", "--target", "free-energy", "--n", "3", "--grid", "1/2:1:1/2"], {"s": 1}, "--s"),
+    (["oracle", "meanfield", "--w", "1/2", "--beta", "1", "--target", "exp:3"], {}, "--target"),
+    (["oracle", "poisson", "--target", "exp:1", "--w", "1/2", "--beta", "2"], {}, "--w --beta"),
+    (["sample", "--score", "{score}", "--beta", "1", "--N", "7", "--sweeps", "100",
+      "--burn-in", "5"], {}, "--N --sweeps --burn-in"),
+    (["sample", "--score", "{score}", "--beta", "1"], {"ks_uniform": True}, "--ks-uniform"),
+], ids=["zeta-gaussdet-beta", "zeta-circular-s", "mc-circular", "mc-free-energy-config",
+        "oracle-meanfield", "oracle-poisson", "sample-score", "sample-score-config"])
+def test_value_flag_the_mode_does_not_read_is_validation_exit(tmp_path, capsys, argv, config,
+                                                              unread):
+    score = tmp_path / "score.csv"
+    score.write_text("x,y,z\n0.6,0,0.8\n0,0.6,-0.8\n-0.8,0,0.6\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    argv = [a.replace("{score}", str(score)) for a in argv]
+    code, stdout, err = run_cli([*argv, "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert f"does not read {unread}" in err
+    assert not any(out.iterdir())
+
+
 def test_nonconvergence_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     from kezeta.errors import ConvergenceError
 

@@ -10,6 +10,7 @@ import os
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ def test_sphere_partition_beta_zero_is_exactly_one():
     assert est.std_error == 0.0
 
 
+def test_sphere_partition_refuses_a_curve_that_is_not_log_fano():
+    # the reference measure c^-2.1 cannot be normalised, whatever beta
+    with pytest.raises(StabilityError):
+        mc_sphere_partition(LogFanoCurve.standard((1.05,)), 1.0, 3, 1000)
+
+
+def test_sphere_partition_refuses_beyond_the_free_collision_bound():
+    # w = -1/2 at N = 2: the pair integral of c^-2.5 diverges at beta = -1/2
+    with pytest.raises(ThresholdError):
+        mc_sphere_partition(LogFanoCurve.standard((Fraction(-1, 2),)), -0.5, 2, 1000)
+
+
 # ---------------------------------------------------------------------------
 # closed-form agreement at pinned seeds
 
@@ -76,10 +89,11 @@ def test_selberg_matches_gamma_product():
     assert _dev(est, SELBERG_HALF_3) < 3.0
 
 
-def test_selberg_explicit_uniform_proposal_still_consistent():
+def test_selberg_explicit_uniform_proposal_still_consistent(monkeypatch):
     # a deliberately naive proposal: heavier tails (flagged) but consistent
     uniform = ProposalMixture((ProposalComponent("uniform", 1.0),))
-    est = mc_selberg((0.5, 0.5, 0.5), 2, 50_000, seed=11, proposal=uniform)
+    monkeypatch.setattr(ProposalMixture, "cluster_safe", lambda weights: uniform)
+    est = mc_selberg((0.5, 0.5, 0.5), 2, 50_000, seed=11)
     assert _dev(est, 378.145440258) < 4.0
     assert any("tail" in w for w in est.diagnostics["warnings"])
 
@@ -364,6 +378,14 @@ def _spy_on_log_weights(monkeypatch):
     return drawn
 
 
+def _drawing_from(proposal, run):
+    """run() with mc_selberg drawing from `proposal` in place of its
+    cluster-safe mixture."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProposalMixture, "cluster_safe", lambda weights: proposal)
+        return run()
+
+
 def test_importance_draws_reproduce_row_major_reference_bitwise(monkeypatch):
     # the component-major, blocked draws on concurrent lanes must give the
     # bits of the serial loop over row-major draws, whatever the core count:
@@ -381,7 +403,7 @@ def test_importance_draws_reproduce_row_major_reference_bitwise(monkeypatch):
          _reference_selberg((0.5, 0.5, 0.5), 5, 45_001, 8, 1, half)),
         (lambda: mc_selberg((0.3, 0.6, 0.7), 5, 3_000, seed=2),
          _reference_selberg((0.3, 0.6, 0.7), 5, 3_000, 2, 1, ProposalMixture.cluster_safe((0.3, 0.6, 0.7)))),
-        (lambda: mc_selberg((0.5, 0.5, 0.5), 2, 3_000, seed=11, proposal=uniform),
+        (lambda: _drawing_from(uniform, lambda: mc_selberg((0.5, 0.5, 0.5), 2, 3_000, seed=11)),
          _reference_selberg((0.5, 0.5, 0.5), 2, 3_000, 11, 1, uniform)),
         # shares of 4097: a chunk one configuration longer than a block
         (lambda: mc_selberg((0.5, 0.5, 0.5), 5, 5 * 4_097, seed=19, workers=5),

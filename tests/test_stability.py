@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kezeta.closedforms import selberg_integral_finite
 from kezeta.errors import ValidationError
 from kezeta.sphere import INFINITY
 from kezeta.stability import (
@@ -41,6 +42,26 @@ def test_gamma_threshold_pins():
     assert gamma_threshold((0.5, 0.5, 0.5), 2) == pytest.approx(1.0, abs=1e-15)
     # (0.4,0.4,0.4) at N=3 sits exactly on the borderline gamma_N = 1
     assert gamma_threshold((0.4, 0.4, 0.4), 3) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gamma_threshold_never_exceeds_the_free_collision_bound():
+    # N points colliding away from the marked points diverge unless
+    # |beta| < 2 (N-1) / (N d_L): a negative largest weight is read as 0
+    assert gamma_threshold((Fraction(-1, 2),), 2) == 0.4
+    assert gamma_threshold((Fraction(-1, 2), Fraction(-1, 4)), 5) == float(Fraction(4, 5) * 2 / Fraction(11, 4))
+
+
+def test_gamma_above_one_implies_a_finite_selberg_integral():
+    # gamma_N > 1 lets beta = -1 through the Gibbs gate, so the Selberg
+    # integral must be finite there: every sorted k/10 triple, N = 2..64
+    triples = [
+        (a, b, c) for a in range(1, 10) for b in range(a, 10) for c in range(b, 10) if a + b + c < 20
+    ]
+    for n in range(2, 65):
+        for ks in triples:
+            ws = tuple(Fraction(k, 10) for k in ks)
+            if gamma_threshold(ws, n) > 1:
+                assert selberg_integral_finite(ws, n), (ws, n)
 
 
 def test_gamma_threshold_monotone_in_n_with_limit():
@@ -143,6 +164,19 @@ def test_weight_condition_permutation_invariant(ws, perm):
 def test_gamma_threshold_permutation_invariant(ws, n):
     assume(sum(ws) < 2)
     assert gamma_threshold(sorted(ws), n) == pytest.approx(gamma_threshold(ws, n))
+
+
+@given(
+    weights_lists,
+    st.lists(st.floats(min_value=-0.95, max_value=0.0), max_size=2),
+    st.integers(min_value=2, max_value=64),
+)
+def test_gamma_threshold_keeps_the_product_when_the_largest_weight_is_nonnegative(ws, low, n):
+    # the product formula, with max over an empty list = 0, to the bit
+    ws = ws + low
+    assume(sum(ws) < 2 and max(ws, default=0) >= 0)
+    wmax = max(ws) if ws else 0
+    assert gamma_threshold(ws, n) == float(Fraction(n - 1) / n * 2 * (1 - wmax) / (2 - sum(ws)))
 
 
 @given(weights_lists)
