@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import __version__, meanfield
+from . import __version__, meanfield, sampler
 from .closedforms import (
     bernstein_product,
     circular_Z,
@@ -185,14 +185,15 @@ def _parse_strip(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-_MAX_GRID_NODES = 1000  # of a START:STOP:STEP grid; the ladder and criterion 10 use 13
-# --n of zeta --family selberg, which builds O(N) Gamma factors
-_MAX_SELBERG_N = 1000
+_MAX_GRID_NODES = 1000  # of a --grid; the ladder and criterion 10 use 13
+# --n of the zeta families that build O(n) Gamma factors: selberg, pnmin and
+# gaussdet.  circular_Z is O(1) in N (two factors whatever N), so it has no cap.
+_MAX_ZETA_N = 1000
 
 
 def _parse_grid(text) -> list[float]:
-    """Either 'start:stop:step' (inclusive, at most _MAX_GRID_NODES nodes) or
-    a comma list of rationals."""
+    """Either 'start:stop:step' (inclusive) or a comma list of rationals, of
+    at most _MAX_GRID_NODES nodes either way."""
     if not isinstance(text, str):
         raise ValidationError("grid must be a string (START:STOP:STEP or comma list)")
     if ":" in text:
@@ -210,7 +211,10 @@ def _parse_grid(text) -> list[float]:
             vals.append(float(x))
             x += step
         return vals
-    return [float(_parse_fraction(tok, "grid point")) for tok in text.split(",")]
+    toks = text.split(",")
+    if len(toks) > _MAX_GRID_NODES:
+        raise ValidationError(f"grid list has {len(toks)} nodes, more than {_MAX_GRID_NODES}")
+    return [float(_parse_fraction(tok, "grid point")) for tok in toks]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -277,10 +281,11 @@ def _run_zeta(args: argparse.Namespace, out_dir: Path):
         _require(args.tube is None, "--tube needs --family selberg")
         _require(args.w is None, "--w needs --family selberg")
     _refuse_unread(args, ("beta",) if args.family == "gaussdet" else ("s",), f"--family {args.family}")
+    if args.family in ("selberg", "pnmin", "gaussdet"):
+        _require(args.n is None or args.n <= _MAX_ZETA_N, f"{args.family} needs --n <= {_MAX_ZETA_N}")
 
     if args.family == "selberg":
-        _require(args.n is not None and 2 <= args.n <= _MAX_SELBERG_N,
-                 f"selberg needs 2 <= --n <= {_MAX_SELBERG_N}")
+        _require(args.n is not None and args.n >= 2, "selberg needs --n >= 2")
         gp = full = selberg_gamma_product(args.n)
         if args.beta is not None:
             _require(
@@ -326,7 +331,11 @@ def _run_zeta(args: argparse.Namespace, out_dir: Path):
             report["value_at"] = {param: str(value)}
             report["value"] = _mero_to_json(eval_gamma_product(gp, {param: value}))
             if args.family == "gaussdet":
-                report["bernstein_next_ratio"] = float(bernstein_product(args.n, value))
+                b = bernstein_product(args.n, value)
+                try:
+                    report["bernstein_next_ratio"] = float(b)
+                except OverflowError:  # past the float range, as value_re reports it
+                    report["bernstein_next_ratio"] = math.inf if b > 0 else -math.inf
 
     if args.poles_in is not None:
         lo, hi = _parse_strip(args.poles_in)
@@ -441,6 +450,12 @@ def _run_sample(args: argparse.Namespace, out_dir: Path):
             text = Path(args.score).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"--score {args.score} is not a text file: {exc}") from exc
+        # the pair buffers scale as N^2: count rows before any point is built
+        n = sum(1 for line in text.splitlines()[1:] if line)
+        nbytes = 8 * (n * (n - 1) // 2)
+        _require(nbytes <= sampler._MAX_STATE_BYTES,
+                 f"--score {args.score} has {n} points, whose pair terms need {nbytes / 2**20:.0f} MiB, "
+                 f"more than {sampler._MAX_STATE_BYTES // 2**20} MiB")
         config = config_from_csv(text)
         beta = float(_parse_fraction(args.beta, "beta"))
         energy = config_energy(config, curve)

@@ -16,10 +16,14 @@ The sphere partition function is reported under the Z(0) = 1 pin
 plane-Lebesgue convention, Z_plane = pi^N 2^(-beta N d_L) Z_sphere, is in the
 diagnostics.
 
+The proposal is a defensive mixture of the uniform law and a radial law about
+each positively weighted marked point, given by the points and one exponent
+each; the mixture weights follow from the number of points.
+
 A draw is component-major: the proposal fills one (3, n) buffer, so the pair
 kernel and the marked-point distances read contiguous x, y and z rows, and the
 log chord of every point to each marked point is computed once, then read by
-both the integrand and the marked components of the proposal density.  Neither
+both the integrand and the radial components of the proposal density.  Neither
 step builds a gathered or stacked copy: the pair kernel fills its output row
 block by row block, and the proposal density adds its components' exps one at
 a time into one accumulator, in the order a sum over a stack would take.
@@ -57,7 +61,6 @@ from .stability import LogFanoCurve, classify, require_gibbs_measure
 
 __all__ = [
     "McEstimate",
-    "ProposalComponent",
     "ProposalMixture",
     "mc_selberg",
     "mc_sphere_partition",
@@ -77,6 +80,7 @@ _BLOCK = 4096  # configurations per block of a draw's work after its RNG calls
 _MAX_LOG_WEIGHT_BYTES = 512 * 2**20
 _MAX_WORKERS = 10_000  # RNG streams of one estimate, refused above this before any is spawned
 _RHO = 0.9  # a marked component's radial exponent: 2 w _RHO (cluster_safe: at least that)
+_SHARE = 0.1  # mixture weight of each radial component; the uniform one takes the rest
 _ONE = np.array([1.0, 0.0, 0.0])
 _NORTH = np.array([0.0, 0.0, 1.0])
 
@@ -278,44 +282,31 @@ def _orthonormal_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class ProposalComponent:
-    kind: str  # "uniform" | "marked_point"
-    weight: float
-    point: Optional[SpherePoint] = None
-    radial_exponent: float = 0.0  # the a in density ~ r^(1-a) for the radius
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "marked_point"):
-            raise ValidationError(f"unknown proposal kind {self.kind!r}")
-        if self.weight <= 0:
-            raise ValidationError("proposal component weights must be positive")
-        if self.kind == "marked_point":
-            if self.point is None:
-                raise ValidationError("marked_point component needs a point")
-            if not 0 <= self.radial_exponent < 2:
-                raise ValidationError("radial exponent must lie in [0, 2) to stay normalizable")
-
-
-@dataclass(frozen=True)
 class ProposalMixture:
-    components: tuple[ProposalComponent, ...]
+    """The uniform law with weight 1 - _SHARE M, then for each of the M points,
+    weight _SHARE, the law whose chord r to it has density ~ r^(1-a) on [0, 2]."""
+
+    points: tuple[SpherePoint, ...]
+    exponents: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.components:
-            raise ValidationError("proposal mixture needs at least one component")
-        total = sum(c.weight for c in self.components)
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"mixture weights sum to {total}, expected 1")
+        if len(self.points) != len(self.exponents):
+            raise ValidationError("proposal mixture needs one exponent per point")
+        if not all(0 <= a < 2 for a in self.exponents):
+            raise ValidationError("radial exponent must lie in [0, 2) to stay normalizable")
+        if _SHARE * len(self.points) >= 1:
+            raise ValidationError(f"{len(self.points)} points leave the uniform component no weight")
+
+    @classmethod
+    def _at_marked_points(cls, curve: LogFanoCurve, exponent: Callable) -> "ProposalMixture":
+        """A radial component at each positively weighted marked point of
+        curve, in curve order, with exponent(w) for weight w."""
+        marked = [(p, w) for p, w in zip(curve.marked_sphere_points(), curve.weights) if w > 0]
+        return cls(tuple(p for p, _ in marked), tuple(exponent(w) for _, w in marked))
 
     @classmethod
     def default_for_curve(cls, curve: LogFanoCurve) -> "ProposalMixture":
-        comps = []
-        marked = curve.marked_sphere_points()
-        for p, w in zip(marked, curve.weights):
-            if w > 0:
-                comps.append(ProposalComponent("marked_point", 0.1, p, 2.0 * w * _RHO))
-        comps.insert(0, ProposalComponent("uniform", 1.0 - 0.1 * len(comps)))
-        return cls(tuple(comps))
+        return cls._at_marked_points(curve, lambda w: 2.0 * w * _RHO)
 
     @classmethod
     def cluster_safe(cls, weights: Sequence[float]) -> "ProposalMixture":
@@ -329,64 +320,51 @@ class ProposalMixture:
         (plus margin, capped just under 2).
         """
         total = sum(weights)
-        comps = []
-        curve = LogFanoCurve.standard(weights)
-        for p, w in zip(curve.marked_sphere_points(), curve.weights):
-            if w > 0:
-                a = min(1.95, max(2.0 * w * _RHO, 2.0 + 4.0 * w - 2.0 * total + 0.3))
-                comps.append(ProposalComponent("marked_point", 0.1, p, a))
-        comps.insert(0, ProposalComponent("uniform", 1.0 - 0.1 * len(comps)))
-        return cls(tuple(comps))
+        return cls._at_marked_points(
+            LogFanoCurve.standard(weights),
+            lambda w: min(1.95, max(2.0 * w * _RHO, 2.0 + 4.0 * w - 2.0 * total + 0.3)),
+        )
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n points of shape (n, 3): the .T view of a component-major (3, n) buffer."""
-        probs = np.array([c.weight for c in self.components])
-        which = rng.choice(len(self.components), size=n, p=probs)
-        groups = [np.nonzero(which == k)[0] for k in range(len(self.components))]
+        m = len(self.points)
+        which = rng.choice(m + 1, size=n, p=np.array([1.0 - _SHARE * m] + [_SHARE] * m))
+        uniform, *groups = [np.nonzero(which == k)[0] for k in range(m + 1)]
         del which  # the groups hold as many indices; two n-long index arrays need not coexist
         out = np.empty((3, n))
-        for comp, idx in zip(self.components, groups):
+        if uniform.size:
+            for row, x in zip(out, _uniform_rows(rng, uniform.size)):
+                row[uniform] = x
+        for point, a, idx in zip(self.points, self.exponents, groups):
             if idx.size == 0:
                 continue
-            if comp.kind == "uniform":
-                for row, x in zip(out, _uniform_rows(rng, idx.size)):
-                    row[idx] = x
-            else:
-                a = comp.radial_exponent
-                u = rng.uniform(size=idx.size)
-                r = 2.0 * u ** (1.0 / (2.0 - a))
-                phi = rng.uniform(0.0, 2.0 * math.pi, size=idx.size)
-                p = comp.point.vec
-                e1, e2 = _orthonormal_frame(p)
-                s = 1.0 - r * r / 2.0
-                trans = r * np.sqrt(np.maximum(0.0, 1.0 - r * r / 4.0))
-                cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-                for q, row in enumerate(out):
-                    row[idx] = s * p[q] + trans * (cos_phi * e1[q] + sin_phi * e2[q])
+            r = 2.0 * rng.uniform(size=idx.size) ** (1.0 / (2.0 - a))
+            phi = rng.uniform(0.0, 2.0 * math.pi, size=idx.size)
+            p = point.vec
+            e1, e2 = _orthonormal_frame(p)
+            s = 1.0 - r * r / 2.0
+            trans = r * np.sqrt(np.maximum(0.0, 1.0 - r * r / 4.0))
+            cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+            for q, row in enumerate(out):
+                row[idx] = s * p[q] + trans * (cos_phi * e1[q] + sin_phi * e2[q])
         return out.T
 
     def log_density(self, pts: np.ndarray) -> np.ndarray:
         """log of the mixture density with respect to the uniform probability
         measure dsigma at points pts: (..., 3); components: uniform -> 1,
-        marked -> (2-a) 2^(a-1) r^-a."""
+        radial with exponent a -> (2-a) 2^(a-1) r^-a."""
         return self._log_density(np.moveaxis(pts, -1, 0), {})
 
     def _log_density(self, xyz: np.ndarray, chords: dict) -> np.ndarray:
         """log_density at component-major points xyz: (3, ...).  `chords` maps
         a SpherePoint to its _log_chord_to array that the caller already holds;
-        a marked component at any other point computes its own."""
-        logs = []
-        for comp in self.components:
-            if comp.kind == "uniform":
-                logs.append(math.log(comp.weight))
-            else:
-                a = comp.radial_exponent
-                logr = chords.get(comp.point)
-                if logr is None:
-                    logr = _log_chord_to(xyz, comp.point)
-                logs.append(
-                    math.log(comp.weight) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * logr
-                )
+        a component at any other point computes its own."""
+        logs = [math.log(1.0 - _SHARE * len(self.points))]
+        for point, a in zip(self.points, self.exponents):
+            logr = chords.get(point)
+            if logr is None:
+                logr = _log_chord_to(xyz, point)
+            logs.append(math.log(_SHARE) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * logr)
         return _logsumexp(logs, xyz.shape[1:])
 
 
@@ -421,6 +399,8 @@ def mc_selberg(
 ) -> McEstimate:
     """Importance-sampling estimate of the three-point plane integral, drawn
     from the cluster-safe mixture of the weights."""
+    if N < 2:
+        raise ValidationError("mc_selberg needs N >= 2")
     w1, w2, w3 = (float(x) for x in w)
     shown = ", ".join(map(str, w))
     # both walls are decided on w as given: exactly when the weights are rationals

@@ -13,7 +13,7 @@ step_scale is adapted every 50 sweeps during burn-in towards acceptance in
 [0.2, 0.5], then frozen so the measurement phase satisfies detailed balance.
 
 Proposals landing within chordal 1e-12 of another point (or of a marked point
-with positive weight) are rejected outright -- a measure-zero modification
+with nonzero weight) are rejected outright -- a measure-zero modification
 that keeps log_target finite.
 
 Chains run as lanes of one vectorized sweep loop: lane l uses lane l of
@@ -138,10 +138,10 @@ class SampleStream:
 
 
 def _marked_arrays(curve: LogFanoCurve):
-    """The positively weighted marked points, component-major (3, M), and
+    """The marked points of nonzero weight, component-major (3, M), and
     their weights (M,)."""
-    pts = [p.vec for p, w in zip(curve.marked_sphere_points(), curve.weights) if w > 0]
-    wts = [w for w in curve.weights if w > 0]
+    pts = [p.vec for p, w in zip(curve.marked_sphere_points(), curve.weights) if w != 0]
+    wts = [w for w in curve.weights if w != 0]
     if not pts:
         return np.zeros((3, 0)), np.zeros(0)
     return np.stack(pts, axis=-1), np.array(wts, dtype=float)

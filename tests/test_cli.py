@@ -459,9 +459,14 @@ def test_rational_that_overflows_a_float_is_validation_exit(tmp_path, capsys, ar
     assert not any(out_dir.iterdir())
 
 
-@pytest.mark.parametrize("grid", ["0:1:1/1000000000000", "0:1e300:1", "0:1:1/1000"],
-                         ids=["tiny-step", "huge-span", "one-past-the-cap"])
-def test_grid_range_above_the_node_cap_is_validation_exit(tmp_path, capsys, grid):
+@pytest.mark.parametrize("grid", ["0:1:1/1000000000000", "0:1e300:1", "0:1:1/1000",
+                                  ",".join(map(str, range(1001)))],
+                         ids=["tiny-step", "huge-span", "one-past-the-cap", "list-one-past-the-cap"])
+def test_grid_range_above_the_node_cap_is_validation_exit(tmp_path, capsys, monkeypatch, grid):
+    def curve(*args, **kwargs):
+        raise AssertionError("free_energy_curve ran on an over-size grid")
+
+    monkeypatch.setattr(cli, "free_energy_curve", curve)
     out_dir = tmp_path / "run"
     code, out, err = run_cli(["mc", "--target", "free-energy", "--n", "3", "--grid", grid,
                               "--out", str(out_dir)], capsys)
@@ -469,6 +474,7 @@ def test_grid_range_above_the_node_cap_is_validation_exit(tmp_path, capsys, grid
     assert err.startswith("validation error: ") and "nodes" in err
     assert not any(out_dir.iterdir())
     assert len(cli._parse_grid("0:1:1/999")) == cli._MAX_GRID_NODES
+    assert len(cli._parse_grid(",".join(map(str, range(1000))))) == cli._MAX_GRID_NODES
 
 
 def test_parse_fraction_keeps_the_exact_rational():
@@ -611,6 +617,30 @@ def test_gaussdet_reports_bernstein_ratio(tmp_path, capsys):
          "--out", str(tmp_path)], capsys)
     assert code == 0
     assert json.loads(out)["bernstein_next_ratio"] == pytest.approx(3.75)
+
+
+@pytest.mark.parametrize("argv, ratio", [
+    (["--n", "170", "--s", "1/2"], math.inf),
+    (["--n", "3", "--s", "1e300"], math.inf),
+    (["--n", "2", "--s=-1e300"], -math.inf),  # b(s) has three negative factors
+], ids=["n-170", "huge-s", "huge-negative-s"])
+def test_gaussdet_bernstein_ratio_past_the_float_range_is_infinite(tmp_path, capsys, argv, ratio):
+    code, out, _ = run_cli(["zeta", "--family", "gaussdet", *argv, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["bernstein_next_ratio"] == ratio
+
+
+@pytest.mark.parametrize("family", ["pnmin", "gaussdet"])
+def test_zeta_n_of_the_gamma_factor_families_is_capped(tmp_path, capsys, family):
+    start = time.perf_counter()
+    code, out, err = run_cli(["zeta", "--family", family, "--n", str(cli._MAX_ZETA_N + 1),
+                              "--out", str(tmp_path / "over")], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and "--n" in err
+    code, out, _ = run_cli(["zeta", "--family", family, "--n", str(cli._MAX_ZETA_N),
+                            "--out", str(tmp_path / "at")], capsys)
+    assert code == 0
 
 
 # ----------------------------------------------------------------------
@@ -815,6 +845,27 @@ def test_sample_score_of_a_coincident_pair_raises(tmp_path, capsys):
     assert not any(out_dir.iterdir())
 
 
+def test_sample_score_above_the_state_cap_is_validation_exit(tmp_path, capsys, monkeypatch):
+    # 60 points: 1770 pairs of 8 bytes; a blank line is no point
+    from kezeta.sphere import SpherePoint
+
+    rng = np.random.default_rng(5)
+    path = _score_file(tmp_path, rng.standard_normal(60) + 1j * rng.standard_normal(60))
+    path.write_text(path.read_text() + "\n")
+    argv = ["sample", "--score", str(path), "--beta", "1", "--out", str(tmp_path / "out")]
+    monkeypatch.setattr(kezeta.sampler, "_MAX_STATE_BYTES", 14_160)
+    assert run_cli(argv, capsys)[0] == 0
+
+    def built(*args, **kwargs):
+        raise AssertionError("a point was built before the size check")
+
+    monkeypatch.setattr(kezeta.sampler, "_MAX_STATE_BYTES", 14_159)
+    monkeypatch.setattr(SpherePoint, "from_vec", built)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and "60 points" in err
+
+
 def _refuse_allocation(monkeypatch):
     """Make every numpy allocator the samplers use fail, so that a run can
     only pass by refusing before it allocates."""
@@ -846,7 +897,7 @@ def _refuse_allocation(monkeypatch):
     (["mc", "--target", "sphere", "--n", "182", "--beta", "1", "--samples", "4096"], "pair terms"),
     (["mc", "--target", "gaussdet", "--n", "1", "--s", "1/2", "--samples", "1000",
       "--workers", str(kezeta.montecarlo._MAX_WORKERS + 1)], "workers"),
-    (["zeta", "--family", "selberg", "--n", str(cli._MAX_SELBERG_N + 1)], "--n"),
+    (["zeta", "--family", "selberg", "--n", str(cli._MAX_ZETA_N + 1)], "--n"),
     # 4.5 million (factor, m) pairs on this line; 450,000 took 2.5 s to enumerate
     (["zeta", "--family", "selberg", "--n", "3", "--w", "1/2,1/2,t", "--poles-in=-1000000:0"],
      "strip"),

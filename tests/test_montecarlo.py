@@ -23,7 +23,6 @@ from kezeta import montecarlo
 from kezeta.gammaprod import eval_gamma_product
 from kezeta.montecarlo import (
     McEstimate,
-    ProposalComponent,
     ProposalMixture,
     _draw_log_weights,
     _hill_tail_index,
@@ -91,7 +90,7 @@ def test_selberg_matches_gamma_product():
 
 def test_selberg_explicit_uniform_proposal_still_consistent(monkeypatch):
     # a deliberately naive proposal: heavier tails (flagged) but consistent
-    uniform = ProposalMixture((ProposalComponent("uniform", 1.0),))
+    uniform = ProposalMixture((), ())
     monkeypatch.setattr(ProposalMixture, "cluster_safe", lambda weights: uniform)
     est = mc_selberg((0.5, 0.5, 0.5), 2, 50_000, seed=11)
     assert _dev(est, 378.145440258) < 4.0
@@ -167,32 +166,38 @@ def test_worker_count_changes_stream_but_not_answer():
     assert abs(s1.mean - s4.mean) < 4.0 * math.hypot(s1.std_error, s4.std_error)
 
 
+def _reference_weights(mix):
+    """The mixture weights: 1 - 0.1 M for the uniform component, then 0.1
+    for each of the M radial ones."""
+    m = len(mix.points)
+    return [1.0 - 0.1 * m] + [0.1] * m
+
+
 def _reference_sample(mix, rng, n):
     """ProposalMixture.sample written row-major: each component fills its
-    rows of an (n, 3) array at once."""
+    rows of an (n, 3) array at once, the uniform one first."""
     from kezeta.montecarlo import _orthonormal_frame
 
-    which = rng.choice(len(mix.components), size=n, p=np.array([c.weight for c in mix.components]))
+    which = rng.choice(len(mix.points) + 1, size=n, p=np.array(_reference_weights(mix)))
     out = np.empty((n, 3))
-    for k, comp in enumerate(mix.components):
+    idx = np.nonzero(which == 0)[0]
+    if idx.size:
+        t = rng.uniform(-1.0, 1.0, size=idx.size)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=idx.size)
+        r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        out[idx] = np.stack([r * np.cos(theta), r * np.sin(theta), t], axis=-1)
+    for k, (point, a) in enumerate(zip(mix.points, mix.exponents), start=1):
         idx = np.nonzero(which == k)[0]
         if idx.size == 0:
             continue
-        if comp.kind == "uniform":
-            t = rng.uniform(-1.0, 1.0, size=idx.size)
-            theta = rng.uniform(0.0, 2.0 * math.pi, size=idx.size)
-            r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-            out[idx] = np.stack([r * np.cos(theta), r * np.sin(theta), t], axis=-1)
-        else:
-            a = comp.radial_exponent
-            r = 2.0 * rng.uniform(size=idx.size) ** (1.0 / (2.0 - a))
-            phi = rng.uniform(0.0, 2.0 * math.pi, size=idx.size)
-            p = comp.point.vec
-            e1, e2 = _orthonormal_frame(p)
-            trans = (r * np.sqrt(np.maximum(0.0, 1.0 - r * r / 4.0)))[:, None]
-            out[idx] = (1.0 - r * r / 2.0)[:, None] * p + trans * (
-                np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
-            )
+        r = 2.0 * rng.uniform(size=idx.size) ** (1.0 / (2.0 - a))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=idx.size)
+        p = point.vec
+        e1, e2 = _orthonormal_frame(p)
+        trans = (r * np.sqrt(np.maximum(0.0, 1.0 - r * r / 4.0)))[:, None]
+        out[idx] = (1.0 - r * r / 2.0)[:, None] * p + trans * (
+            np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+        )
     return out
 
 
@@ -203,14 +208,11 @@ def _reference_log_chord(pts, p):
 def _reference_log_density(mix, flat):
     """The mixture's log density at row-major points (n, 3): the components'
     log densities stacked on a new axis 0, then a max-shifted logsumexp."""
-    logs = []
-    for c in mix.components:
-        if c.kind == "uniform":
-            logs.append(np.full(len(flat), math.log(c.weight)))
-        else:
-            a = c.radial_exponent
-            logr = _reference_log_chord(flat, c.point.vec)
-            logs.append(math.log(c.weight) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * logr)
+    uniform, *radial = _reference_weights(mix)
+    logs = [np.full(len(flat), math.log(uniform))]
+    for point, a, wt in zip(mix.points, mix.exponents, radial):
+        logr = _reference_log_chord(flat, point.vec)
+        logs.append(math.log(wt) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * logr)
     stacked = np.stack(logs, axis=0)
     top = np.max(stacked, axis=0)
     top = np.where(np.isfinite(top), top, 0.0)
@@ -391,7 +393,7 @@ def test_importance_draws_reproduce_row_major_reference_bitwise(monkeypatch):
     # bits of the serial loop over row-major draws, whatever the core count:
     # every per-sample log-weight, and the estimate built from them
     drawn = _spy_on_log_weights(monkeypatch)
-    uniform = ProposalMixture((ProposalComponent("uniform", 1.0),))
+    uniform = ProposalMixture((), ())
     half = ProposalMixture.cluster_safe((0.5, 0.5, 0.5))
     curve = LogFanoCurve.standard((0.5, 0.4, 0.3))
     cases = [
@@ -594,13 +596,13 @@ def test_log_density_matches_stacked_reference_bitwise():
         ProposalMixture.default_for_curve(curve),
         ProposalMixture.cluster_safe((0.5, 0.4, 0.3)),
     ]
-    assert [c.kind for c in mixes[0].components] == ["uniform"]
+    assert mixes[0].points == () and mixes[0].exponents == ()
     for mix in mixes:
         got = mix.log_density(pts)
         assert np.array_equal(got, _reference_log_density(mix, pts))
         assert np.array_equal(mix.log_density(pts.reshape(20, 20, 3)), got.reshape(20, 20))
     assert np.all(mixes[0].log_density(pts) == 0.0)
-    a = mixes[2].components[2].radial_exponent
+    a = mixes[2].exponents[1]
     clamped = math.log(0.1) + math.log(2.0 - a) + (a - 1.0) * math.log(2.0) - a * 0.5 * math.log(1e-300)
     assert mixes[2].log_density(pts)[7] == pytest.approx(clamped, rel=1e-12)
 
@@ -631,6 +633,11 @@ def test_estimate_serializes():
 def test_selberg_refuses_unstable_weights():
     with pytest.raises(StabilityError):
         mc_selberg((0.9, 0.1, 0.1), 3, 1000)
+
+
+def test_selberg_needs_two_points():
+    with pytest.raises(ValidationError, match="N >= 2"):
+        mc_selberg((0.5, 0.5, 0.5), 1, 1000)
 
 
 def test_selberg_refuses_free_collision_divergence():
@@ -746,47 +753,50 @@ def test_free_energy_se_propagates_shared_node_coefficients(monkeypatch, grid):
 # ---------------------------------------------------------------------------
 # proposal mixtures
 
-def test_proposal_component_validation():
-    with pytest.raises(ValidationError):
-        ProposalComponent("gaussian", 1.0)
-    with pytest.raises(ValidationError):
-        ProposalComponent("uniform", 0.0)
-    with pytest.raises(ValidationError):
-        ProposalComponent("marked_point", 1.0)  # missing point
+def test_proposal_mixture_validation():
     south = LogFanoCurve.standard((0.5, 0.5, 0.5)).marked_sphere_points()[0]
-    with pytest.raises(ValidationError):
-        ProposalComponent("marked_point", 1.0, south, radial_exponent=2.0)
-    with pytest.raises(ValidationError):
-        ProposalComponent("marked_point", 1.0, south, radial_exponent=-0.1)
+    with pytest.raises(ValidationError, match="one exponent per point"):
+        ProposalMixture((south,), ())
+    with pytest.raises(ValidationError, match="one exponent per point"):
+        ProposalMixture((), (0.5,))
+    with pytest.raises(ValidationError, match="radial exponent"):
+        ProposalMixture((south,), (2.0,))
+    with pytest.raises(ValidationError, match="radial exponent"):
+        ProposalMixture((south,), (-0.1,))
+    assert ProposalMixture((south,), (0.0,)).exponents == (0.0,)
 
 
-def test_proposal_mixture_weights_must_sum_to_one():
-    with pytest.raises(ValidationError):
-        ProposalMixture(
-            (ProposalComponent("uniform", 0.5), ProposalComponent("uniform", 0.4))
-        )
-    with pytest.raises(ValidationError):
-        ProposalMixture(())
+def test_proposal_mixture_needs_a_uniform_share():
+    # each radial component takes 0.1 of the mass: ten leave the uniform one none
+    south = LogFanoCurve.standard((0.5, 0.5, 0.5)).marked_sphere_points()[0]
+    assert len(ProposalMixture((south,) * 9, (0.5,) * 9).points) == 9
+    with pytest.raises(ValidationError, match="no weight"):
+        ProposalMixture((south,) * 10, (0.5,) * 10)
 
 
 def test_default_mixture_shapes():
-    mix = ProposalMixture.default_for_curve(LogFanoCurve.standard((0.5, 0.4, 0.3)))
-    assert len(mix.components) == 4
-    assert mix.components[0].kind == "uniform"
-    assert mix.components[0].weight == pytest.approx(0.7)
-    assert all(c.weight == pytest.approx(0.1) for c in mix.components[1:])
+    curve = LogFanoCurve.standard((0.5, 0.4, 0.3))
+    mix = ProposalMixture.default_for_curve(curve)
+    assert mix.points == curve.marked_sphere_points()
     # pinned default radial exponent: 2 w rho with rho = 0.9
-    assert mix.components[1].radial_exponent == pytest.approx(0.9)
+    assert mix.exponents == pytest.approx((0.9, 0.72, 0.54))
+    # weights 0.7 for the uniform component and 0.1 for each radial one
+    x = np.array([0.6, 0.0, 0.8])
+    radial = [(2.0 - a) * 2.0 ** (a - 1.0) * np.linalg.norm(x - p.vec) ** -a
+              for p, a in zip(mix.points, mix.exponents)]
+    assert mix.log_density(x) == pytest.approx(math.log(0.7 + 0.1 * sum(radial)), rel=1e-14)
     # trivial curve has nothing to focus on
     triv = ProposalMixture.default_for_curve(TRIVIAL)
-    assert len(triv.components) == 1 and triv.components[0].kind == "uniform"
+    assert triv.points == () and triv.exponents == ()
+    assert triv.log_density(x) == 0.0
 
 
 def test_cluster_safe_exponents_respect_variance_bound():
     w = (0.5, 0.5, 0.5)
     mix = ProposalMixture.cluster_safe(w)
-    for comp, wi in zip(mix.components[1:], w):
-        assert 2.0 + 4.0 * wi - 2.0 * sum(w) < comp.radial_exponent < 2.0
+    assert len(mix.exponents) == len(w)
+    for a, wi in zip(mix.exponents, w):
+        assert 2.0 + 4.0 * wi - 2.0 * sum(w) < a < 2.0
 
 
 def test_mixture_density_is_normalized():
@@ -802,16 +812,21 @@ def test_mixture_density_is_normalized():
 
 
 def test_marked_point_radial_law():
-    # for exponent a the radius has P(r <= t) = (t/2)^(2-a)
+    # one point with exponent a: the uniform law (P(r <= t) = (t/2)^2) with
+    # weight 0.9 and the radial law (P(r <= t) = (t/2)^(2-a)) with weight 0.1
+    a = 0.5
     south = LogFanoCurve.standard((0.5, 0.5, 0.5)).marked_sphere_points()[0]
-    comp = ProposalComponent("marked_point", 1.0, south, radial_exponent=0.5)
-    mix = ProposalMixture((comp,))
+    mix = ProposalMixture((south,), (a,))
     rng = np.random.Generator(np.random.PCG64(9))
     pts = mix.sample(rng, 40_000)
     r = np.sqrt(np.sum((pts - south.vec) ** 2, axis=-1))
-    # mean of (r/2)^(2-a) is mean of U, i.e. 1/2
-    u = (r / 2.0) ** (2.0 - 0.5)
+    # the exact CDF at the draws is uniform on [0, 1]: mean 1/2, and K-S
+    # distance below its 0.1% quantile 1.95 / sqrt(n)
+    u = np.sort(0.9 * (r / 2.0) ** 2 + 0.1 * (r / 2.0) ** (2.0 - a))
     assert abs(u.mean() - 0.5) < 4.0 * u.std(ddof=1) / math.sqrt(u.size)
+    ranks = np.arange(1, u.size + 1) / u.size
+    ks = max(np.max(ranks - u), np.max(u - (ranks - 1.0 / u.size)))
+    assert ks < 1.95 / math.sqrt(u.size)
 
 
 if __name__ == "__main__":

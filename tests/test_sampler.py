@@ -1,6 +1,7 @@
 """Gibbs sampler tests: target math, detailed balance, dynamics, statistics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,16 @@ def test_pair_distance_moment_matches_exact_law():
     batches = np.array([b.mean() for b in np.array_split(c2, 32)])
     se = batches.std(ddof=1) / math.sqrt(batches.size)
     assert abs(c2.mean() - 3.0) < 4.0 * se
+
+
+def test_negative_weight_enters_the_target():
+    # beta = 0, w = -1/2 at the north pole: each point's axial t has density
+    # prop to c^1 = (2 - 2t)^(1/2) on [-1, 1], so E[t] = -1/5 exactly
+    curve = LogFanoCurve.standard((Fraction(-1, 2),))
+    stream = run_chain(curve, 0.0, 2, sweeps=4000, seed=1, chains=64)
+    chain_means = stream.configs[..., 2].mean(axis=(1, 2))
+    se = chain_means.std(ddof=1) / math.sqrt(chain_means.size)
+    assert abs(chain_means.mean() + 0.2) < 4.0 * se
 
 
 def test_stream_reproducible_and_merged_deterministically():
