@@ -55,8 +55,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .chart import SpherePoint
 from .errors import StabilityError, ThresholdError, ValidationError
-from .sphere import _D2_FLOOR, SpherePoint, _uniform_rows, pairwise_log_chordal, sq_chord
+from .sphere import _D2_FLOOR, _uniform_rows, pairwise_log_chordal, sq_chord
 from .stability import LogFanoCurve, classify, require_gibbs_measure
 
 __all__ = [

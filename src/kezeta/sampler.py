@@ -58,13 +58,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .chart import green
 from .errors import ValidationError
 from .montecarlo import McEstimate
 from .sphere import (
     _D2_FLOOR,
     PointConfiguration,
     config_energy,
-    green,
     sample_uniform_array,
     sq_chord,
 )
@@ -97,7 +97,12 @@ _MAX_STATE_BYTES = 256 * 2**20
 
 def log_target(config: PointConfiguration, curve: LogFanoCurve, beta: float) -> float:
     """Unnormalized log density of the Gibbs measure wrt dsigma^(N)."""
-    lt = -beta * len(config) * config_energy(config, curve)
+    return _log_target(config, curve, beta, config_energy(config, curve))
+
+
+def _log_target(config: PointConfiguration, curve: LogFanoCurve, beta: float, energy: float) -> float:
+    """log_target of a configuration whose config_energy is already known."""
+    lt = -beta * len(config) * energy
     for p in config.points:
         for q, w in zip(curve.marked_sphere_points(), curve.weights):
             lt += 2.0 * w * green(p, q)

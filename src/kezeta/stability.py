@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .chart import INFINITY, SpherePoint, stereo_to_sphere
 from .errors import StabilityError, ThresholdError, ValidationError
-from .sphere import INFINITY, SpherePoint, stereo_to_sphere
 
 __all__ = [
     "LogFanoCurve",

@@ -32,6 +32,7 @@ from importlib import resources
 import numpy as np
 
 from . import meanfield
+from .chart import INFINITY
 from .closedforms import (
     bernstein_product,
     circular_Z,
@@ -60,7 +61,6 @@ from .meanfield import (
 )
 from .montecarlo import free_energy_curve, mc_circular, mc_gaussian_det_ratio, mc_selberg
 from .sampler import ks_against, ks_threshold, marginal_histogram, mean_energy_run, run_chain
-from .sphere import INFINITY
 from .stability import LogFanoCurve, classify, gamma_threshold
 
 WORKERS = 4  # pinned: the worker count seeds the RNG streams

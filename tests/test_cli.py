@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kezeta import cli
+from kezeta import cli, cli_numeric
 import kezeta.meanfield
 import kezeta.montecarlo
 import kezeta.sampler
@@ -71,7 +71,7 @@ OPERATION_ROUTES = {
                                          "--samples", "2000"],
     "montecarlo.free_energy_curve": ["mc", "--target", "free-energy", "--n", "3", "--grid", "1/2:1:1/2",
                                      "--budget", "2000"],
-    "sampler.log_target": _SCORE,
+    "sampler._log_target": _SCORE,  # log_target's body, given the energy the CLI already has
     "sampler.run_chain": _SAMPLE,
     "sampler.mean_energy_estimate": _SAMPLE,
     "sampler.marginal_histogram": _SAMPLE,
@@ -221,7 +221,7 @@ def test_nonconvergence_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     def explode(*a, **k):
         raise ConvergenceError("newton stalled")
 
-    monkeypatch.setattr(cli, "solve_mean_field", explode)
+    monkeypatch.setattr(cli_numeric, "solve_mean_field", explode)
     code, _, err = run_cli(
         ["oracle", "meanfield", "--w", "0.5", "--beta", "1",
          "--out", str(tmp_path)], capsys)
@@ -314,7 +314,7 @@ def test_sample_rejects_its_inputs_before_sampling(tmp_path, capsys, monkeypatch
     def never(*a, **k):
         raise AssertionError("run_chain called before the inputs were checked")
 
-    monkeypatch.setattr(cli, "run_chain", never)
+    monkeypatch.setattr(cli_numeric, "run_chain", never)
     out_dir = tmp_path / "run"
     code, out, _ = run_cli(
         ["sample", "--beta", "1", "--N", "3", "--sweeps", "20", *extra, "--out", str(out_dir)],
@@ -366,7 +366,7 @@ def test_mc_batch_csv_in_a_missing_directory_exits_2_before_estimating(tmp_path,
     def never(*a, **k):
         raise AssertionError("estimate started before --batch-csv was checked")
 
-    monkeypatch.setattr(cli, "mc_circular", never)
+    monkeypatch.setattr(cli_numeric, "mc_circular", never)
     code, out, err = run_cli(
         ["mc", "--target", "circular", "--n", "3", "--beta", "1", "--samples", "1000",
          "--batch-csv", "sub/b.csv", "--out", str(tmp_path)], capsys)
@@ -380,7 +380,7 @@ def test_mc_free_energy_refuses_batch_csv_before_sampling(tmp_path, capsys, monk
     def never(*a, **k):
         raise AssertionError("ladder started although --batch-csv cannot be honoured")
 
-    monkeypatch.setattr(cli, "free_energy_curve", never)
+    monkeypatch.setattr(cli_numeric, "free_energy_curve", never)
     out_dir = tmp_path / "fe"
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -466,7 +466,7 @@ def test_grid_range_above_the_node_cap_is_validation_exit(tmp_path, capsys, monk
     def curve(*args, **kwargs):
         raise AssertionError("free_energy_curve ran on an over-size grid")
 
-    monkeypatch.setattr(cli, "free_energy_curve", curve)
+    monkeypatch.setattr(cli_numeric, "free_energy_curve", curve)
     out_dir = tmp_path / "run"
     code, out, err = run_cli(["mc", "--target", "free-energy", "--n", "3", "--grid", grid,
                               "--out", str(out_dir)], capsys)
@@ -722,7 +722,7 @@ def test_manifest_appends_and_deterministic_fields_reproduce(tmp_path, capsys):
 def test_verify_manifest_echoes_only_its_own_keys(tmp_path, capsys, monkeypatch):
     from kezeta.verify import VerifyReport
 
-    monkeypatch.setattr(cli, "run_verify", lambda level: VerifyReport(level, ()))
+    monkeypatch.setattr(cli_numeric, "run_verify", lambda level: VerifyReport(level, ()))
     assert run_cli(["verify", "--out", str(tmp_path)], capsys)[0] == 0
     (rec,) = [json.loads(l) for l in (tmp_path / "manifest.jsonl").read_text().splitlines()]
     assert rec["config"] == {"command": "verify", "level": "quick", "out": str(tmp_path)}
@@ -773,7 +773,7 @@ def test_sample_streams_its_csv_without_a_whole_text_copy(tmp_path, capsys, monk
     assert run_cli([*argv[:-2], "--chains", "2", "--sweeps", "20", "--out", str(tmp_path)], capsys)[0] == 0
     stream = kezeta.sampler.run_chain(LogFanoCurve.standard((0.5,)), 1.0, 16, sweeps=500,
                                       seed=7, thinning=10, chains=64)
-    monkeypatch.setattr(cli, "run_chain", lambda *args, **kwargs: stream)
+    monkeypatch.setattr(cli_numeric, "run_chain", lambda *args, **kwargs: stream)
     config_bytes = 64 * 50 * 16 * 3 * 8
     tracemalloc.start()
     try:
@@ -831,6 +831,32 @@ def test_sample_score_pair_fields_match_scalar_pair_walk(tmp_path, capsys):
     pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
     assert report["min_pair_chordal"] == min(chordal(p, q) for p, q in pairs)
     assert report["max_pair_green"] == max(green(p, q) for p, q in pairs)
+
+
+def test_sample_score_builds_the_pair_buffer_twice(tmp_path, capsys, monkeypatch):
+    # once for the energy (which log_target reuses) and once for the
+    # closest-pair fields; log_target's value keeps its bits
+    from kezeta import sphere
+    from kezeta.sampler import log_target
+    from kezeta.sphere import config_from_csv
+
+    built = []
+    original = sphere.pairwise_sq_chord
+
+    def spy(arr):
+        built.append(arr.shape)
+        return original(arr)
+
+    for module in (sphere, cli_numeric):
+        monkeypatch.setattr(module, "pairwise_sq_chord", spy)
+    path = _score_file(tmp_path, (0.3 + 0.1j, -1.2 + 0.5j, 2.0 + 0j, 0.5 - 0.7j))
+    code, out, _ = run_cli(["sample", "--score", str(path), "--w", "1/2,1/3", "--beta", "1",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert built == [(4, 3), (4, 3)]
+    monkeypatch.undo()
+    curve = LogFanoCurve.standard((Fraction(1, 2), Fraction(1, 3)))
+    assert json.loads(out)["log_target"] == log_target(config_from_csv(path.read_text()), curve, 1.0)
 
 
 def test_sample_score_of_a_coincident_pair_raises(tmp_path, capsys):
@@ -972,6 +998,39 @@ def test_no_subcommand_imports_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+_TIER_SCRIPT = """
+import contextlib, io, sys
+from kezeta import cli
+
+NUMERIC = ("numpy", "kezeta.sphere", "kezeta.montecarlo", "kezeta.sampler", "kezeta.meanfield",
+           "kezeta.verify")
+out = sys.argv[1]
+for argv in (["zeta", "--family", "selberg", "--n", "3", "--w", "1/2,1/2,1/2", "--tube", "canonical",
+              "--out", out],
+             ["zeta", "--family", "p1three", "--poles-in=-1:0", "--out", out],
+             ["stability", "--w", "1/2,1/2,1/2", "--n", "3", "--out", out],
+             ["zeta", "--help"], ["--version"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print([m for m in NUMERIC if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["oracle", "poisson", "--out", out]) == 0
+print([m for m in NUMERIC if m not in sys.modules])
+"""
+
+
+def test_exact_commands_load_no_numeric_module(tmp_path):
+    # a fresh interpreter: zeta, stability, --help and --version run on the
+    # exact engine alone; the first numeric command loads the whole numeric
+    # tier at once, which the benchmark's tracer relies on
+    src = str(Path(kezeta.meanfield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _TIER_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_oracle_meanfield_payloads(tmp_path, capsys):
     code, out, _ = run_cli(
         ["oracle", "meanfield", "--w", "0.5", "--beta", "1", "--m", "400",
@@ -1076,7 +1135,7 @@ def test_verify_failure_exits_5(tmp_path, capsys, monkeypatch):
     def rigged(level):
         return VerifyReport(level, (CriterionResult(3, "x", "bad", "exact", False),))
 
-    monkeypatch.setattr(cli, "run_verify", rigged)
+    monkeypatch.setattr(cli_numeric, "run_verify", rigged)
     code, out, _ = run_cli(["verify", "--level", "quick", "--out", str(tmp_path)], capsys)
     assert code == 5
     assert "FAIL" in out
