@@ -40,7 +40,11 @@ so at its turn site i still sits where it sat when the sweep began, and step
 scales change only between sweeps.  The kernel is the same one; hoisting
 only fixes which draws feed which step.  The per-step loop keeps what reads
 state other steps write: the candidate's distance row against the current
-positions, the pair guard, the log row and the Metropolis test.
+positions, the pair guard, the log row and the Metropolis test.  The pair
+guard is read from the minimum of the whole (lanes, N) row, and only when
+that trips from each lane's; step i writes its accept decisions to row i of
+an (N, lanes) buffer, counted once per sweep; rows shorter than 8 terms are
+summed column by column, in the order of numpy's own sum (_row_sums).
 
 Each lane caches its N x N matrix of log squared distances, L: (lanes, N, N),
 and the weight part of every site, SW: (lanes, N).  A step computes the
@@ -158,6 +162,20 @@ def _weight_part(dm: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return -np.add.reduce(wts * np.log(np.maximum(dm, _D2_FLOOR)), axis=-1)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis=-1), bit for bit.  Below 8 terms numpy's
+    pairwise sum adds a row's terms one by one onto 0.0; a row that short is
+    summed here in that order as whole columns, one vector add per term,
+    rather than in numpy's loop over the rows."""
+    n = a.shape[-1]
+    if not 0 < n < 8:
+        return np.add.reduce(a, axis=-1)
+    s = a[..., 0] + 0.0
+    for k in range(1, n):
+        s += a[..., k]
+    return s
+
+
 def _run_lanes(
     curve: LogFanoCurve,
     betas: np.ndarray,
@@ -194,8 +212,10 @@ def _run_lanes(
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     marked, wts = _marked_arrays(curve)
+    tol2 = _GUARD_TOL**2
     pref = curve.d_L / (N * (N - 1))
     coef = -betas * N * pref * 2.0  # per lane; the same bits as a scalar beta
+    hcoef = coef * -0.5  # the pair term's -1/2 folded in: a power of two, exact
 
     # initial state: uniform, resampled until the guard is satisfied
     X = np.ascontiguousarray(sample_uniform_array(rng, lanes * N).T).reshape(3, lanes, N)
@@ -215,6 +235,7 @@ def _run_lanes(
 
     scales = np.full(lanes, _STEP_SCALE)
     acc = np.zeros(lanes, dtype=np.int64)
+    accs = np.empty((N, lanes), dtype=bool)  # row i: step i's accept decisions
     prop = 0  # proposals per lane since the last reset: N per sweep
     trace = []
 
@@ -230,7 +251,7 @@ def _run_lanes(
         cands /= np.sqrt(sq_chord(cands, 0.0))  # |cand|
         if marked.shape[1]:
             dm = _marked_sq_dists(cands, marked)  # (lanes, N, M)
-            mguard = np.minimum.reduce(dm, axis=-1) < _GUARD_TOL**2
+            mok = ~(np.minimum.reduce(dm, axis=-1) < tol2)
             sw = _weight_part(dm, wts)
             dsw = sw - SW  # SW[:, i] changes only at step i
         for i in range(N):
@@ -238,20 +259,24 @@ def _run_lanes(
             # only the candidate's row is new; the old one is L[:, i]
             d2 = sq_chord(X, cand[:, :, None])
             d2[:, i] = 1.0  # mask self
-            guard = np.minimum.reduce(d2, axis=-1) < _GUARD_TOL**2
             row = np.log(d2)
-            dlt = coef * (-0.5 * (np.add.reduce(row, axis=-1) - np.add.reduce(L[:, i], axis=-1)))
+            dlt = hcoef * (_row_sums(row) - _row_sums(L[:, i]))
             if marked.shape[1]:
-                guard |= mguard[:, i]
                 dlt += dsw[:, i]
-            accept = (logu[i] < dlt) & ~guard
+            accept = np.less(logu[i], dlt, out=accs[i])
+            if marked.shape[1]:
+                accept &= mok[:, i]
+            # the pair guard seldom trips: test the whole row's minimum, and
+            # only then (or on a NaN) each lane's
+            if not d2.min() >= tol2:
+                accept &= ~(np.minimum.reduce(d2, axis=-1) < tol2)
             on = accept[:, None]
             np.copyto(X[:, :, i], cand, where=accept)
             np.copyto(L[:, i], row, where=on)
             np.copyto(L[:, :, i], row, where=on)
             if marked.shape[1]:
                 np.copyto(SW[:, i], sw[:, i], where=accept)
-            acc += accept
+        acc += np.add.reduce(accs, axis=0)
         prop += N
 
         if sweep < burn_in and (sweep + 1) % _ADAPT_WINDOW == 0:
@@ -271,7 +296,7 @@ def _run_lanes(
             j = k // thinning
             # the cached logs are the pairwise kernel's values: the guard keeps
             # every pair far above its clamp
-            energies[:, j] = -2.0 * pref * np.sum(0.5 * L[:, iu[0], iu[1]], axis=-1)
+            energies[:, j] = -2.0 * pref * _row_sums(0.5 * L[:, iu[0], iu[1]])
             if configs is not None:
                 configs[:, j] = np.moveaxis(X, 0, -1)
     return energies, configs, scales, acc / max(prop, 1), trace
@@ -359,15 +384,25 @@ def _integrated_autocorr(series: np.ndarray) -> float:
     return tau
 
 
+def _batch_means(energies: np.ndarray) -> np.ndarray:
+    """(chains, nb) batch means of a (chains, kept) energy block: each row
+    cut into nb batches as np.array_split cuts it (the first r one longer)
+    and each batch averaged as .mean() does, one pairwise sum and one
+    division, in a single reduction per batch length."""
+    chains, kept = energies.shape
+    nb = min(32, max(4, kept // 64)) if kept >= 8 else 1
+    q, r = divmod(kept, nb)
+    cut = r * (q + 1)
+    long = np.add.reduce(energies[:, :cut].reshape(chains, r, q + 1), axis=-1) / (q + 1)
+    short = np.add.reduce(energies[:, cut:].reshape(chains, nb - r, q), axis=-1) / q
+    return np.concatenate([long, short], axis=1)
+
+
 def _energy_estimate(energies: np.ndarray, seed: int) -> McEstimate:
     """Batch-means estimate of the mean of a (chains, kept) energy block,
     one row per chain: the estimator behind both mean-energy routes."""
-    batch_means, taus = [], []
-    for e in energies:
-        nb = min(32, max(4, e.size // 64)) if e.size >= 8 else 1
-        batch_means.extend(b.mean() for b in np.array_split(e, nb))
-        taus.append(_integrated_autocorr(e))
-    bm = np.array(batch_means)
+    bm = _batch_means(energies).ravel()
+    taus = [_integrated_autocorr(e) for e in energies]
     se = float(bm.std(ddof=1) / math.sqrt(bm.size)) if bm.size > 1 else float("inf")
     return McEstimate(
         float(energies.mean()),

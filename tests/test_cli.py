@@ -1031,6 +1031,22 @@ def test_exact_commands_load_no_numeric_module(tmp_path):
     assert done.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_python_m_kezeta_imports_cli_once(tmp_path, capsys):
+    # `python -m kezeta.cli` ran cli.py as __main__ and then imported it again
+    # for cli_numeric; `python -m kezeta` imports it once, at the top level
+    argv = ["mc", "--target", "free-energy", "--n", "3", "--grid", "0.25:1:0.25", "--budget", "800",
+            "--seed", "3"]
+    src = str(Path(kezeta.meanfield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "kezeta", *argv, "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    imported = [line.rsplit("|", 1)[-1] for line in done.stderr.splitlines() if line.startswith("import time:")]
+    assert [name for name in imported if name.strip() == "kezeta.cli"] == [" kezeta.cli"]
+    assert " kezeta.cli_numeric" in imported
+    assert run_cli([*argv, "--out", str(tmp_path)], capsys)[:2] == (0, done.stdout)
+
+
 def test_oracle_meanfield_payloads(tmp_path, capsys):
     code, out, _ = run_cli(
         ["oracle", "meanfield", "--w", "0.5", "--beta", "1", "--m", "400",

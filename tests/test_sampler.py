@@ -201,10 +201,12 @@ def test_attractive_weighted_triangle_stays_ergodic():
     assert np.all((0 < stream.final_step_scale) & (stream.final_step_scale <= 2.0))
 
 
-def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains):
+def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains, tol=1e-24, vetoes=None):
     """The scalar-beta sweep loop, written out once more, row-major (chains,
     N, 3) with np.sum and without caches, as the reference that run_chain's
-    component-major lanes must reproduce bit for bit."""
+    component-major lanes must reproduce bit for bit.  tol is the squared
+    guard radius; a dict `vetoes` counts, under "pair" and "marked", the
+    proposals Metropolis accepted that each guard rejected."""
     from kezeta.sphere import pairwise_log_chordal
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -220,9 +222,9 @@ def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains
     def guard_violations(X):
         d2 = np.sum((X[:, :, None, :] - X[:, None, :, :]) ** 2, axis=-1)
         d2[:, np.arange(N), np.arange(N)] = 1.0
-        bad = d2.min(axis=(1, 2)) < 1e-24
+        bad = d2.min(axis=(1, 2)) < tol
         if marked.shape[0]:
-            bad |= np.sum((X[:, :, None, :] - marked) ** 2, axis=-1).min(axis=(1, 2)) < 1e-24
+            bad |= np.sum((X[:, :, None, :] - marked) ** 2, axis=-1).min(axis=(1, 2)) < tol
         return bad
 
     X = sample_uniform_array(rng, chains * N).reshape(chains, N, 3)
@@ -248,12 +250,17 @@ def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains
             d2_new = np.sum((X - cand[:, None, :]) ** 2, axis=-1)
             d2_old = np.sum((X - x[:, None, :]) ** 2, axis=-1)
             d2_new[:, i] = d2_old[:, i] = 1.0
-            guard = d2_new.min(axis=-1) < 1e-24
+            guard = d2_new.min(axis=-1) < tol
+            mguard = np.zeros(chains, dtype=bool)
             if marked.shape[0]:
-                guard |= np.sum((cand[:, None, :] - marked) ** 2, axis=-1).min(axis=-1) < 1e-24
+                mguard = np.sum((cand[:, None, :] - marked) ** 2, axis=-1).min(axis=-1) < tol
             dpair = -0.5 * (np.sum(np.log(d2_new), axis=-1) - np.sum(np.log(d2_old), axis=-1))
             dw = weight_part(cand) - weight_part(x)
-            accept = (np.log(uniforms[i]) < -beta * N * pref * 2.0 * dpair + dw) & ~guard
+            metropolis = np.log(uniforms[i]) < -beta * N * pref * 2.0 * dpair + dw
+            if vetoes is not None:
+                vetoes["pair"] = vetoes.get("pair", 0) + int(np.sum(metropolis & guard))
+                vetoes["marked"] = vetoes.get("marked", 0) + int(np.sum(metropolis & mguard))
+            accept = metropolis & ~(guard | mguard)
             X[accept, i, :] = cand[accept]
             acc += accept
             prop += 1
@@ -290,6 +297,76 @@ def test_run_chain_reproduces_scalar_beta_reference_bitwise(curve, beta, N, swee
     assert np.array_equal(stream.energies, energies)
     assert np.array_equal(stream.acceptance_rate, rate)
     assert np.array_equal(stream.final_step_scale, scales)
+
+
+def test_run_chain_reproduces_reference_when_both_guards_reject(monkeypatch):
+    # at the real radius a guard almost never trips, and run_chain tests a
+    # row's minimum before each lane's; a wide radius makes both guards veto
+    import kezeta.sampler as sampler
+
+    monkeypatch.setattr(sampler, "_GUARD_TOL", 0.05)
+    run = dict(sweeps=80, burn_in=60, seed=9, thinning=4, chains=16)
+    stream = run_chain(HALF3, -1.0, 6, **run)
+    vetoes = {}
+    configs, energies, rate, scales = _reference_run_chain(HALF3, -1.0, 6, **run, tol=sampler._GUARD_TOL**2,
+                                                           vetoes=vetoes)
+    assert vetoes["pair"] > 0 and vetoes["marked"] > 0
+    assert np.array_equal(stream.configs, configs)
+    assert np.array_equal(stream.energies, energies)
+    assert np.array_equal(stream.acceptance_rate, rate)
+    assert np.array_equal(stream.final_step_scale, scales)
+
+
+def _row_sum_cases():
+    rng = np.random.Generator(np.random.PCG64(30))
+    for n in range(2, 21):
+        for lanes in (1, 2, 16, 432):
+            # signs, zeros of both signs and magnitudes 1e-300 .. 1e300
+            a = rng.choice([-1.0, 1.0], size=(lanes, n)) * 10.0 ** rng.integers(-300, 301, size=(lanes, n))
+            a[rng.random((lanes, n)) < 0.2] = 0.0
+            a[rng.random((lanes, n)) < 0.2] = -0.0
+            a[0] = -0.0
+            yield f"n{n}-lanes{lanes}-rows", a
+            cube = rng.standard_normal((lanes, n, n)) * 10.0 ** rng.integers(-300, 301, size=(lanes, n, n))
+            cube[:, :, 0] = -0.0
+            yield f"n{n}-lanes{lanes}-L[:, i]", cube[:, n // 2]
+            yield f"n{n}-lanes{lanes}-L[:, :, i]", cube[:, :, n // 2]
+
+
+def test_row_sums_match_add_reduce_bitwise():
+    # _row_sums replaces np.add.reduce(a, axis=-1) in the sweep loop; a numpy
+    # whose short-row summation order differs fails here by name
+    from kezeta.sampler import _row_sums
+
+    for name, a in _row_sum_cases():
+        got, want = _row_sums(a), np.add.reduce(a, axis=-1)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), name
+
+
+@pytest.mark.parametrize("kept", [8, 9, 63, 64, 65, 232, 2047, 2048, 2049, 5000])
+@pytest.mark.parametrize("chains", [1, 16])
+def test_energy_estimate_matches_array_split_means_bitwise(kept, chains):
+    # the batch means come from two reshaped reductions; the estimator they
+    # replace cut each chain with np.array_split and took .mean() per batch
+    from kezeta.montecarlo import McEstimate
+    from kezeta.sampler import _energy_estimate, _integrated_autocorr
+
+    rng = np.random.Generator(np.random.PCG64(kept * 100 + chains))
+    energies = rng.standard_normal((chains, kept)) * 0.3 - 0.2
+    batch_means = []
+    for e in energies:
+        batch_means.extend(b.mean() for b in np.array_split(e, min(32, max(4, e.size // 64))))
+    bm = np.array(batch_means)
+    want = McEstimate(
+        float(energies.mean()), float(bm.std(ddof=1) / math.sqrt(bm.size)), energies.size, 5, chains,
+        {
+            "tau_int": float(np.mean([_integrated_autocorr(e) for e in energies])),
+            "n_batches": int(bm.size),
+            "batch_means_variance": float(bm.var(ddof=1)),
+        },
+    )
+    got = _energy_estimate(energies, 5).to_json()
+    assert repr(got) == repr(want.to_json())
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ ROOT = Path(__file__).resolve().parents[1]
         ("marginal_vs_meanfield.py", ["--N", "4", "--sweeps", "50", "--bins", "10"]),
         ("free_energy_scan.py", ["--budget", "2000"]),
         ("selberg_convergence.py", []),
+        ("lane_rate.py", ["--sweeps", "1", "--repeat", "1"]),
     ],
-    ids=["marginal_vs_meanfield", "free_energy_scan", "selberg_convergence"],
+    ids=["marginal_vs_meanfield", "free_energy_scan", "selberg_convergence", "lane_rate"],
 )
 def test_script_exits_zero(tmp_path, script, args):
     env = dict(os.environ)
