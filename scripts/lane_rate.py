@@ -2,15 +2,14 @@
 second: lanes x N x sweeps over the wall time of one call, best of
 --repeat calls.
 
-Shapes, (lanes, N):
-
-  * (432, 3): the ladder workload's batch, 27 beta nodes of 16 chains each,
-    on the trivial curve (no marked point);
-  * (8, 16), (64, 16), (64, 64), (64, 128): the chain workload's curve,
-    weight 1/2 at one marked point, at 8 and 64 chains and growing N.
+Shapes: 64 lanes at N = 16, 64 and 128, on the chain workload's curve
+(weight 1/2 at one marked point), to follow the step's cost as N grows.
+The benchmark's own workloads (the ladder's 432 lanes at N = 3, the chain's
+64 lanes at N = 16 in a whole run) report lane-updates/s under
+`perfbench/run.py --trace 1`.
 
 Every lane runs at beta = 1, with no burn-in and one kept energy per lane.
-Run it once on each checkout, alternating, to get before/after pairs:
+Run it once on each checkout, alternating, to get before/after pairs.
 
 Usage:  PYTHONPATH=src python3 scripts/lane_rate.py [--sweeps 50] [--repeat 3]
 """
@@ -24,12 +23,13 @@ import kezeta
 from kezeta import sampler
 from kezeta.stability import LogFanoCurve
 
-SHAPES = [(432, 3, ()), (8, 16, (0.5,)), (64, 16, (0.5,)), (64, 64, (0.5,)), (64, 128, (0.5,))]
+SHAPES = [(64, 16), (64, 64), (64, 128)]
+WEIGHTS = (0.5,)
 
 
-def lane_rate(lanes, N, weights, sweeps, repeat, seed):
+def lane_rate(lanes, N, sweeps, repeat, seed):
     """Best lane-updates/s of `repeat` _run_lanes calls."""
-    curve = LogFanoCurve.standard(weights)
+    curve = LogFanoCurve.standard(WEIGHTS)
     betas = np.ones(lanes)
     best = float("inf")
     for _ in range(repeat):
@@ -47,10 +47,10 @@ def main():
     args = ap.parse_args()
 
     print(f"# kezeta from {kezeta.__path__[0]}, {args.sweeps} sweeps, best of {args.repeat}")
-    print("lanes    N   weights   lane_updates_per_s")
-    for lanes, N, weights in SHAPES:
-        rate = lane_rate(lanes, N, weights, args.sweeps, args.repeat, args.seed)
-        print(f"{lanes:5d}  {N:3d}   {','.join(map(str, weights)) or '-':7s}   {rate:,.0f}")
+    print("lanes    N   lane_updates_per_s")
+    for lanes, N in SHAPES:
+        rate = lane_rate(lanes, N, args.sweeps, args.repeat, args.seed)
+        print(f"{lanes:5d}  {N:3d}   {rate:,.0f}")
 
 
 if __name__ == "__main__":

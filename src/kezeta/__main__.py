@@ -1,6 +1,5 @@
-"""`python -m kezeta <command> ...`: the `ke-zeta` command line, with
-`kezeta.cli` imported once, as a module, and not a second time as
-`__main__`."""
+"""`python -m kezeta <command> ...`: the `ke-zeta` command line, the one
+module entry point, with `kezeta.cli` imported once, as a module."""
 
 import sys
 

@@ -543,7 +543,3 @@ def main(argv=None) -> int:
     if args.command == "verify" and not outcome["passed"]:
         return EXIT_MISMATCH
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1032,8 +1032,8 @@ def test_exact_commands_load_no_numeric_module(tmp_path):
 
 
 def test_python_m_kezeta_imports_cli_once(tmp_path, capsys):
-    # `python -m kezeta.cli` ran cli.py as __main__ and then imported it again
-    # for cli_numeric; `python -m kezeta` imports it once, at the top level
+    # `python -m kezeta` is the module entry point; it imports cli.py once, at
+    # the top level, and cli_numeric's `from .cli import` finds it loaded
     argv = ["mc", "--target", "free-energy", "--n", "3", "--grid", "0.25:1:0.25", "--budget", "800",
             "--seed", "3"]
     src = str(Path(kezeta.meanfield.__file__).resolve().parents[1])

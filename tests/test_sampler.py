@@ -331,6 +331,14 @@ def _row_sum_cases():
             cube[:, :, 0] = -0.0
             yield f"n{n}-lanes{lanes}-L[:, i]", cube[:, n // 2]
             yield f"n{n}-lanes{lanes}-L[:, :, i]", cube[:, :, n // 2]
+            # terms of comparable size, where the order of the adds shows in
+            # nearly every row: unscaled normals, and logs of squared chords
+            # (in (0, 4]) as the sweep loop sums them
+            yield f"n{n}-lanes{lanes}-normal", rng.standard_normal((lanes, n))
+            logs = np.log(4.0 * (1.0 - rng.random((lanes, n, n))))
+            yield f"n{n}-lanes{lanes}-log-chords", logs[:, 0].copy()
+            yield f"n{n}-lanes{lanes}-log-chords-L[:, i]", logs[:, n // 2]
+            yield f"n{n}-lanes{lanes}-log-chords-L[:, :, i]", logs[:, :, n // 2]
 
 
 def test_row_sums_match_add_reduce_bitwise():
