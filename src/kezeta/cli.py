@@ -6,8 +6,9 @@ One invocation runs exactly one operation: closed-form evaluation (zeta),
 stability verdicts (stability), Monte Carlo estimates (mc), Gibbs-chain runs
 (sample), the axial field oracles (oracle), or the acceptance gate (verify).
 Results print to stdout as JSON (verify: plain text); bulk payloads land in
---out as CSV files with header rows, and every successful run appends one
-JSON line to <out>/manifest.jsonl.  Its "config" echoes the subcommand's own
+--out as CSV files with header rows, zeta's Gamma product as
+gamma_product.json (gp_to_json), and every successful run appends one JSON
+line to <out>/manifest.jsonl.  Its "config" echoes the subcommand's own
 flags (and the command name), nothing else.
 
 Each subcommand takes only the flags it reads: --seed exists on mc and
@@ -310,9 +311,11 @@ def _run_zeta(args: argparse.Namespace, out_dir: Path):
             {"location": str(t), "net_order": o} for t, o in entries
         ]
 
-    report["gamma_product"] = json.loads(gp_to_json(gp))
-    outcome = {k: v for k, v in report.items() if k != "gamma_product"}
-    return report, outcome, []
+    outcome = dict(report)
+    path = out_dir / "gamma_product.json"
+    path.write_text(gp_to_json(gp), encoding="utf-8")
+    report["files"] = files = [str(path)]
+    return report, outcome, files
 
 
 def _run_stability(args: argparse.Namespace, out_dir: Path):

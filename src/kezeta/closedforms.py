@@ -74,9 +74,7 @@ __all__ = [
 
 def _l_pair(arg: AffineArg, exponent: int) -> tuple[GammaFactor, GammaFactor]:
     """l(x) = Gamma(x)/Gamma(1-x), contributed with the given exponent."""
-    one_minus = AffineArg.make(
-        {name: -c for name, c in arg.coeffs}, Fraction(1) - arg.constant
-    )
+    one_minus = AffineArg.from_ints(arg.names, [-n for n in arg.nums], arg.den - arg.cnum, arg.den)
     return GammaFactor(arg, exponent), GammaFactor(one_minus, -exponent)
 
 
@@ -86,30 +84,26 @@ def selberg_gamma_product(N: int) -> GammaProduct:
     ws = ("w1", "w2", "w3")
     denom = 2 * (N - 1)
 
-    def half_j_dprime(j: int) -> AffineArg:
-        # (j/2) d' = (j/2)(2 - w1 - w2 - w3)/(N-1)
-        return AffineArg.make({w: Fraction(-j, denom) for w in ws}, Fraction(2 * j, denom))
+    def half_j_dprime_plus(j: int, w: str = "") -> AffineArg:
+        # (j/2) d' = (j/2)(2 - w1 - w2 - w3)/(N-1) = (2j - j w1 - j w2 - j w3)/denom,
+        # plus the weight w if one is named
+        nums = [denom - j if v == w else -j for v in ws]
+        return AffineArg.from_ints(ws, nums, 2 * j, denom)
 
     factors: list[GammaFactor] = []
     # prefactor (pi / l(-d'/2))^N
-    a, b = _l_pair(half_j_dprime(-1), -N)  # -(1/2)d' is half_j_dprime at j = -1
-    factors += [a, b]
+    factors += _l_pair(half_j_dprime_plus(-1), -N)  # -(1/2)d' is (j/2)d' at j = -1
     # repulsion factors l(-(j/2)d'), j = 1..N
     for j in range(1, N + 1):
-        a, b = _l_pair(half_j_dprime(-j), 1)
-        factors += [a, b]
+        factors += _l_pair(half_j_dprime_plus(-j), 1)
     # weight factors 1/l(w_i + (j/2)d'), j = 0..N-1.  The j = N-1 wall
     # w_i + d/2 = 1 is where the integral's marked-point pileup diverges, and
     # the j = N repulsion factor's first pole N d' = 2 is the free-collision
     # wall; shifting the weight range up by one puts both walls in the wrong
     # place and disagrees with quadrature, so the range here is load-bearing.
     for j in range(0, N):
-        shift = half_j_dprime(j)
         for w in ws:
-            coeffs = {name: c for name, c in shift.coeffs}
-            coeffs[w] = coeffs.get(w, Fraction(0)) + 1
-            a, b = _l_pair(AffineArg.make(coeffs, shift.constant), -1)
-            factors += [a, b]
+            factors += _l_pair(half_j_dprime_plus(j, w), -1)
     log_pref = math.lgamma(N + 1) + N * math.log(math.pi)
     return GammaProduct(log_pref, tuple(factors))
 
@@ -178,7 +172,7 @@ class TubeDomain:
     constraints: tuple[AffineArg, ...]
 
     def __post_init__(self):
-        if any(not form.coeffs for form in self.constraints):
+        if any(not form.names for form in self.constraints):
             raise ValidationError("constraint needs at least one nonzero coefficient")
 
     @classmethod
@@ -353,53 +347,64 @@ def _singular_hyperplanes(gp: GammaProduct, params: Sequence[str], rows: list[Ro
     open polytope `rows` (over `params`).
 
     Gamma(arg)^e is singular on the family {arg + m = 0}, m = 0, 1, 2, ...;
+    with arg = (a.x + c)/den over integers that is {a.x = -c - m den}, and
     the m that meet the polytope follow exactly from the open range of the
-    gradient functional.  Orders of all factors landing on the same geometric
-    hyperplane are summed.  Returns ({key: net order}, {key: (vec, value)}),
-    where key normalizes {vec . x = value} to leading coefficient 1 and
-    (vec, value) is the first representative met.
+    functional a.x.  Orders of all factors landing on the same geometric
+    hyperplane are summed.  Returns ({key: net order}, {key: (a, -c - m den,
+    den)}), where key is the hyperplane {u.x = p/q} with u the primitive
+    integer direction of a, its first nonzero entry positive, as (u, p, q),
+    q > 0 and p/q in lowest terms; the second map holds the first
+    representative met.
 
-    The range is solved once per primitive integer direction: vec is a
-    rational multiple lam of it, so Gamma(x) and Gamma(1 - x) share a solve.
+    The range is solved once per primitive integer direction: a is an
+    integer multiple g of it, so Gamma(x) and Gamma(1 - x) share a solve.
     """
+    index = {p: i for i, p in enumerate(params)}
     range_cache: dict[tuple, object] = {}
     net: dict[tuple, int] = {}
     rep: dict[tuple, tuple] = {}
     for f in gp.factors:
-        grad = f.arg.gradient()
-        if not grad:
-            c = f.arg.constant
-            if c <= 0 and c.denominator == 1:
+        arg = f.arg
+        if not arg.names:
+            if arg.cnum <= 0 and arg.den == 1:
                 raise ValidationError(
-                    f"factor Gamma({c})^{f.exponent} has a zero family with all-zero slope"
+                    f"factor Gamma({arg.cnum})^{f.exponent} has a zero family with all-zero slope"
                 )
             continue
-        vec = tuple(grad.get(p, Fraction(0)) for p in params)
-        direction, _ = _int_row(vec, Fraction(0))
-        k = next(i for i, v in enumerate(direction) if v != 0)
-        if direction[k] < 0:
-            direction = tuple(-v for v in direction)
+        a = [0] * len(params)
+        for name, n in zip(arg.names, arg.nums):
+            a[index[name]] = n
+        g = math.gcd(*a)
+        if next(v for v in a if v) < 0:
+            g = -g
+        direction = tuple(v // g for v in a)
         if direction not in range_cache:
             range_cache[direction] = _functional_range(rows, direction)
         rng = range_cache[direction]
         if rng == "empty":
             raise ValidationError("tube domain is empty")
-        lam = vec[k] / direction[k]
-        ends = [None if e is None else lam * e for e in rng]
-        lo, hi = ends if lam > 0 else ends[::-1]
+        # a.x = g u.x, so its range over the polytope is g times u.x's,
+        # with the ends swapped when g < 0
+        lo, hi = rng if g > 0 else rng[::-1]
         if lo is None:
             raise ValidationError(
-                f"tube is unbounded along the singular family of Gamma({f.arg})"
+                f"tube is unbounded along the singular family of Gamma({arg})"
             )
-        c = f.arg.constant
-        m_first = 0 if hi is None else max(0, math.floor(-c - hi) + 1)
-        m_last = math.ceil(-c - lo) - 1
-        lead = vec[k]
+        # the family a.x = -c - m den meets it for (-c - g hi)/den < m < (-c - g lo)/den
+        c, den = arg.cnum, arg.den
+        m_first = 0 if hi is None else max(
+            0, (-c * hi.denominator - g * hi.numerator) // (den * hi.denominator) + 1
+        )
+        m_last = -((c * lo.denominator + g * lo.numerator) // (den * lo.denominator)) - 1
         for m in range(m_first, m_last + 1):
-            value = -c - m  # hyperplane {vec . x = value} meets the polytope
-            key = (tuple(v / lead for v in vec), value / lead)
-            net[key] = net.get(key, 0) + f.exponent
-            rep.setdefault(key, (vec, value))
+            value = -c - m * den
+            h = math.gcd(value, g) if g > 0 else -math.gcd(value, g)
+            key = (direction, value // h, g // h)
+            if key in net:
+                net[key] += f.exponent
+            else:
+                net[key] = f.exponent
+                rep[key] = (a, value, den)
     return net, rep
 
 
@@ -436,11 +441,17 @@ def zero_free_in_tube(gp: GammaProduct, dom: TubeDomain) -> ZeroFreeReport:
     rows = _int_rows(dom.rows(params))  # raises on a parameter the product lacks
     # an empty tube raises on the first range solve
     net, rep = _singular_hyperplanes(gp, params, rows)
-    zero_keys = sorted(k for k, e in net.items() if e < 0)
+    zero_keys = [k for k, e in net.items() if e < 0]
     if not zero_keys:
         return ZeroFreeReport(zero_free=True, families_checked=len(net))
 
-    vec, value = rep[zero_keys[0]]
+    def leading_one(key):  # the hyperplane scaled to a leading coefficient of 1
+        u, p, q = key
+        lead = next(v for v in u if v)
+        return tuple(Fraction(v, lead) for v in u), Fraction(p, q * lead)
+
+    a, a_value, den = rep[min(zero_keys, key=leading_one)]
+    vec, value = tuple(Fraction(v, den) for v in a), Fraction(a_value, den)
     j = next(i for i in range(n) if vec[i] != 0)
     desc = " + ".join(f"{vec[i]}*{params[i]}" for i in range(n) if vec[i] != 0)
     constrained = _substitute(rows, j, *_int_row(vec, value))

@@ -15,7 +15,8 @@ takes more than about 85 steps, however negative Re z is.
 
 Exact classification: a factor is singular at a parameter point when its
 affine argument is a nonpositive integer.  With rational parameters this is
-decided in exact arithmetic.  One exact residue product, from
+decided in exact arithmetic, on the integer numerators of the arguments and
+parameters over common denominators.  One exact residue product, from
 Gamma(z) ~ (-1)^n / (n! (z+n)) near z = -n, serves both the limit at a zero
 and the value at a removable point (net order zero); its log is taken from
 its integer numerator and denominator, so it never underflows, and nothing
@@ -154,62 +155,138 @@ def _as_fraction(x: RationalLike) -> Fraction:
     )
 
 
+def _rational_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without forming the Fraction."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _scaled_values(values: Mapping[str, RationalLike]) -> tuple[dict[str, int], int]:
+    """(scaled, q): each value is scaled[name] / q, q the least common
+    denominator of the values (each an int or a Fraction)."""
+    q = math.lcm(*(v.denominator for v in values.values()))
+    return {name: v.numerator * (q // v.denominator) for name, v in values.items()}, q
+
+
+def _rational_values(params: Mapping[str, complex], names) -> dict[str, RationalLike]:
+    """The named parameter values that are exact: ints (not bools) and Fractions."""
+    return {
+        name: v for name in names
+        if isinstance(v := params[name], (int, Fraction)) and not isinstance(v, bool)
+    }
+
+
 @dataclass(frozen=True)
 class AffineArg:
-    """Affine form  sum_i c_i * param_i + constant  with exact rational data."""
+    """Affine form  sum_i c_i * param_i + constant  with exact rational data.
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    constant: Fraction
+    The data are integers over one denominator: c_i = nums[i] / den for the
+    parameter names[i], and constant = cnum / den.  The names are sorted,
+    every nums[i] is nonzero, den > 0 and gcd(den, *nums, cnum) = 1, so each
+    form has one set of fields, and evaluation, composition and ordering run
+    on ints.  `coeffs` and `constant` give the same data as Fractions.
+    """
+
+    names: tuple[str, ...]
+    nums: tuple[int, ...]
+    cnum: int
+    den: int
+
+    @classmethod
+    def from_ints(cls, names, nums, cnum: int, den: int) -> "AffineArg":
+        """sum_i nums[i]/den * names[i] + cnum/den, for sorted names and den != 0."""
+        if 0 in nums:
+            kept = [(name, n) for name, n in zip(names, nums) if n]
+            names, nums = [name for name, _ in kept], [n for _, n in kept]
+        g = math.gcd(den, cnum, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, cnum, den = [n // g for n in nums], cnum // g, den // g
+        return cls(tuple(names), tuple(nums), cnum, den)
 
     @classmethod
     def make(
         cls, coeffs: Mapping[str, RationalLike] | None = None, constant: RationalLike = 0
     ) -> "AffineArg":
-        items = []
-        for name, c in sorted((coeffs or {}).items()):
-            c = _as_fraction(c)
-            if c != 0:
-                items.append((str(name), c))
-        return cls(tuple(items), _as_fraction(constant))
+        items = [(str(name), _as_fraction(c)) for name, c in sorted((coeffs or {}).items())]
+        const = _as_fraction(constant)
+        den = math.lcm(const.denominator, *(c.denominator for _, c in items))
+        return cls.from_ints(
+            [name for name, _ in items],
+            [c.numerator * (den // c.denominator) for _, c in items],
+            const.numerator * (den // const.denominator),
+            den,
+        )
+
+    @property
+    def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((name, Fraction(n, self.den)) for name, n in zip(self.names, self.nums))
+
+    @property
+    def constant(self) -> Fraction:
+        return Fraction(self.cnum, self.den)
 
     @property
     def params(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.coeffs)
+        return self.names
 
     def gradient(self) -> dict[str, Fraction]:
         return dict(self.coeffs)
 
+    def _value_over(self, scaled: Mapping[str, int], q: int) -> tuple[int, int]:
+        """(num, den), den > 0, with num / den the value at param_i = scaled[param_i] / q."""
+        num = self.cnum * q
+        for name, n in zip(self.names, self.nums):
+            num += n * scaled[name]
+        return num, self.den * q
+
+    def _complex_value(self, params: Mapping[str, complex]) -> complex:
+        total = complex(self.cnum / self.den)
+        for name, n in zip(self.names, self.nums):
+            total += (n / self.den) * complex(params[name])
+        return total
+
     def evaluate(self, params: Mapping[str, complex]):
         """Value at a parameter point; exact Fraction when every input is rational."""
-        exact = all(
-            isinstance(params[name], (int, Fraction)) and not isinstance(params[name], bool)
-            for name, _ in self.coeffs
-        )
-        if exact:
-            total = self.constant
-            for name, c in self.coeffs:
-                total += c * Fraction(params[name])
-            return total
-        total_c = complex(self.constant)
-        for name, c in self.coeffs:
-            total_c += float(c) * complex(params[name])
-        return total_c
+        exact = _rational_values(params, self.names)
+        if len(exact) == len(self.names):
+            return Fraction(*self._value_over(*_scaled_values(exact)))
+        return self._complex_value(params)
+
+    def _compose_over(self, scaled: Mapping[str, tuple[int, int]], q: int) -> "AffineArg":
+        """The form at param_i = (S_i t + B_i) / q, (S_i, B_i) = scaled[param_i]."""
+        slope, const = 0, self.cnum * q
+        for name, n in zip(self.names, self.nums):
+            s, b = scaled[name]
+            slope += n * s
+            const += n * b
+        return AffineArg.from_ints(("t",), (slope,), const, self.den * q)
 
     def compose(self, line: Mapping[str, tuple[Fraction, Fraction]]) -> "AffineArg":
         """Substitute param_i = slope_i * t + intercept_i."""
-        slope = Fraction(0)
-        const = self.constant
-        for name, c in self.coeffs:
-            s, b = line[name]
-            slope += c * _as_fraction(s)
-            const += c * _as_fraction(b)
-        return AffineArg.make({"t": slope}, const)
+        return self._compose_over(*_scaled_line({name: line[name] for name in self.names}))
 
     def __str__(self) -> str:
-        parts = [f"{c}*{name}" for name, c in self.coeffs]
-        if self.constant != 0 or not parts:
-            parts.append(str(self.constant))
+        parts = [f"{_rational_str(n, self.den)}*{name}" for name, n in zip(self.names, self.nums)]
+        if self.cnum != 0 or not parts:
+            parts.append(_rational_str(self.cnum, self.den))
         return " + ".join(parts)
+
+
+def _scaled_line(
+    line: Mapping[str, tuple[RationalLike, RationalLike]]
+) -> tuple[dict[str, tuple[int, int]], int]:
+    """(scaled, q): param_i = (S_i t + B_i) / q with (S_i, B_i) = scaled[param_i],
+    q the least common denominator of every slope and intercept."""
+    fracs = {name: (_as_fraction(s), _as_fraction(b)) for name, (s, b) in line.items()}
+    q = math.lcm(*(x.denominator for pair in fracs.values() for x in pair))
+    return {
+        name: (s.numerator * (q // s.denominator), b.numerator * (q // b.denominator))
+        for name, (s, b) in fracs.items()
+    }, q
 
 
 @dataclass(frozen=True)
@@ -236,20 +313,24 @@ class GammaProduct:
         merged: dict[AffineArg, int] = {}
         for f in self.factors:
             merged[f.arg] = merged.get(f.arg, 0) + f.exponent
-        canon = tuple(
-            GammaFactor(arg, e)
-            for arg, e in sorted(merged.items(), key=lambda kv: (kv[0].coeffs, kv[0].constant))
-            if e != 0
-        )
+        kept = [(arg, e) for arg, e in merged.items() if e != 0]
+        # every coefficient and constant times the least common multiple of
+        # the denominators: integer keys in the order of (coeffs, constant)
+        scale = math.lcm(*(arg.den for arg, _ in kept))
+
+        def key(item):
+            arg = item[0]
+            m = scale // arg.den
+            return tuple(zip(arg.names, [n * m for n in arg.nums])), arg.cnum * m
+
+        canon = tuple(GammaFactor(arg, e) for arg, e in sorted(kept, key=key))
         object.__setattr__(self, "log_prefactor", lp)
         object.__setattr__(self, "factors", canon)
+        object.__setattr__(self, "_params", tuple(sorted({n for f in canon for n in f.arg.names})))
 
     @property
     def params(self) -> tuple[str, ...]:
-        names = set()
-        for f in self.factors:
-            names.update(f.arg.params)
-        return tuple(sorted(names))
+        return self._params
 
 
 @dataclass(frozen=True)
@@ -354,27 +435,36 @@ def eval_gamma_product(gp: GammaProduct, params: Mapping[str, complex]) -> MeroV
     regular: list[tuple[complex, int]] = []          # (argument value, exponent)
     singular: list[tuple[dict, int, int]] = []       # (gradient, n, exponent) at arg = -n
 
+    exact = _rational_values(params, gp.params)
+    scaled, q = _scaled_values(exact)
+    every = len(exact) == len(gp.params)
     for f in gp.factors:
-        val = f.arg.evaluate(params)
-        if isinstance(val, Fraction):
-            hit = val <= 0 and val.denominator == 1
+        arg = f.arg
+        n = None  # the argument is -n, a nonpositive integer
+        if every or all(name in exact for name in arg.names):
+            num, den = arg._value_over(scaled, q)
+            if num <= 0 and num % den == 0:
+                n = -num // den
+            else:
+                val = num / den
         else:
-            hit = _is_nonpositive_integer(val)
-            if not hit:
+            val = arg._complex_value(params)
+            if _is_nonpositive_integer(val):
+                n = int(-val.real)
+            else:
                 nearest = round(val.real)
                 if nearest <= 0 and abs(val - nearest) <= _NEAR_SINGULAR_TOL:
                     warnings.append(
-                        f"argument {f.arg} = {val} within {_NEAR_SINGULAR_TOL:g} of pole at {nearest}"
+                        f"argument {arg} = {val} within {_NEAR_SINGULAR_TOL:g} of pole at {nearest}"
                     )
-        if hit:
-            grad = f.arg.gradient()
-            if not grad:
-                raise ValidationError(
-                    f"factor Gamma({f.arg})^{f.exponent} is identically singular (constant argument)"
-                )
-            singular.append((grad, int(-val.real), f.exponent))
-        else:
+        if n is None:
             regular.append((complex(val), f.exponent))
+            continue
+        if not arg.names:
+            raise ValidationError(
+                f"factor Gamma({arg})^{f.exponent} is identically singular (constant argument)"
+            )
+        singular.append((arg.gradient(), n, f.exponent))
 
     net = sum(e for _, _, e in singular)
     if net > 0:
@@ -428,10 +518,10 @@ def restrict_to_line(
     missing = [p for p in gp.params if p not in line]
     if missing:
         raise ValidationError(f"line does not cover parameters {missing}")
-    norm = {k: (_as_fraction(s), _as_fraction(b)) for k, (s, b) in line.items()}
+    scaled, q = _scaled_line(line)
     return GammaProduct(
         gp.log_prefactor,
-        tuple(GammaFactor(f.arg.compose(norm), f.exponent) for f in gp.factors),
+        tuple(GammaFactor(f.arg._compose_over(scaled, q), f.exponent) for f in gp.factors),
     )
 
 
@@ -451,55 +541,67 @@ def zeros_and_poles_in_strip(
     lo, hi = Fraction(re_min), Fraction(re_max)
     if lo > hi:
         raise ValidationError("re_min must not exceed re_max")
+    lo, hi = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
 
-    spans = []  # (factor, slope, first m, last m)
+    spans = []  # (factor, first m, last m)
     for f in gp.factors:
-        grad = f.arg.gradient()
-        if not grad:
-            cval = f.arg.constant
-            if cval <= 0 and cval.denominator == 1:
+        arg = f.arg
+        if not arg.names:
+            if arg.cnum <= 0 and arg.den == 1:
                 raise ValidationError(
-                    f"factor Gamma({cval})^{f.exponent} is identically singular on the strip"
+                    f"factor Gamma({arg.cnum})^{f.exponent} is identically singular on the strip"
                 )
             continue
-        s = grad[names[0]]
-        c = f.arg.constant
-        # arg = s t + c = -m  =>  t = (-m - c)/s; m ranges over integers >= 0
-        # with t inside [lo, hi].
-        m_bounds = sorted((-c - s * lo, -c - s * hi))
-        spans.append((f, s, max(0, math.ceil(m_bounds[0])), math.floor(m_bounds[1])))
-    total = sum(max(0, m_last - m_first + 1) for _, _, m_first, m_last in spans)
+        # arg = (s t + c)/d = -m  =>  t = (-m d - c)/s; m ranges over integers
+        # >= 0 with t inside [lo, hi], and m = -(s t + c)/d falls as s t rises
+        (s,), c, d = arg.nums, arg.cnum, arg.den
+        (p_min, q_min), (p_max, q_max) = (hi, lo) if s > 0 else (lo, hi)
+        m_first = -((c * q_min + s * p_min) // (d * q_min))  # ceil(-(s t + c)/d) at t = p_min/q_min
+        m_last = -(c * q_max + s * p_max) // (d * q_max)
+        spans.append((f, max(0, m_first), m_last))
+    total = sum(max(0, m_last - m_first + 1) for _, m_first, m_last in spans)
     if total > _MAX_STRIP_POINTS:
         raise ValidationError(
             f"the strip holds {total} factor singularities, more than "
             f"{_MAX_STRIP_POINTS}; narrow it"
         )
 
-    orders: dict[Fraction, int] = {}
-    for f, s, m_first, m_last in spans:
+    orders: dict[tuple[int, int], int] = {}  # t = num/den in lowest terms, den > 0
+    for f, m_first, m_last in spans:
+        (s,), c, d = f.arg.nums, f.arg.cnum, f.arg.den
+        sign = 1 if s > 0 else -1
         for m in range(m_first, m_last + 1):
-            t_m = (-m - f.arg.constant) / s
-            orders[t_m] = orders.get(t_m, 0) + f.exponent
+            num = -sign * (m * d + c)
+            g = math.gcd(num, s)
+            t = (num // g, sign * s // g)
+            orders[t] = orders.get(t, 0) + f.exponent
 
-    return sorted(((t, o) for t, o in orders.items() if o != 0), key=lambda kv: -kv[0])
+    found = [(num, den, o) for (num, den), o in orders.items() if o != 0]
+    scale = math.lcm(*(den for _, den, _ in found))
+    found.sort(key=lambda e: -e[0] * (scale // e[1]))
+    return [(Fraction(num, den), o) for num, den, o in found]
 
 
 # ---------------------------------------------------------------------------
 # JSON round trip: rationals as decimal-free "p/q" strings.
 
 def gp_to_json(gp: GammaProduct) -> str:
+    """One line of JSON: {"prefactor_log": [re, im], "factors": [{"coeffs":
+    {name: "p/q", ...}, "constant": "p/q", "exponent": e}, ...]}.  Not
+    indented, so json's C encoder writes it; its indenting encoder is pure
+    Python and took longer than building the product."""
     doc = {
         "prefactor_log": [gp.log_prefactor.real, gp.log_prefactor.imag],
         "factors": [
             {
-                "coeffs": {name: str(c) for name, c in f.arg.coeffs},
-                "constant": str(f.arg.constant),
+                "coeffs": {name: _rational_str(n, f.arg.den) for name, n in zip(f.arg.names, f.arg.nums)},
+                "constant": _rational_str(f.arg.cnum, f.arg.den),
                 "exponent": f.exponent,
             }
             for f in gp.factors
         ],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc)
 
 
 def gp_from_json(text: str) -> GammaProduct:

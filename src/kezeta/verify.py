@@ -11,7 +11,7 @@ runner.
 Levels:
   quick -- deterministic checks only (strip enumeration, tube scans,
            quadrature, reference tables); seconds, byte-reproducible.
-  full  -- adds the Monte Carlo / MCMC comparisons; about 16 s on 2 cores.
+  full  -- adds the Monte Carlo / MCMC comparisons; about 9.1 s on 2 cores.
 
 tests/test_acceptance.py calls the same criterion functions, so the CLI
 report and the test suite cannot drift apart.  Stochastic criteria compare

@@ -23,7 +23,9 @@ import kezeta.meanfield
 import kezeta.montecarlo
 import kezeta.sampler
 import kezeta.verify
+from kezeta.closedforms import pn_minimal_Z, selberg_gamma_product
 from kezeta.errors import ValidationError
+from kezeta.gammaprod import gp_from_json, gp_to_json, restrict_to_line
 from kezeta.stability import LogFanoCurve
 
 
@@ -609,6 +611,25 @@ def test_zeta_restrict_to_line_and_pole_enumeration(tmp_path, capsys):
     report = json.loads(out)
     locs = {e["location"] for e in report["poles_and_zeros"]}
     assert "0" in locs  # the w3 -> 0 wall
+
+
+@pytest.mark.parametrize("argv, product", [
+    (["--family", "selberg", "--n", "4", "--w", "1/2,1/3,t", "--poles-in=-2:1"],
+     lambda: restrict_to_line(selberg_gamma_product(4), {"w1": (0, Fraction(1, 2)),
+                                                         "w2": (0, Fraction(1, 3)), "w3": (1, 0)})),
+    (["--family", "pnmin", "--n", "3", "--beta", "1/2"], lambda: pn_minimal_Z(3)),
+], ids=["selberg-line", "pnmin"])
+def test_zeta_writes_the_product_into_out(tmp_path, capsys, argv, product):
+    code, out, _ = run_cli(["zeta", *argv, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    path = str(tmp_path / "gamma_product.json")
+    assert "gamma_product" not in report and report["files"] == [path]
+    (rec,) = [json.loads(l) for l in (tmp_path / "manifest.jsonl").read_text().splitlines()]
+    assert rec["files"] == [path]
+    assert rec["outcome"] == {k: v for k, v in report.items() if k != "files"}
+    text = Path(path).read_text()
+    assert text == gp_to_json(product()) and gp_from_json(text) == product()
 
 
 def test_gaussdet_reports_bernstein_ratio(tmp_path, capsys):

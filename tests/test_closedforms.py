@@ -199,6 +199,42 @@ def test_gaussian_json_round_trip():
     assert gp_from_json(gp_to_json(gp)) == gp
 
 
+def _fraction_selberg_factors(N):
+    """The three-point product's factors as the Fraction builder made them,
+    one Fraction per operation: merged by argument, zero net exponents
+    dropped, sorted by (coeffs, constant) on Fractions."""
+    ws = ("w1", "w2", "w3")
+    denom = 2 * (N - 1)
+
+    def half_j_dprime(j):
+        return {w: Fraction(-j, denom) for w in ws}, Fraction(2 * j, denom)
+
+    def l_pair(coeffs, constant, e):
+        return [(coeffs, constant, e), ({k: -c for k, c in coeffs.items()}, 1 - constant, -e)]
+
+    raw = l_pair(*half_j_dprime(-1), -N)
+    for j in range(1, N + 1):
+        raw += l_pair(*half_j_dprime(-j), 1)
+    for j in range(0, N):
+        for w in ws:
+            coeffs, constant = half_j_dprime(j)
+            coeffs[w] += 1
+            raw += l_pair(coeffs, constant, -1)
+    merged = {}
+    for coeffs, constant, e in raw:
+        key = (tuple(sorted((k, c) for k, c in coeffs.items() if c != 0)), constant)
+        merged[key] = merged.get(key, 0) + e
+    return sorted((key, e) for key, e in merged.items() if e != 0)
+
+
+def test_selberg_product_matches_the_fraction_builder():
+    for n in range(2, 65):
+        gp = selberg_gamma_product(n)
+        assert [((f.arg.coeffs, f.arg.constant), f.exponent) for f in gp.factors] == (
+            _fraction_selberg_factors(n)), n
+        assert gp.log_prefactor == complex(math.lgamma(n + 1) + n * math.log(math.pi))
+
+
 # ---------------------------------------------------------------------------
 # tube analyses
 
@@ -561,7 +597,8 @@ def _convergence_cell(N: int) -> TubeDomain:
     for key, e in net.items():
         if e <= 0:
             continue  # zeros and removable hyperplanes are not divergence walls
-        vec, value = rep[key]
+        a, a_value, den = rep[key]  # the wall a . w = a_value over integers, each divided by den
+        vec, value = [Fraction(v, den) for v in a], Fraction(a_value, den)
         sign = -1 if sum(v * a_ref for v in vec) > value else 1
         walls.append(AffineArg.make({p: sign * v for p, v in zip(params, vec)}, -sign * value))
     return TubeDomain(tuple(walls))

@@ -372,3 +372,96 @@ def test_strip_cap_counts_factor_singularities(monkeypatch):
     assert len(zeros_and_poles_in_strip(gp, Fraction(-9, 2), 0)) == 10
     with pytest.raises(ValidationError, match="11 factor singularities, more than 10"):
         zeros_and_poles_in_strip(gp, -5, 0)
+
+
+# ----------------------------------------------------------------------
+# the integer arithmetic against a plain-Fraction reference, one Fraction
+# per operation
+
+def _fraction_form(coeffs, constant):
+    """(coeffs, constant) as AffineArg.make read them: sorted nonzero
+    Fraction coefficients and a Fraction constant."""
+    return tuple(sorted((k, Fraction(c)) for k, c in coeffs.items() if c != 0)), Fraction(constant)
+
+
+def _fraction_evaluate(coeffs, constant, point):
+    total = Fraction(constant)
+    for name, c in _fraction_form(coeffs, constant)[0]:
+        total += c * Fraction(point[name])
+    return total
+
+
+def _float_evaluate(coeffs, constant, point):
+    total = complex(Fraction(constant))
+    for name, c in _fraction_form(coeffs, constant)[0]:
+        total += float(c) * complex(point[name])
+    return total
+
+
+def _fraction_compose(coeffs, constant, line):
+    slope, const = Fraction(0), Fraction(constant)
+    for name, c in _fraction_form(coeffs, constant)[0]:
+        s, b = line[name]
+        slope += c * Fraction(s)
+        const += c * Fraction(b)
+    return slope, const
+
+
+_NAMES = ("a", "b", "c")
+exact_rational = st.one_of(
+    st.just(0),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-100, max_value=100, max_denominator=10**15),  # large denominators
+)
+exact_point = st.fixed_dictionaries({name: exact_rational for name in _NAMES})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.dictionaries(st.sampled_from(_NAMES), exact_rational, max_size=3),
+    constant=exact_rational,
+    point=exact_point,
+    line=st.fixed_dictionaries({name: st.tuples(exact_rational, exact_rational) for name in _NAMES}),
+    floats=st.fixed_dictionaries({name: st.floats(-1e3, 1e3) for name in _NAMES}),
+)
+def test_integer_evaluate_and_compose_match_fractions(coeffs, constant, point, line, floats):
+    arg = AffineArg.make(coeffs, constant)
+    assert (arg.coeffs, arg.constant) == _fraction_form(coeffs, constant)
+    value = arg.evaluate(point)
+    assert type(value) is Fraction and value == _fraction_evaluate(coeffs, constant, point)
+    # a float parameter takes the complex path, bit for bit as before
+    mixed = {**point, "a": floats["a"]}
+    want = _float_evaluate(coeffs, constant, mixed) if "a" in arg.params else _fraction_evaluate(
+        coeffs, constant, mixed)
+    got = arg.evaluate(mixed)
+    assert type(got) is type(want) and repr(got) == repr(want)
+    slope, const = _fraction_compose(coeffs, constant, line)
+    composed = arg.compose(line)
+    assert (composed.coeffs, composed.constant) == ((("t", slope),) if slope else (), const)
+    assert composed == AffineArg.make({"t": slope}, const)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.dictionaries(st.sampled_from(_NAMES), exact_rational, max_size=3),
+            exact_rational,
+            st.integers(min_value=-3, max_value=3).filter(lambda e: e != 0),
+        ),
+        max_size=10,
+    ),
+    cancel=st.lists(st.integers(min_value=0, max_value=9), max_size=5),
+)
+def test_factor_order_is_the_fraction_order(data, cancel):
+    # duplicates whose exponents net to zero drop out; the rest merge and
+    # sort by (coeffs, constant) on Fractions
+    data = data + [(coeffs, const, -e) for k in cancel if k < len(data) for coeffs, const, e in [data[k]]]
+    gp = GammaProduct(0.0, tuple(GammaFactor(AffineArg.make(c, k), e) for c, k, e in data))
+    merged = {}
+    for coeffs, const, e in data:
+        key = _fraction_form(coeffs, const)
+        merged[key] = merged.get(key, 0) + e
+    want = sorted((key, e) for key, e in merged.items() if e != 0)
+    assert [((f.arg.coeffs, f.arg.constant), f.exponent) for f in gp.factors] == want
+

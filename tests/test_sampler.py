@@ -210,7 +210,7 @@ def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains
     from kezeta.sphere import pairwise_log_chordal
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    on = [(p.vec, w) for p, w in zip(curve.marked_sphere_points(), curve.weights) if w > 0]
+    on = [(p.vec, w) for p, w in zip(curve.marked_sphere_points(), curve.weights) if w != 0]
     marked = np.array([p for p, _ in on]).reshape(-1, 3)
     wts = np.array([w for _, w in on], dtype=float)
     pref = curve.d_L / (N * (N - 1))
@@ -287,6 +287,7 @@ def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains
         (LogFanoCurve.standard((0.5,)), 0.75, 6, 40, 150, 1, 10, 5),
         (LogFanoCurve.standard((0.5,)), 1.0, 16, 40, 100, 3, 10, 8),  # the chain workload's N
         (HALF3, 2.0, 8, 60, 100, 4, 5, 16),  # three marked points, ~30 % rejected: a stale row shows
+        (LogFanoCurve.standard((Fraction(-1, 2),)), 1.0, 4, 60, 100, 5, 5, 8),  # a negative weight
     ],
 )
 def test_run_chain_reproduces_scalar_beta_reference_bitwise(curve, beta, N, sweeps, burn_in, seed, thinning, chains):
