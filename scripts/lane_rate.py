@@ -2,11 +2,12 @@
 second: lanes x N x sweeps over the wall time of one call, best of
 --repeat calls.
 
-Shapes: 64 lanes at N = 16, 64 and 128, on the chain workload's curve
-(weight 1/2 at one marked point), to follow the step's cost as N grows.
-The benchmark's own workloads (the ladder's 432 lanes at N = 3, the chain's
-64 lanes at N = 16 in a whole run) report lane-updates/s under
-`perfbench/run.py --trace 1`.
+Shapes: the ladder workload's batch, 432 lanes (27 beta nodes x 16 chains)
+at N = 3 on the trivial curve; then 64 lanes at N = 16, 64 and 128 on the
+chain workload's curve (weight 1/2 at one marked point), to follow the
+step's cost as N grows.  `perfbench/run.py --trace 1` reports
+lane-updates/s too, but on `ladder` its sampler.* numbers come from the
+probe set's small `sample` job, not from the ladder's own batch.
 
 Every lane runs at beta = 1, with no burn-in and one kept energy per lane.
 Run it once on each checkout, alternating, to get before/after pairs.
@@ -23,13 +24,13 @@ import kezeta
 from kezeta import sampler
 from kezeta.stability import LogFanoCurve
 
-SHAPES = [(64, 16), (64, 64), (64, 128)]
-WEIGHTS = (0.5,)
+CHAIN = (0.5,)  # the chain workload's weights
+SHAPES = [(432, 3, ()), (64, 16, CHAIN), (64, 64, CHAIN), (64, 128, CHAIN)]  # lanes, N, weights
 
 
-def lane_rate(lanes, N, sweeps, repeat, seed):
+def lane_rate(lanes, N, weights, sweeps, repeat, seed):
     """Best lane-updates/s of `repeat` _run_lanes calls."""
-    curve = LogFanoCurve.standard(WEIGHTS)
+    curve = LogFanoCurve.standard(weights)
     betas = np.ones(lanes)
     best = float("inf")
     for _ in range(repeat):
@@ -47,10 +48,10 @@ def main():
     args = ap.parse_args()
 
     print(f"# kezeta from {kezeta.__path__[0]}, {args.sweeps} sweeps, best of {args.repeat}")
-    print("lanes    N   lane_updates_per_s")
-    for lanes, N in SHAPES:
-        rate = lane_rate(lanes, N, args.sweeps, args.repeat, args.seed)
-        print(f"{lanes:5d}  {N:3d}   {rate:,.0f}")
+    print("lanes    N   weights   lane_updates_per_s")
+    for lanes, N, weights in SHAPES:
+        rate = lane_rate(lanes, N, weights, args.sweeps, args.repeat, args.seed)
+        print(f"{lanes:5d}  {N:3d}   {','.join(map(str, weights)) or '-':7s}   {rate:,.0f}")
 
 
 if __name__ == "__main__":

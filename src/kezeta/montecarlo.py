@@ -628,14 +628,16 @@ def free_energy_curve(
 
     # per-interval quadratic increments, then signed sums anchored at beta = 0.
     # Neighbouring increments share nodes, so a grid point's SE sums each
-    # node's coefficients over its increments before squaring (row i of
-    # `coef` holds increment i's coefficient on every node).
+    # node's coefficients over its increments before squaring.  Increment i
+    # weighs only nodes i - 1 .. i + 2, so node j's coefficients fit in
+    # near[j, k], the coefficient of increment j - 2 + k (0.0 where none).
+    n = len(nodes)
     incs = []
-    coef = np.zeros((len(nodes) - 1, len(nodes)))
-    for i in range(len(nodes) - 1):
+    near = np.zeros((n, 4))
+    for i in range(n - 1):
         x0, x1 = nodes[i], nodes[i + 1]
         h = x1 - x0
-        if i + 2 < len(nodes) and abs((nodes[i + 2] - x1) - h) < 1e-12:
+        if i + 2 < n and abs((nodes[i + 2] - x1) - h) < 1e-12:
             cs = (h * 5.0 / 12.0, h * 8.0 / 12.0, -h / 12.0)
             idx = (i, i + 1, i + 2)
         elif i >= 1 and abs((x0 - nodes[i - 1]) - h) < 1e-12:
@@ -645,7 +647,9 @@ def free_energy_curve(
             cs = (h / 2.0, h / 2.0)
             idx = (i, i + 1)
         incs.append(sum(c * energies[j] for c, j in zip(cs, idx)))
-        coef[i, list(idx)] = cs
+        for c, j in zip(cs, idx):
+            near[j, i - j + 2] = c
+    row_of = np.arange(n)[:, None] + np.arange(-2, 2)  # the increment behind near[j, k]
 
     zero_pos = nodes.index(0.0)
     out = []
@@ -653,6 +657,11 @@ def free_energy_curve(
         pos = nodes.index(b)
         lo, hi = min(pos, zero_pos), max(pos, zero_pos)
         total = sum(incs[lo:hi])
-        se = float(np.sqrt(np.sum((coef[lo:hi].sum(axis=0) * ses) ** 2)))
+        # each node's coefficients over increments lo .. hi - 1, added in
+        # increment order, then the squares of all n nodes summed as one
+        # vector: the bits of the column sums of a dense coefficient matrix
+        part = np.where((lo <= row_of) & (row_of < hi), near, 0.0)
+        per_node = ((part[:, 0] + part[:, 1]) + part[:, 2]) + part[:, 3]
+        se = float(np.sqrt(np.sum((per_node * ses) ** 2)))
         out.append((b, total if pos >= zero_pos else -total, se))
     return out

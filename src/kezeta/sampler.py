@@ -25,10 +25,11 @@ loop fills: row c is chain c, column j its sweep (j + 1) * thinning - 1.
 mean_energy_run runs a whole beta list as one batch, node-major (node k owns
 lanes k*_LADDER_CHAINS .. (k+1)*_LADDER_CHAINS - 1), and keeps energies only.
 
-Positions are stored component-major, as one (3, lanes, N) array, so the
-candidate's distance row reads contiguous x, y and z rows; every squared
+Positions are stored component-major with lanes last, as one (3, N, lanes)
+array, so every per-site slice a step reads or writes (site i's x, y and z
+across the lanes) is one contiguous run of `lanes` doubles; every squared
 distance comes from sphere.sq_chord.  Kept configurations are written out
-as (N, 3) rows.
+as (lanes, kept, N, 3).
 
 A sweep visits sites 0 .. N-1 in turn.  It starts by drawing all its
 proposal normals, rng.normal(size=(N, lanes, 3)), then all its acceptance
@@ -41,17 +42,21 @@ scales change only between sweeps.  The kernel is the same one; hoisting
 only fixes which draws feed which step.  The per-step loop keeps what reads
 state other steps write: the candidate's distance row against the current
 positions, the pair guard, the log row and the Metropolis test.  The pair
-guard is read from the minimum of the whole (lanes, N) row, and only when
+guard is read from the minimum of the whole (N, lanes) row, and only when
 that trips from each lane's; step i writes its accept decisions to row i of
-an (N, lanes) buffer, counted once per sweep; rows shorter than 8 terms are
-summed column by column, in the order of numpy's own sum (_row_sums).
+an (N, lanes) buffer, counted once per sweep.
 
-Each lane caches its N x N matrix of log squared distances, L: (lanes, N, N),
-and the weight part of every site, SW: (lanes, N).  A step computes the
-candidate's distance row only, reuses the cached row and weight of the point
-it would replace, and rewrites row and column i of the cache (and SW[:, i])
-where the proposal is accepted.  Kept energies are summed from the cached
-logs.
+Each lane caches its N x N matrix of log squared distances, L: (N, N,
+lanes), and the weight part of every site, SW: (N, lanes).  A step computes
+the candidate's distance row only, reuses the cached row L[i] and weight
+SW[i] of the point it would replace, and rewrites row L[i] and column
+L[:, i] of the cache (and SW[i]) where the proposal is accepted, through one
+(N, lanes) copy of its decisions.  A step's row sums keep the order numpy
+takes along a contiguous lane row (_row_sums): below 8 terms one vector add
+per term, from 8 terms on numpy's pairwise sum over a contiguous (lanes, N)
+copy.  Kept energies are summed from the cached logs, the pairs one after
+the other in triu order, as a sum over the pair axis of
+sphere.pairwise_log_chordal for a batch of chains adds them.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ _STEP_SCALE = 0.5  # every lane's proposal scale before adaptation
 _LADDER_CHAINS = 16  # lanes per beta node in mean_energy_run
 KS_99 = 1.628  # asymptotic K-S quantile sqrt(-log(0.005)/2)
 MIN_BINS = 10  # fewest axial histogram bins marginal_histogram accepts
-# Bytes of a run's (lanes, N, N) log-distance caches plus its kept energies
+# Bytes of a run's (N, N, lanes) log-distance caches plus its kept energies
 # and (lanes, kept, N, 3) configurations, refused above this before any array
 # is allocated; `sample` writes its CSV one row of text at a time.
 _MAX_STATE_BYTES = 256 * 2**20
@@ -163,17 +168,16 @@ def _weight_part(dm: np.ndarray, wts: np.ndarray) -> np.ndarray:
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """np.add.reduce(a, axis=-1), bit for bit.  Below 8 terms numpy's
-    pairwise sum adds a row's terms one by one onto 0.0; a row that short is
-    summed here in that order as whole columns, one vector add per term,
-    rather than in numpy's loop over the rows."""
-    n = a.shape[-1]
-    if not 0 < n < 8:
-        return np.add.reduce(a, axis=-1)
-    s = a[..., 0] + 0.0
-    for k in range(1, n):
-        s += a[..., k]
-    return s
+    """Each lane's sum of an (n, lanes) array a, bit for bit the sum numpy
+    takes of that lane's n terms lying contiguous, as a row-major loop over
+    (lanes, n) rows sums them.  Below 8 terms numpy adds a row's terms one
+    by one onto 0.0, which is also the order of a sum over axis 0, one
+    vector add per term.  From 8 terms on it sums a contiguous row pairwise,
+    while a sum over axis 0 stays sequential and gives other bits, so the
+    terms are first copied into a contiguous (lanes, n) array."""
+    if a.shape[0] < 8:
+        return np.add.reduce(a, axis=0)
+    return np.add.reduce(np.ascontiguousarray(a.T), axis=-1)
 
 
 def _run_lanes(
@@ -217,17 +221,18 @@ def _run_lanes(
     coef = -betas * N * pref * 2.0  # per lane; the same bits as a scalar beta
     hcoef = coef * -0.5  # the pair term's -1/2 folded in: a power of two, exact
 
-    # initial state: uniform, resampled until the guard is satisfied
-    X = np.ascontiguousarray(sample_uniform_array(rng, lanes * N).T).reshape(3, lanes, N)
+    # initial state: uniform, lane by lane, resampled until the guard is
+    # satisfied; draw row l * N + i is site i of lane l
+    X = np.ascontiguousarray(sample_uniform_array(rng, lanes * N).reshape(lanes, N, 3).transpose(2, 1, 0))
     for _ in range(100):
         bad = _guard_violations(X, marked)
         if not bad.any():
             break
-        X[:, bad] = sample_uniform_array(rng, int(bad.sum()) * N).T.reshape(3, -1, N)
+        X[:, :, bad] = sample_uniform_array(rng, int(bad.sum()) * N).reshape(-1, N, 3).transpose(2, 1, 0)
 
     # Per-lane caches, built once and then rewritten only where a proposal
-    # is accepted: L[l, a, b] = log |x_a - x_b|^2 with log 1 = 0 on the
-    # diagonal, SW[l, a] = the weight part of site a.  (a - b)^2 = (b - a)^2
+    # is accepted: L[a, b, l] = log |x_a - x_b|^2 with log 1 = 0 on the
+    # diagonal, SW[a, l] = the weight part of site a.  (a - b)^2 = (b - a)^2
     # exactly, so a cached entry is the float recomputation would give.
     L = np.log(_self_masked_sq_dists(X))
     SW = _weight_part(_marked_sq_dists(X, marked), wts)
@@ -236,6 +241,7 @@ def _run_lanes(
     scales = np.full(lanes, _STEP_SCALE)
     acc = np.zeros(lanes, dtype=np.int64)
     accs = np.empty((N, lanes), dtype=bool)  # row i: step i's accept decisions
+    on = np.empty((N, lanes), dtype=bool)  # step i's decisions, for every site
     prop = 0  # proposals per lane since the last reset: N per sweep
     trace = []
 
@@ -243,39 +249,39 @@ def _run_lanes(
     configs = np.empty((lanes, kept, N, 3)) if keep_configs else None
     for sweep in range(burn_in + sweeps):
         # The sweep's draws and every candidate, in one batch: step i moves
-        # site i only, so site i still sits at X[:, :, i] when its turn comes.
-        g = rng.normal(size=(N, lanes, 3)).transpose(2, 1, 0)  # (3, lanes, N)
+        # site i only, so site i still sits at X[:, i] when its turn comes.
+        g = rng.normal(size=(N, lanes, 3)).transpose(2, 0, 1)  # (3, N, lanes)
         logu = np.log(rng.uniform(size=(N, lanes)))
         gx = g * X
-        cands = X + scales[:, None] * (g - (gx[0] + gx[1] + gx[2]) * X)
+        cands = X + scales * (g - (gx[0] + gx[1] + gx[2]) * X)
         cands /= np.sqrt(sq_chord(cands, 0.0))  # |cand|
         if marked.shape[1]:
-            dm = _marked_sq_dists(cands, marked)  # (lanes, N, M)
+            dm = _marked_sq_dists(cands, marked)  # (N, lanes, M)
             mok = ~(np.minimum.reduce(dm, axis=-1) < tol2)
             sw = _weight_part(dm, wts)
-            dsw = sw - SW  # SW[:, i] changes only at step i
+            dsw = sw - SW  # SW[i] changes only at step i
         for i in range(N):
-            cand = cands[:, :, i]
-            # only the candidate's row is new; the old one is L[:, i]
-            d2 = sq_chord(X, cand[:, :, None])
-            d2[:, i] = 1.0  # mask self
+            cand = cands[:, i]
+            # only the candidate's row is new; the old one is L[i]
+            d2 = sq_chord(X, cand[:, None])
+            d2[i] = 1.0  # mask self
             row = np.log(d2)
-            dlt = hcoef * (_row_sums(row) - _row_sums(L[:, i]))
+            dlt = hcoef * (_row_sums(row) - _row_sums(L[i]))
             if marked.shape[1]:
-                dlt += dsw[:, i]
+                dlt += dsw[i]
             accept = np.less(logu[i], dlt, out=accs[i])
             if marked.shape[1]:
-                accept &= mok[:, i]
+                accept &= mok[i]
             # the pair guard seldom trips: test the whole row's minimum, and
             # only then (or on a NaN) each lane's
             if not d2.min() >= tol2:
-                accept &= ~(np.minimum.reduce(d2, axis=-1) < tol2)
-            on = accept[:, None]
-            np.copyto(X[:, :, i], cand, where=accept)
-            np.copyto(L[:, i], row, where=on)
-            np.copyto(L[:, :, i], row, where=on)
+                accept &= ~(np.minimum.reduce(d2, axis=0) < tol2)
+            on[...] = accept
+            np.copyto(X[:, i], cand, where=accept)
+            np.putmask(L[i], on, row)
+            np.putmask(L[:, i], on, row)
             if marked.shape[1]:
-                np.copyto(SW[:, i], sw[:, i], where=accept)
+                np.putmask(SW[i], accept, sw[i])
         acc += np.add.reduce(accs, axis=0)
         prop += N
 
@@ -295,10 +301,11 @@ def _run_lanes(
         if k >= 0 and (k + 1) % thinning == 0:
             j = k // thinning
             # the cached logs are the pairwise kernel's values: the guard keeps
-            # every pair far above its clamp
-            energies[:, j] = -2.0 * pref * _row_sums(0.5 * L[:, iu[0], iu[1]])
+            # every pair far above its clamp; the pairs are summed one after
+            # the other, in triu order
+            energies[:, j] = -2.0 * pref * np.add.reduce(0.5 * L[iu[0], iu[1]], axis=0)
             if configs is not None:
-                configs[:, j] = np.moveaxis(X, 0, -1)
+                configs[:, j] = X.T
     return energies, configs, scales, acc / max(prop, 1), trace
 
 
@@ -341,24 +348,24 @@ def run_chain(
 
 
 def _self_masked_sq_dists(X: np.ndarray) -> np.ndarray:
-    """(lanes, N, N) squared distances between the sites of each lane of
-    X: (3, lanes, N), with 1.0 on the diagonal."""
-    d2 = sq_chord(X[..., :, None], X[..., None, :])
-    n = X.shape[-1]
-    d2[:, np.arange(n), np.arange(n)] = 1.0
+    """(N, N, lanes) squared distances between the sites of each lane of
+    X: (3, N, lanes), with 1.0 on the diagonal."""
+    d2 = sq_chord(X[:, :, None], X[:, None])
+    n = X.shape[1]
+    d2[np.arange(n), np.arange(n)] = 1.0
     return d2
 
 
 def _marked_sq_dists(X: np.ndarray, marked: np.ndarray) -> np.ndarray:
-    """(lanes, N, M) squared distances from the sites of X: (3, lanes, N)
+    """(N, lanes, M) squared distances from the sites of X: (3, N, lanes)
     to the marked points (3, M)."""
     return sq_chord(X[..., None], marked[:, None, None, :])
 
 
 def _guard_violations(X: np.ndarray, marked: np.ndarray) -> np.ndarray:
-    bad = _self_masked_sq_dists(X).min(axis=(1, 2)) < _GUARD_TOL**2
+    bad = _self_masked_sq_dists(X).min(axis=(0, 1)) < _GUARD_TOL**2
     if marked.shape[1]:
-        bad |= _marked_sq_dists(X, marked).min(axis=(1, 2)) < _GUARD_TOL**2
+        bad |= _marked_sq_dists(X, marked).min(axis=(0, 2)) < _GUARD_TOL**2
     return bad
 
 

@@ -750,6 +750,89 @@ def test_free_energy_se_propagates_shared_node_coefficients(monkeypatch, grid):
         assert se == pytest.approx(math.sqrt(np.sum((coefs[:, g] * node_se) ** 2)), rel=1e-12, abs=0.0)
 
 
+def _dense_free_energy_rows(nodes, energies, ses, grid):
+    """free_energy_curve's bookkeeping on a dense (n - 1) x n coefficient
+    matrix, row i holding increment i's coefficient on every node: the
+    reference whose bits the per-node table must give."""
+    incs = []
+    coef = np.zeros((len(nodes) - 1, len(nodes)))
+    for i in range(len(nodes) - 1):
+        x0, x1 = nodes[i], nodes[i + 1]
+        h = x1 - x0
+        if i + 2 < len(nodes) and abs((nodes[i + 2] - x1) - h) < 1e-12:
+            cs, idx = (h * 5.0 / 12.0, h * 8.0 / 12.0, -h / 12.0), (i, i + 1, i + 2)
+        elif i >= 1 and abs((x0 - nodes[i - 1]) - h) < 1e-12:
+            cs, idx = (-h / 12.0, h * 8.0 / 12.0, h * 5.0 / 12.0), (i - 1, i, i + 1)
+        else:
+            cs, idx = (h / 2.0, h / 2.0), (i, i + 1)
+        incs.append(sum(c * energies[j] for c, j in zip(cs, idx)))
+        coef[i, list(idx)] = cs
+    zero_pos = nodes.index(0.0)
+    rows = []
+    for b in grid:
+        pos = nodes.index(b)
+        lo, hi = min(pos, zero_pos), max(pos, zero_pos)
+        total = sum(incs[lo:hi])
+        se = float(np.sqrt(np.sum((coef[lo:hi].sum(axis=0) * ses) ** 2)))
+        rows.append((b, total if pos >= zero_pos else -total, se))
+    return rows
+
+
+def _random_grids(count, seed):
+    # even runs (Simpson increments), uneven points (trapezoids), grids on
+    # both sides of 0 and on one; the trivial curve at N = 3 allows beta > -2/3
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(count):
+        start = float(rng.choice([-0.625, -0.5, -0.25, 0.0, 0.125, 0.5]))
+        step = float(rng.choice([1 / 64, 1 / 16, 0.1, 0.25]))
+        grid = [start + step * k for k in range(int(rng.integers(1, 40)))]
+        grid += [float(x) for x in rng.uniform(-0.66, 2.0, size=int(rng.integers(0, 6)))]
+        if rng.random() < 0.2:
+            grid = [-abs(b) for b in grid if b != 0.0 and abs(b) < 0.66] or [-0.3]
+        yield grid
+
+
+def test_free_energy_se_matches_the_dense_coefficient_matrix_bitwise(monkeypatch):
+    import kezeta.sampler as sampler
+
+    rng = np.random.Generator(np.random.PCG64(28))
+    seen = {}
+
+    def random_run(curve, betas, N, sweeps, seed=0):
+        seen["nodes"] = list(betas)
+        seen["means"] = rng.standard_normal(len(betas)) * 0.3
+        seen["ses"] = rng.uniform(1e-4, 1e-1, size=len(betas))
+        return [McEstimate(float(m), float(s), sweeps, seed, 16) for m, s in zip(seen["means"], seen["ses"])]
+
+    monkeypatch.setattr(sampler, "mean_energy_run", random_run)
+    for grid in _random_grids(300, 28):
+        got = free_energy_curve(TRIVIAL, 3, grid, 10_000)
+        want = _dense_free_energy_rows(seen["nodes"], [float(m) for m in seen["means"]], seen["ses"],
+                                       sorted(set(grid)))
+        assert repr(got) == repr(want), grid
+
+
+def test_free_energy_bookkeeping_is_linear_in_the_nodes(monkeypatch):
+    # a 1,000-point grid, the --grid cap, makes about 2,000 nodes; a dense
+    # coefficient matrix over them would take 32 MB
+    import kezeta.sampler as sampler
+
+    def fixed_run(curve, betas, N, sweeps, seed=0):
+        return [McEstimate(-0.3 * b, 0.01, sweeps, seed, 16) for b in betas]
+
+    monkeypatch.setattr(sampler, "mean_energy_run", fixed_run)
+    grid = [-0.6 + 1.6 * k / 999 for k in range(1000)]
+    free_energy_curve(TRIVIAL, 3, grid[:10], 10_000)
+    tracemalloc.start()
+    try:
+        rows = free_energy_curve(TRIVIAL, 3, grid, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1000
+    assert peak < 2 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # proposal mixtures
 

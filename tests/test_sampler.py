@@ -288,6 +288,12 @@ def _reference_run_chain(curve, beta, N, sweeps, burn_in, seed, thinning, chains
         (LogFanoCurve.standard((0.5,)), 1.0, 16, 40, 100, 3, 10, 8),  # the chain workload's N
         (HALF3, 2.0, 8, 60, 100, 4, 5, 16),  # three marked points, ~30 % rejected: a stale row shows
         (LogFanoCurve.standard((Fraction(-1, 2),)), 1.0, 4, 60, 100, 5, 5, 8),  # a negative weight
+        # either side of the row sums' switch from one add per term to
+        # numpy's pairwise sum at 8 terms
+        (LogFanoCurve.standard((0.5,)), 1.0, 7, 30, 60, 21, 3, 8),
+        (HALF3, 1.0, 9, 30, 60, 22, 3, 8),
+        (TRIVIAL, 1.0, 17, 20, 60, 23, 2, 4),  # 136 pairs: the kept-energy sum past 128 terms
+        (LogFanoCurve.standard((0.5,)), 1.0, 130, 3, 2, 24, 1, 2),  # rows past numpy's 128-term block
     ],
 )
 def test_run_chain_reproduces_scalar_beta_reference_bitwise(curve, beta, N, sweeps, burn_in, seed, thinning, chains):
@@ -319,36 +325,43 @@ def test_run_chain_reproduces_reference_when_both_guards_reject(monkeypatch):
 
 
 def _row_sum_cases():
+    # the orientations the sweep loop sums: (n, lanes) rows as np.log makes
+    # them, and row L[i] and column L[:, i] of an (n, n, lanes) cache
     rng = np.random.Generator(np.random.PCG64(30))
-    for n in range(2, 21):
+    for n in [*range(2, 21), *range(127, 131), 256]:
         for lanes in (1, 2, 16, 432):
             # signs, zeros of both signs and magnitudes 1e-300 .. 1e300
-            a = rng.choice([-1.0, 1.0], size=(lanes, n)) * 10.0 ** rng.integers(-300, 301, size=(lanes, n))
-            a[rng.random((lanes, n)) < 0.2] = 0.0
-            a[rng.random((lanes, n)) < 0.2] = -0.0
-            a[0] = -0.0
+            a = rng.choice([-1.0, 1.0], size=(n, lanes)) * 10.0 ** rng.integers(-300, 301, size=(n, lanes))
+            a[rng.random((n, lanes)) < 0.2] = 0.0
+            a[rng.random((n, lanes)) < 0.2] = -0.0
+            a[:, 0] = -0.0
             yield f"n{n}-lanes{lanes}-rows", a
-            cube = rng.standard_normal((lanes, n, n)) * 10.0 ** rng.integers(-300, 301, size=(lanes, n, n))
-            cube[:, :, 0] = -0.0
-            yield f"n{n}-lanes{lanes}-L[:, i]", cube[:, n // 2]
-            yield f"n{n}-lanes{lanes}-L[:, :, i]", cube[:, :, n // 2]
             # terms of comparable size, where the order of the adds shows in
-            # nearly every row: unscaled normals, and logs of squared chords
+            # nearly every lane: unscaled normals, and logs of squared chords
             # (in (0, 4]) as the sweep loop sums them
-            yield f"n{n}-lanes{lanes}-normal", rng.standard_normal((lanes, n))
-            logs = np.log(4.0 * (1.0 - rng.random((lanes, n, n))))
-            yield f"n{n}-lanes{lanes}-log-chords", logs[:, 0].copy()
+            yield f"n{n}-lanes{lanes}-normal", rng.standard_normal((n, lanes))
+            yield f"n{n}-lanes{lanes}-log-chords", np.log(4.0 * (1.0 - rng.random((n, lanes))))
+            if n * n * lanes > 2**20:
+                continue  # cubes of at most 8 MB
+            cube = rng.standard_normal((n, n, lanes)) * 10.0 ** rng.integers(-300, 301, size=(n, n, lanes))
+            cube[0] = cube[:, 0] = -0.0  # the first term of every row and column
+            yield f"n{n}-lanes{lanes}-L[i]", cube[n // 2]
+            yield f"n{n}-lanes{lanes}-L[:, i]", cube[:, n // 2]
+            logs = np.log(4.0 * (1.0 - rng.random((n, n, lanes))))
+            yield f"n{n}-lanes{lanes}-log-chords-L[i]", logs[n // 2]
             yield f"n{n}-lanes{lanes}-log-chords-L[:, i]", logs[:, n // 2]
-            yield f"n{n}-lanes{lanes}-log-chords-L[:, :, i]", logs[:, :, n // 2]
 
 
 def test_row_sums_match_add_reduce_bitwise():
-    # _row_sums replaces np.add.reduce(a, axis=-1) in the sweep loop; a numpy
-    # whose short-row summation order differs fails here by name
+    # _row_sums(a) of an (n, lanes) array must give each lane the sum numpy
+    # takes of that lane's n terms lying contiguous: a numpy whose summation
+    # order differs, or a helper that sums the wrong way round, fails here by
+    # name
     from kezeta.sampler import _row_sums
 
     for name, a in _row_sum_cases():
-        got, want = _row_sums(a), np.add.reduce(a, axis=-1)
+        want = np.array([np.add.reduce(np.array(a[:, lane])) for lane in range(a.shape[1])])
+        got = _row_sums(a)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), name
 
 
@@ -447,18 +460,20 @@ def test_mean_energy_run_mixed_betas_match_digamma_closed_form():
 
 def test_mean_energy_run_lanes_are_node_major_run_chain_lanes():
     # nodes [b, b] with c chains each are run_chain's 2c lanes split in two
-    # blocks, each estimated by the estimator mean_energy_estimate uses
+    # blocks, each estimated by the estimator mean_energy_estimate uses; at
+    # N = 9 the row sums and kept energies run past 8 terms
     from dataclasses import replace
 
     import kezeta.sampler as sampler
 
     c, per_chain = sampler._LADDER_CHAINS, 60
-    stream = run_chain(TRIVIAL, 0.5, 3, sweeps=per_chain, burn_in=200, seed=13, thinning=1, chains=2 * c)
-    ests = mean_energy_run(TRIVIAL, [0.5, 0.5], 3, sweeps=c * per_chain, seed=13)
-    for k, est in enumerate(ests):
-        block = slice(k * c, (k + 1) * c)
-        part = replace(stream, configs=stream.configs[block], energies=stream.energies[block], chains=c)
-        assert est.to_json() == mean_energy_estimate(part).to_json()
+    for N in (3, 9):
+        stream = run_chain(TRIVIAL, 0.5, N, sweeps=per_chain, burn_in=200, seed=13, thinning=1, chains=2 * c)
+        ests = mean_energy_run(TRIVIAL, [0.5, 0.5], N, sweeps=c * per_chain, seed=13)
+        for k, est in enumerate(ests):
+            block = slice(k * c, (k + 1) * c)
+            part = replace(stream, configs=stream.configs[block], energies=stream.energies[block], chains=c)
+            assert est.to_json() == mean_energy_estimate(part).to_json()
 
 
 def test_mean_energy_run_gates_before_sampling(monkeypatch):
