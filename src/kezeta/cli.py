@@ -14,9 +14,9 @@ flags (and the command name), nothing else.
 Each subcommand takes only the flags it reads: --seed exists on mc and
 sample, the two that draw random numbers, and --workers on mc only.
 Every subcommand takes --config and --out.  A value flag that the chosen
-mode (zeta family, mc target, oracle solver, sample --score) does not read
-is a validation error too; flags with a default cannot be told from it and
-are not checked.
+mode (zeta family, stability --lct without --w, mc target, oracle solver,
+sample --score) does not read is a validation error too; flags with a
+default cannot be told from it and are not checked.
 
 Config precedence: built-in defaults < --config JSON file < explicit flags.
 The config file is a flat JSON object whose keys are the subcommand's flag
@@ -246,7 +246,8 @@ def _run_zeta(args: argparse.Namespace, out_dir: Path):
     if args.family != "selberg":
         _require(args.tube is None, "--tube needs --family selberg")
         _require(args.w is None, "--w needs --family selberg")
-    _refuse_unread(args, ("beta",) if args.family == "gaussdet" else ("s",), f"--family {args.family}")
+    unread = {"gaussdet": ("beta",), "p1three": ("n", "s")}.get(args.family, ("s",))
+    _refuse_unread(args, unread, f"--family {args.family}")
     if args.family in ("selberg", "pnmin", "gaussdet"):
         _require(args.n is None or args.n <= _MAX_ZETA_N, f"{args.family} needs --n <= {_MAX_ZETA_N}")
 
@@ -324,6 +325,7 @@ def _run_stability(args: argparse.Namespace, out_dir: Path):
         coeffs = [float(x) for x in _parse_weights(args.lct)]
         report["lct_point_divisor"] = lct_point_divisor(coeffs)
         if args.w is None:
+            _refuse_unread(args, ("n",), "--lct without --w")
             return report, dict(report), []
     _require(args.w is not None, "stability needs --w (or --lct)")
     ws = _parse_weights(args.w)
@@ -497,6 +499,19 @@ def _append_manifest(out_dir: Path, args: argparse.Namespace, outcome: dict,
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """`--flag -2/3` as `--flag=-2/3`.  argparse takes only the `-1` and
+    `-0.5` shapes as a value; no flag name starts with a digit, so a token
+    that starts with `-` and a digit is the value of the flag before it."""
+    out: list[str] = []
+    for tok in argv:
+        if tok[:1] == "-" and tok[1:2].isdigit() and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first `main` call.  Parsing
@@ -505,7 +520,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     parser = _parser()
     start = time.perf_counter()
     try:

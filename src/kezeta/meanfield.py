@@ -160,12 +160,16 @@ def uniform_density(m: int = 800) -> AxialField:
 
 
 def density_from_function(fn, m: int = 800) -> AxialField:
-    """Normalize fn >= 0 on the grid into a Density field."""
+    """Normalize fn >= 0 on the grid into a Density field.  A value or total
+    that is not finite (fn overflowed) is refused, without numpy warnings."""
     g = uniform_grid(m)
-    vals = np.asarray(fn(g), dtype=float)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(fn(g), dtype=float)
+        total = np.trapezoid(vals, g)
+    if not (np.all(np.isfinite(vals)) and np.isfinite(total)):
+        raise ValidationError("density function values and their integral must be finite")
     if np.any(vals < 0):
         raise ValidationError("density function must be nonnegative")
-    total = np.trapezoid(vals, g)
     if total <= 0:
         raise ValidationError("density function integrates to zero")
     return AxialField(g, vals / total, "Density")

@@ -13,8 +13,12 @@ Levels:
            quadrature, reference tables); seconds, byte-reproducible.
   full  -- adds the Monte Carlo / MCMC comparisons; about 9.1 s on 2 cores.
 
-tests/test_acceptance.py calls the same criterion functions, so the CLI
-report and the test suite cannot drift apart.  Stochastic criteria compare
+Each criterion is declared once, beside its code, by `@_criterion(id,
+report name, level)` on a check that returns (measured, tolerance, passed);
+"quick" criteria run at both levels.  The declared `criterion_k` returns a
+CriterionResult and is `_CRITERIA[k]`, which `run_verify` and
+tests/test_acceptance.py (one test per entry) both run, so the CLI report
+and the test suite cannot drift apart.  Stochastic criteria compare
 at 3 standard errors with fixed seeds; a seed is data, not a tuning knob --
 if one of these ever fails after a code change, rerun a couple of fresh
 seeds before blaming luck.
@@ -23,6 +27,7 @@ seeds before blaming luck.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -65,23 +70,6 @@ from .stability import LogFanoCurve, classify, gamma_threshold
 
 WORKERS = 4  # pinned: the worker count seeds the RNG streams
 
-_NAMES = {
-    1: "three-point mass: mc vs gamma product",
-    2: "stability verdict = finiteness",
-    3: "gamma_N thresholds + first beta pole",
-    4: "minimal-model strip (P^n)",
-    5: "circular ensemble mass",
-    6: "gaussian determinant ratio",
-    7: "zero-free tube",
-    8: "sampler axial symmetry (KS)",
-    9: "mean-field vs sampler marginal (L1)",
-    10: "free-energy calculus",
-    11: "volume-form potential approximant",
-    12: "log-gamma floor + removable point",
-}
-
-QUICK_CRITERIA = (2, 3, 4, 7, 11, 12)
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -94,6 +82,24 @@ class CriterionResult:
     def line(self) -> str:
         flag = "pass" if self.passed else "FAIL"
         return f"[{self.cid:2d}] {self.name:<40} {flag}  measured: {self.measured}  tolerance: {self.tolerance}"
+
+
+_CRITERIA = {}  # criterion id -> criterion function, filled by @_criterion
+
+
+def _criterion(cid: int, name: str, level: str):
+    """Register the check below as criterion `cid` (see the module docstring)."""
+
+    def declare(check):
+        @functools.wraps(check)
+        def criterion() -> CriterionResult:
+            return CriterionResult(cid, name, *check())
+
+        criterion.name, criterion.level = name, level
+        _CRITERIA[cid] = criterion
+        return criterion
+
+    return declare
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +147,8 @@ _SELBERG_MC_CASES = (
 )
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "three-point mass: mc vs gamma product", "full")
+def criterion_1():
     worst = 0.0
     for w, n, seed in _SELBERG_MC_CASES:
         exact = eval_gamma_product(
@@ -149,9 +156,7 @@ def criterion_1() -> CriterionResult:
         ).value.real
         est = mc_selberg([float(x) for x in w], n, 10**6, seed=seed, workers=WORKERS)
         worst = max(worst, abs(est.mean - exact) / est.std_error)
-    return CriterionResult(
-        1, _NAMES[1], f"max deviation {worst!r} SE over 3 cases", "3 SE at 10^6 samples", worst <= 3.0
-    )
+    return f"max deviation {worst!r} SE over 3 cases", "3 SE at 10^6 samples", worst <= 3.0
 
 
 _STABLE_TRIPLES = (
@@ -181,7 +186,8 @@ _UNSTABLE_TRIPLES = (
 )
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "stability verdict = finiteness", "quick")
+def criterion_2():
     # the Gamma product is the continuation of the defining integral, so
     # "finite" means the integral converges (read from the two proven pole
     # walls of selberg_integral_finite), not that the formula evaluates
@@ -200,29 +206,25 @@ def criterion_2() -> CriterionResult:
                     ok = ok and mv.kind == "regular" and mv.value.real > 0
                 checks += 1
                 agree += ok
-    return CriterionResult(
-        2, _NAMES[2], f"{agree}/{checks} grid points agree", "exact", agree == checks
-    )
+    return f"{agree}/{checks} grid points agree", "exact", agree == checks
 
 
-def criterion_3() -> CriterionResult:
-    thresholds_ok = all(
-        gamma_threshold((), n) == (n - 1) / n for n in range(2, 11)
-    )
+@_criterion(3, "gamma_N thresholds + first beta pole", "quick")
+def criterion_3():
+    thresholds_ok = all(gamma_threshold((), n) == (n - 1) / n for n in range(2, 11))
     entries = zeros_and_poles_in_strip(p1_three_point_Z(), -0.99, -0.01)
     poles = [t for t, order in entries if order > 0]
     pole_ok = bool(poles) and poles[0] == Fraction(-2, 3)
     first = poles[0] if poles else None
-    return CriterionResult(
-        3,
-        _NAMES[3],
+    return (
         f"gamma_N exact for N=2..10: {thresholds_ok}; first pole {first}",
         "gamma_N = (N-1)/N exactly; first pole = -2/3 exactly",
         thresholds_ok and pole_ok,
     )
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "minimal-model strip (P^n)", "quick")
+def criterion_4():
     bad = []
     for n in range(1, 7):
         gp = pn_minimal_Z(n)
@@ -235,16 +237,11 @@ def criterion_4() -> CriterionResult:
         stray = [t for t, o in entries if t > first]  # any pole or zero to the right
         if not pole_at_first or stray:
             bad.append(n)
-    return CriterionResult(
-        4,
-        _NAMES[4],
-        f"first pole -1/(n+1), zero-free to its right, for n in 1..6 minus {bad}",
-        "exact",
-        not bad,
-    )
+    return f"first pole -1/(n+1), zero-free to its right, for n in 1..6 minus {bad}", "exact", not bad
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "circular ensemble mass", "full")
+def criterion_5():
     exact3 = 48.0 * math.pi**2
     est3 = mc_circular(3, 1.0, 10**6, seed=31, workers=WORKERS)
     dev3 = abs(est3.mean - exact3) / est3.std_error
@@ -252,37 +249,32 @@ def criterion_5() -> CriterionResult:
     est5 = mc_circular(5, 2.0, 10**6, seed=32, workers=WORKERS)
     dev5 = abs(est5.mean - exact5) / est5.std_error
     worst = max(dev3, dev5)
-    return CriterionResult(
-        5,
-        _NAMES[5],
+    return (
         f"deviation {dev3!r} SE from 48 pi^2 (N=3); {dev5!r} SE (N=5, beta=2)",
         "3 SE at 10^6 samples",
         worst <= 3.0,
     )
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "gaussian determinant ratio", "full")
+def criterion_6():
     devs = []
     for s, seed in ((0.0, 41), (0.5, 42)):
         exact = float(bernstein_product(1, s))
         est = mc_gaussian_det_ratio(1, s, 10**6, seed=seed, workers=WORKERS)
         devs.append(abs(est.mean - exact) / est.std_error)
     worst = max(devs)
-    return CriterionResult(
-        6,
-        _NAMES[6],
+    return (
         f"deviation {devs[0]!r} SE at s=0 (ratio 2); {devs[1]!r} SE at s=0.5 (ratio 3.75)",
         "3 SE at 10^6 samples",
         worst <= 3.0,
     )
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "zero-free tube", "quick")
+def criterion_7():
     canonical = selberg_tube("canonical")
-    clear = all(
-        zero_free_in_tube(selberg_gamma_product(n), canonical).zero_free
-        for n in range(2, 9)
-    )
+    clear = all(zero_free_in_tube(selberg_gamma_product(n), canonical).zero_free for n in range(2, 9))
     # negative control: widening one face must produce a validated witness
     widened = selberg_tube("widened")
     gp3 = selberg_gamma_product(3)
@@ -292,9 +284,7 @@ def criterion_7() -> CriterionResult:
         and widened.contains(report.witness)
         and eval_gamma_product(gp3, report.witness).kind == "zero"
     )
-    return CriterionResult(
-        7,
-        _NAMES[7],
+    return (
         f"canonical tube zero-free for N=2..8: {clear}; widened-tube witness validated: {witness_ok}",
         "exact",
         clear and witness_ok,
@@ -305,23 +295,19 @@ def criterion_7() -> CriterionResult:
 # criteria 8-10: sampler against exact symmetry, the PDE oracle, and the
 # thermodynamic identities.
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "sampler axial symmetry (KS)", "full")
+def criterion_8():
     stream = run_chain(
         LogFanoCurve.standard(()), 1.0, 16, sweeps=12500, chains=8, seed=51, thinning=10
     )
     hist = marginal_histogram(stream)
     ks = ks_against(hist, lambda t: (np.asarray(t) + 1.0) / 2.0)
     thr = ks_threshold(hist.effective_sample_size)
-    return CriterionResult(
-        8,
-        _NAMES[8],
-        f"KS {ks!r} at ESS {hist.effective_sample_size!r}",
-        f"KS <= {thr!r} (99% level)",
-        ks <= thr,
-    )
+    return f"KS {ks!r} at ESS {hist.effective_sample_size!r}", f"KS <= {thr!r} (99% level)", ks <= thr
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "mean-field vs sampler marginal (L1)", "full")
+def criterion_9():
     curve = LogFanoCurve((INFINITY,), (0.5,))
     sol = solve_mean_field(curve, 1.0)
     stream = run_chain(curve, 1.0, 16, sweeps=4000, chains=8, seed=0, thinning=10)
@@ -329,10 +315,11 @@ def criterion_9() -> CriterionResult:
     p_mc = hist.probabilities()
     p_mf = bin_probabilities(sol.density, hist.edges)
     l1 = float(np.abs(p_mc - p_mf).sum())
-    return CriterionResult(9, _NAMES[9], f"L1 distance {l1!r}", "< 0.05", l1 < 0.05)
+    return f"L1 distance {l1!r}", "< 0.05", l1 < 0.05
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "free-energy calculus", "full")
+def criterion_10():
     curve = LogFanoCurve.standard(())
     h = 0.0625
     grid = [0.25 + h * k for k in range(13)]
@@ -369,9 +356,7 @@ def criterion_10() -> CriterionResult:
         dev_e = max(dev_e, abs(est.mean - three_point_mean_energy(grid[i])) / est.std_error)
 
     worst = max(dev_f, excess, dev_d, dev_e)
-    return CriterionResult(
-        10,
-        _NAMES[10],
+    return (
         f"F vs closed form {dev_f!r} SE; concavity excess {excess!r} SE; "
         f"dF/dbeta vs sampler {dev_d!r} SE; sampler vs digamma {dev_e!r} SE",
         "3 SE each",
@@ -382,7 +367,8 @@ def criterion_10() -> CriterionResult:
 # ---------------------------------------------------------------------------
 # criteria 11-12: deterministic numerical floors.
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "volume-form potential approximant", "quick")
+def criterion_11():
     target = density_from_function(np.exp, m=800)
     phi = phi_n_approximant(target)
 
@@ -392,12 +378,11 @@ def criterion_11() -> CriterionResult:
     wq = meanfield._trapezoid_weights(target.grid)
     shift = float(np.sum(wq * target.values * ps.values))
     sup_dev = float(np.max(np.abs(phi.values - (ps.values - shift))))
-    return CriterionResult(
-        11, _NAMES[11], f"vs screened Poisson solve sup {sup_dev!r}", "1e-3", sup_dev < 1e-3
-    )
+    return f"vs screened Poisson solve sup {sup_dev!r}", "1e-3", sup_dev < 1e-3
 
 
-def criterion_12() -> CriterionResult:
+@_criterion(12, "log-gamma floor + removable point", "quick")
+def criterion_12():
     text = resources.files("kezeta").joinpath("_data/loggamma_reference.csv").read_text()
     worst = 0.0
     rows = 0
@@ -408,18 +393,11 @@ def criterion_12() -> CriterionResult:
         rows += 1
 
     # removable point: Gamma(x) / Gamma(x+1) = 1/x continued across x = -2
-    ratio = GammaProduct(
-        0.0,
-        (
-            GammaFactor(AffineArg.make({"x": 1}, 0), 1),
-            GammaFactor(AffineArg.make({"x": 1}, 1), -1),
-        ),
-    )
+    ratio = GammaProduct(0.0, (GammaFactor(AffineArg.make({"x": 1}, 0), 1),
+                               GammaFactor(AffineArg.make({"x": 1}, 1), -1)))
     mv = eval_gamma_product(ratio, {"x": Fraction(-2)})
     removable_dev = abs(mv.value - (-0.5)) if mv.kind == "regular" else math.inf
-    return CriterionResult(
-        12,
-        _NAMES[12],
+    return (
         f"worst rel err {worst!r} over {rows} points; removable-point dev {removable_dev!r}",
         "1e-12; 1e-10",
         worst <= 1e-12 and removable_dev <= 1e-10,
@@ -427,22 +405,6 @@ def criterion_12() -> CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-
-_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-}
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -467,11 +429,12 @@ def run_verify(level: str = "quick") -> VerifyReport:
     """Run the gate at the given level; failing criteria are entries, not errors."""
     if level not in ("quick", "full"):
         raise ValidationError(f"unknown verify level {level!r}; use quick or full")
-    ids = sorted(_CRITERIA) if level == "full" else QUICK_CRITERIA
     results = []
-    for cid in ids:
+    for cid, criterion in sorted(_CRITERIA.items()):
+        if level == "quick" and criterion.level != "quick":
+            continue
         try:
-            results.append(_CRITERIA[cid]())
+            results.append(criterion())
         except Exception as exc:  # report, don't crash
-            results.append(CriterionResult(cid, _NAMES[cid], f"error: {exc}", "-", False))
+            results.append(CriterionResult(cid, criterion.name, f"error: {exc}", "-", False))
     return VerifyReport(level, tuple(results))

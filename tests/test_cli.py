@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -193,6 +194,8 @@ def test_mc_sphere_refuses_a_curve_that_is_not_log_fano(tmp_path, capsys):
 @pytest.mark.parametrize("argv, config, unread", [
     (["zeta", "--family", "gaussdet", "--n", "1", "--beta", "1"], {}, "--beta"),
     (["zeta", "--family", "circular", "--n", "3", "--beta", "1", "--s", "5"], {}, "--s"),
+    (["zeta", "--family", "p1three", "--n", "5"], {}, "--n"),
+    (["stability", "--lct", "1,1", "--n", "5"], {}, "--n"),
     (["mc", "--target", "circular", "--n", "3", "--beta", "1", "--w", "1/2", "--grid", "1"], {},
      "--w --grid"),
     (["mc", "--target", "free-energy", "--n", "3", "--grid", "1/2:1:1/2"], {"s": 1}, "--s"),
@@ -201,7 +204,7 @@ def test_mc_sphere_refuses_a_curve_that_is_not_log_fano(tmp_path, capsys):
     (["sample", "--score", "{score}", "--beta", "1", "--N", "7", "--sweeps", "100",
       "--burn-in", "5"], {}, "--N --sweeps --burn-in"),
     (["sample", "--score", "{score}", "--beta", "1"], {"ks_uniform": True}, "--ks-uniform"),
-], ids=["zeta-gaussdet-beta", "zeta-circular-s", "mc-circular", "mc-free-energy-config",
+], ids=["zeta-gaussdet-beta", "zeta-circular-s", "zeta-p1three-n", "stability-lct-n", "mc-circular", "mc-free-energy-config",
         "oracle-meanfield", "oracle-poisson", "sample-score", "sample-score-config"])
 def test_value_flag_the_mode_does_not_read_is_validation_exit(tmp_path, capsys, argv, config,
                                                               unread):
@@ -215,6 +218,24 @@ def test_value_flag_the_mode_does_not_read_is_validation_exit(tmp_path, capsys, 
     assert code == 2 and stdout == ""
     assert f"does not read {unread}" in err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--family", "p1three", "--beta", "-2/3"],
+    ["zeta", "--family", "gaussdet", "--n", "1", "--s", "-1/2"],
+    ["zeta", "--family", "p1three", "--poles-in", "-1:0"],
+    ["zeta", "--log-gamma", "-1.5,2"],
+    ["oracle", "meanfield", "--beta", "1", "--w", "-1/2,1/2"],
+    ["mc", "--target", "free-energy", "--n", "2", "--budget", "2000", "--grid", "-1:0:1/2"],
+    ["mc", "--target", "free-energy", "--n", "3", "--budget", "2000", "--grid", "-1/2,1/2"],
+], ids=["beta", "s", "poles-in", "log-gamma", "w", "grid-range", "grid-list"])
+def test_negative_value_after_a_space_parses_as_after_equals(tmp_path, capsys, argv):
+    # argparse alone refuses "--beta -2/3" with "expected one argument"
+    *head, flag, value = argv
+    spaced = run_cli([*head, flag, value, "--out", str(tmp_path)], capsys)
+    joined = run_cli([*head, f"{flag}={value}", "--out", str(tmp_path)], capsys)
+    assert spaced == joined
+    assert spaced[0] != 2, spaced[2]
 
 
 def test_nonconvergence_maps_to_exit_4(tmp_path, capsys, monkeypatch):
@@ -458,6 +479,20 @@ def test_rational_that_overflows_a_float_is_validation_exit(tmp_path, capsys, ar
     code, out, err = run_cli([*argv, "--out", str(out_dir)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("validation error: ")
+    assert not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "poisson", "--target", "exp:1000"],
+    ["oracle", "phin", "--N", "3", "--target", "exp:-710"],
+], ids=["poisson", "phin"])
+def test_target_that_overflows_is_one_validation_line(tmp_path, capsys, argv):
+    out_dir = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise out of main
+        code, out, err = run_cli([*argv, "--out", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert err == "validation error: density function values and their integral must be finite\n"
     assert not any(out_dir.iterdir())
 
 
@@ -1176,6 +1211,17 @@ def test_verify_failure_exits_5(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["verify", "--level", "quick", "--out", str(tmp_path)], capsys)
     assert code == 5
     assert "FAIL" in out
+
+
+def test_criterion_that_raises_is_its_error_line(monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("tube scan broke")
+
+    monkeypatch.setattr(kezeta.verify, "zero_free_in_tube", boom)
+    lines = kezeta.verify.run_verify("quick").text().splitlines()
+    assert lines[4] == kezeta.verify.CriterionResult(
+        7, "zero-free tube", "error: tube scan broke", "-", False).line()
+    assert lines[-1] == "summary: 5/6 criteria passed"
 
 
 def test_tampered_laplacian_calibration_only_breaks_criterion_11(monkeypatch):
